@@ -20,6 +20,10 @@ configurations produce byte-identical files.  Complex matrices are dumped with
 real and imaginary parts interleaved column-wise (re[i,0], im[i,0], re[i,1],
 ...).  Exit codes: 0 success, 1 solver failure, 2 configuration error; errors
 are also emitted as one-line JSON on stderr.
+
+Sweeps build the generator stack of each model from two pieces, L(x) = A + x B
+(x is the drive, the two-photon detuning, or the reduced model's hopping rate),
+and solve it in batched LU calls; ``--parallel`` is accepted and ignored.
 """
 from __future__ import annotations
 
@@ -27,7 +31,7 @@ import argparse
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +41,7 @@ from .level_system import SystemParams, ground_indices, raman_detunings
 from .liouvillian import (
     PropagationError,
     SteadyStateError,
+    affine_steady_states,
     build_generator,
     cascaded_lambda_graph,
     steady_state,
@@ -169,16 +174,8 @@ def write_json(path: Path, payload) -> None:
 
 def write_complex_matrix_csv(path: Path, matrix: np.ndarray, digest: str) -> None:
     """Dump a complex matrix with interleaved real/imaginary columns."""
-    d = matrix.shape[1]
-    header = []
-    for j in range(d):
-        header += [f"re_{j}", f"im_{j}"]
-    rows = []
-    for i in range(matrix.shape[0]):
-        row: list = []
-        for j in range(d):
-            row += [matrix[i, j].real, matrix[i, j].imag]
-        rows.append(row)
+    header = [f"{part}_{j}" for j in range(matrix.shape[1]) for part in ("re", "im")]
+    rows = np.ascontiguousarray(matrix, dtype=complex).view(float).tolist()
     write_csv(path, header, rows, digest)
 
 
@@ -201,26 +198,31 @@ def _peakset_payload(peaks: spectrum.PeakSet, threshold: float) -> dict:
     }
 
 
-def _peaks_rows(peaks: spectrum.PeakSet) -> list[list]:
-    fundamental = peaks.fundamental_weight
-    rows = []
-    for p in peaks.peaks:
-        ratio = p.weight / fundamental if fundamental > 0 else float("nan")
-        rows.append([p.n, angular_to_mhz(p.frequency), p.weight, ratio])
-    return rows
+def _write_peaks(
+    out: Path, stem: str, peaks: spectrum.PeakSet, fmt: str, threshold: float, digest: str
+) -> None:
+    """``<stem>_peaks.csv`` and/or ``<stem>_peaks.json``, as ``fmt`` says."""
+    if fmt in ("csv", "both"):
+        fundamental = peaks.fundamental_weight
+        rows = [
+            [p.n, angular_to_mhz(p.frequency), p.weight,
+             p.weight / fundamental if fundamental > 0 else float("nan")]
+            for p in peaks.peaks
+        ]
+        header = ["n", "frequency_mhz", "weight", "ratio_to_fundamental"]
+        write_csv(out / f"{stem}_peaks.csv", header, rows, digest)
+    if fmt in ("json", "both"):
+        write_json(out / f"{stem}_peaks.json", _peakset_payload(peaks, threshold))
+
+
+def _fit_payload(fit: spectrum.LogLinearFit) -> dict:
+    return {"slope": fit.slope, "intercept": fit.intercept, "r_squared": fit.r_squared}
 
 
 def _out_dir(args, cfg) -> Path:
     out = Path(_resolve(args, cfg, "out", ".") or ".")
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _run_points(worker, points, parallel: int) -> list:
-    if parallel <= 1:
-        return [worker(p) for p in points]
-    with ThreadPoolExecutor(max_workers=parallel) as pool:
-        return list(pool.map(worker, points))
 
 
 # ---------------------------------------------------------------------------
@@ -252,36 +254,45 @@ def cmd_steady(args, cfg) -> int:
 
     peaks = spectrum.coherence_peaks(ground, params.delta_omega_s)
     write_complex_matrix_csv(out / "steady_rho.csv", full_matrix, digest)
-    fmt = _resolve(args, cfg, "format")
-    if fmt in ("csv", "both"):
-        write_csv(
-            out / "steady_peaks.csv",
-            ["n", "frequency_mhz", "weight", "ratio_to_fundamental"],
-            _peaks_rows(peaks),
-            digest,
-        )
-    if fmt in ("json", "both"):
-        write_json(out / "steady_peaks.json", _peakset_payload(peaks, threshold))
+    _write_peaks(out, "steady", peaks, _resolve(args, cfg, "format"), threshold, digest)
     return 0
 
 
-def _chain_ratios(params: SystemParams) -> tuple[dict[int, float], float]:
-    gen = build_generator(cascaded_lambda_graph(params))
-    rho = steady_state(gen)
-    gidx = ground_indices(params.n_levels)
-    peaks = spectrum.coherence_peaks(rho.matrix[np.ix_(gidx, gidx)], params.delta_omega_s)
-    ratios = spectrum.height_ratios(peaks)
-    return {n: ratios.ratio(n) for n in range(2, params.n_ground)}, peaks.fundamental_weight
+def _chain_generator(params: SystemParams) -> np.ndarray:
+    return build_generator(cascaded_lambda_graph(params)).matrix
 
 
-def _effective_ratios(params: SystemParams) -> tuple[dict[int, float], float]:
-    gen = effective.build_effective_generator(
-        params.n_levels, params.hopping_rate, params.gamma_prime, params.detunings
-    )
-    rho = effective.effective_steady_state(gen)
-    peaks = spectrum.coherence_peaks(rho.matrix, params.delta_omega_s)
-    ratios = spectrum.height_ratios(peaks)
-    return {n: ratios.ratio(n) for n in range(2, params.n_ground)}, peaks.fundamental_weight
+def _reduced_generator(params: SystemParams, j_hop: float) -> np.ndarray:
+    return effective.build_effective_generator(
+        params.n_levels, j_hop, params.gamma_prime, params.detunings
+    ).matrix
+
+
+def _sweep_rows(params: SystemParams, chain_at, xs, reduced_at, js) -> list[list[float]]:
+    """Rows [w1_full, w1_eff, h21_full, h21_eff, ...] at the points ``xs`` of the
+    full chain ``chain_at(x)`` and ``js`` of the reduced model ``reduced_at(j)``.
+    Each generator family is solved as base + x * slope, so it must be affine
+    in its argument, as it is in the drive, the detunings and the hopping rate."""
+    models = []
+    for build, points, gidx in (
+        (chain_at, xs, ground_indices(params.n_levels)),
+        (reduced_at, js, np.arange(params.n_ground)),
+    ):
+        base = build(0.0)
+        harmonics = []
+        for rho in affine_steady_states(base, build(1.0) - base, points):
+            peaks = spectrum.coherence_peaks(rho[np.ix_(gidx, gidx)], params.delta_omega_s)
+            ratios = spectrum.height_ratios(peaks)
+            harmonics.append(
+                [peaks.fundamental_weight] + [ratios.ratio(n) for n in range(2, params.n_ground)]
+            )
+        models.append(harmonics)
+    return [[v for pair in zip(full, eff) for v in pair] for full, eff in zip(*models)]
+
+
+def _sweep_header(params: SystemParams) -> list[str]:
+    names = ["w1", *(f"h{n}1" for n in range(2, params.n_ground))]
+    return [f"{name}_{model}" for name in names for model in ("full", "eff")]
 
 
 def cmd_sweep_detuning(args, cfg) -> int:
@@ -297,38 +308,23 @@ def cmd_sweep_detuning(args, cfg) -> int:
         raise ConfigError("sweep count must be >= 2")
     spacing = _resolve(args, cfg, "spacing", cfg.get("sweep_spacing", "linear")) or "linear"
     grid = _make_grid(start, stop, count, spacing)
-    parallel = _as_int(_resolve(args, cfg, "parallel", "1"), "parallel")
     used.update(
         start_mhz=_fmt(start), stop_mhz=_fmt(stop), count=str(count), spacing=spacing
     )
     digest = config_digest(used)
     out = _out_dir(args, cfg)
 
-    def worker(delta_mhz: float):
-        delta = mhz_to_angular(delta_mhz)
-        p = SystemParams(
-            n_levels=params.n_levels,
-            rabi=params.rabi,
-            gamma=params.gamma,
-            gamma_prime=params.gamma_prime,
-            detunings=raman_detunings(params.n_levels, delta),
-            delta_omega_s=params.delta_omega_s,
-        )
-        full, w1_full = _chain_ratios(p)
-        eff, w1_eff = _effective_ratios(p)
-        return delta_mhz, w1_full, w1_eff, full, eff
+    def at(delta: float) -> SystemParams:
+        return replace(params, detunings=raman_detunings(params.n_levels, delta))
 
-    results = _run_points(worker, list(grid), parallel)
-    harmonic_ns = list(range(2, params.n_ground))
-    header = ["delta_mhz", "w1_full", "w1_eff"]
-    for n in harmonic_ns:
-        header += [f"h{n}1_full", f"h{n}1_eff"]
-    rows = []
-    for delta_mhz, w1_full, w1_eff, full, eff in results:
-        row = [delta_mhz, w1_full, w1_eff]
-        for n in harmonic_ns:
-            row += [full[n], eff[n]]
-        rows.append(row)
+    deltas = [mhz_to_angular(v) for v in grid]
+    rows = _sweep_rows(
+        params,
+        lambda x: _chain_generator(at(x)), deltas,
+        lambda x: _reduced_generator(at(x), params.hopping_rate), deltas,
+    )
+    rows = [[delta_mhz, *row] for delta_mhz, row in zip(grid, rows)]
+    header = ["delta_mhz", *_sweep_header(params)]
     write_csv(out / "sweep_detuning.csv", header, rows, digest)
     return 0
 
@@ -342,41 +338,28 @@ def cmd_sweep_rabi(args, cfg) -> int:
         raise ConfigError("sweep count must be >= 2")
     spacing = _resolve(args, cfg, "spacing", "log") or "log"
     grid = _make_grid(omega_min, omega_max, count, spacing)
-    parallel = _as_int(_resolve(args, cfg, "parallel", "1"), "parallel")
     used.update(
         omega_min=_fmt(omega_min), omega_max=_fmt(omega_max), count=str(count), spacing=spacing
     )
     digest = config_digest(used)
     out = _out_dir(args, cfg)
 
-    def worker(frac: float):
-        p = SystemParams(
-            n_levels=params.n_levels,
-            rabi=frac * params.gamma,
-            gamma=params.gamma,
-            gamma_prime=params.gamma_prime,
-            detunings=params.detunings,
-            delta_omega_s=params.delta_omega_s,
-        )
-        if p.rabi == 0.0:
-            return frac, 0.0, None, None, "zero-fundamental"
-        full, _ = _chain_ratios(p)
-        eff, _ = _effective_ratios(p)
-        return frac, p.hopping_rate / p.gamma_prime, full, eff, "ok"
-
-    results = _run_points(worker, list(grid), parallel)
-    harmonic_ns = list(range(2, params.n_ground))
-    header = ["omega_over_gamma", "j_hop_over_gamma_prime"]
-    for n in harmonic_ns:
-        header += [f"h{n}1_full", f"h{n}1_eff"]
-    header.append("flag")
+    rabis = grid * params.gamma
+    driven = rabis[rabis != 0.0]
+    solved = iter(_sweep_rows(
+        params,
+        lambda x: _chain_generator(replace(params, rabi=x)), driven,
+        lambda j: _reduced_generator(params, j), driven**2 / params.gamma,
+    ))
     rows = []
-    for frac, jrel, full, eff, flag in results:
-        row = [frac, jrel]
-        for n in harmonic_ns:
-            row += [float("nan") if full is None else full[n], float("nan") if eff is None else eff[n]]
-        row.append(flag)
-        rows.append(row)
+    for frac, rabi in zip(grid, rabis):
+        if rabi == 0.0:
+            nans = [float("nan")] * (2 * params.n_ground - 4)
+            rows.append([frac, 0.0, *nans, "zero-fundamental"])
+        else:
+            jrel = rabi**2 / params.gamma / params.gamma_prime
+            rows.append([frac, jrel, *next(solved)[2:], "ok"])
+    header = ["omega_over_gamma", "j_hop_over_gamma_prime", *_sweep_header(params)[2:], "flag"]
     write_csv(out / "sweep_rabi.csv", header, rows, digest)
     return 0
 
@@ -448,15 +431,7 @@ def cmd_rb85(args, cfg) -> int:
     peaks = spectrum.coherence_peaks(rb85.ground_block(rho), dws, labels=rb85.GROUND_M)
 
     fmt = _resolve(args, cfg, "format")
-    if fmt in ("csv", "both"):
-        write_csv(
-            out / "rb85_peaks.csv",
-            ["n", "frequency_mhz", "weight", "ratio_to_fundamental"],
-            _peaks_rows(peaks),
-            digest,
-        )
-    if fmt in ("json", "both"):
-        write_json(out / "rb85_peaks.json", _peakset_payload(peaks, threshold))
+    _write_peaks(out, "rb85", peaks, fmt, threshold, digest)
 
     summary: dict = {
         "config_hash": digest,
@@ -467,12 +442,7 @@ def cmd_rb85(args, cfg) -> int:
         "threshold": threshold,
     }
     if peaks.fundamental_weight > 0:
-        fit = spectrum.loglinear_fit(peaks)
-        summary["full_model_fit"] = {
-            "slope": fit.slope,
-            "intercept": fit.intercept,
-            "r_squared": fit.r_squared,
-        }
+        summary["full_model_fit"] = _fit_payload(spectrum.loglinear_fit(peaks))
     else:
         summary["flag"] = "zero-fundamental"
 
@@ -488,22 +458,10 @@ def cmd_rb85(args, cfg) -> int:
         rho13 = steady_state(build_generator(rb85.build_truncated_13(params13)))
         gidx = ground_indices(13)
         peaks13 = spectrum.coherence_peaks(rho13.matrix[np.ix_(gidx, gidx)], dws)
-        if fmt in ("csv", "both"):
-            write_csv(
-                out / "rb85_truncated13_peaks.csv",
-                ["n", "frequency_mhz", "weight", "ratio_to_fundamental"],
-                _peaks_rows(peaks13),
-                digest,
-            )
-        if fmt in ("json", "both"):
-            write_json(out / "rb85_truncated13_peaks.json", _peakset_payload(peaks13, threshold))
+        _write_peaks(out, "rb85_truncated13", peaks13, fmt, threshold, digest)
         if peaks13.fundamental_weight > 0 and peaks.fundamental_weight > 0:
             fit13 = spectrum.loglinear_fit(peaks13)
-            summary["truncated13_fit"] = {
-                "slope": fit13.slope,
-                "intercept": fit13.intercept,
-                "r_squared": fit13.r_squared,
-            }
+            summary["truncated13_fit"] = _fit_payload(fit13)
             summary["slope_comparison"] = (
                 "full model falls faster than the 13-level chain"
                 if summary["full_model_fit"]["slope"] < fit13.slope
@@ -517,14 +475,7 @@ def cmd_rates(args, cfg) -> int:
     params, used = _resolve_system(args, cfg)
     digest = config_digest(used)
     out = _out_dir(args, cfg)
-    resonant_params = SystemParams(
-        n_levels=params.n_levels,
-        rabi=params.rabi,
-        gamma=params.gamma,
-        gamma_prime=params.gamma_prime,
-        detunings=(0.0,) * (params.n_levels - 1),
-        delta_omega_s=params.delta_omega_s,
-    )
+    resonant_params = replace(params, detunings=(0.0,) * (params.n_levels - 1))
     rows = []
     detuned_input = any(d != 0.0 for d in params.detunings)
     for n in range(1, params.n_ground):
@@ -662,7 +613,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threshold", dest="threshold", type=float,
                    help="relative display cutoff for visible peaks")
     p.add_argument("--parallel", dest="parallel", type=int,
-                   help="worker threads for sweep points")
+                   help="accepted for compatibility; has no effect (sweeps are batched)")
     p.add_argument("--seed", dest="seed", type=int)
 
 

@@ -30,7 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .level_system import SystemParams, rotating_diagonal
-from .liouvillian import DensityMatrix, GeneratorMatrix, steady_state
+from .liouvillian import (
+    DensityMatrix,
+    GeneratorMatrix,
+    hamiltonian_superoperator,
+    steady_state,
+)
 
 __all__ = [
     "EffectiveParams",
@@ -76,13 +81,13 @@ class EffectiveGenerator:
         return self.params.n_ground
 
 
+def _chain_adjacency(n_ground: int) -> np.ndarray:
+    return np.eye(n_ground, k=1) + np.eye(n_ground, k=-1)
+
+
 def population_rates(n_ground: int, j_hop: float, gamma_prime: float) -> np.ndarray:
     """Symmetric nearest-neighbour population transfer rates j_hop + gamma_prime."""
-    rates = np.zeros((n_ground, n_ground))
-    for g in range(n_ground - 1):
-        rates[g, g + 1] = j_hop + gamma_prime
-        rates[g + 1, g] = j_hop + gamma_prime
-    return rates
+    return (j_hop + gamma_prime) * _chain_adjacency(n_ground)
 
 
 def coherence_damping(n_ground: int, j_hop: float) -> np.ndarray:
@@ -90,25 +95,15 @@ def coherence_damping(n_ground: int, j_hop: float) -> np.ndarray:
 
     gtilde[a, b] = (4 - edge(a) - edge(b)) * j_hop / 2; the diagonal is unused.
     """
-
-    def edge(g: int) -> int:
-        return 1 if g in (0, n_ground - 1) else 0
-
-    gt = np.zeros((n_ground, n_ground))
-    for a in range(n_ground):
-        for b in range(n_ground):
-            gt[a, b] = (4 - edge(a) - edge(b)) * j_hop / 2.0
-    return gt
+    edge = np.zeros(n_ground)
+    edge[[0, -1]] = 1.0
+    return (4.0 - edge[:, None] - edge[None, :]) * j_hop / 2.0
 
 
 def hopping_matrix(n_ground: int, amplitude: float, imaginary: bool = True) -> np.ndarray:
     """Nearest-neighbour hopping block; ``imaginary=False`` builds the Hermitian mutant."""
-    adj = np.zeros((n_ground, n_ground))
-    for g in range(n_ground - 1):
-        adj[g, g + 1] = 1.0
-        adj[g + 1, g] = 1.0
     scale = 1j * amplitude if imaginary else amplitude
-    return scale * adj.astype(complex)
+    return scale * _chain_adjacency(n_ground).astype(complex)
 
 
 def build_effective_generator(
@@ -139,24 +134,14 @@ def build_effective_generator(
     rates = population_rates(ng, j_hop, gamma_prime)
     outflow = rates.sum(axis=1)
 
-    def act(rho: np.ndarray) -> np.ndarray:
-        drho = -1j * (h_eff @ rho - rho @ h_eff.conj().T)
-        np.fill_diagonal(drho, 0.0)  # populations see no coherent term
-        for a in range(ng):
-            for b in range(ng):
-                if a != b:
-                    drho[a, b] -= (gtilde[a, b] + 0.5 * (outflow[a] + outflow[b])) * rho[a, b]
-        for a in range(ng):
-            drho[a, a] += -outflow[a] * rho[a, a] + rates[:, a] @ np.diag(rho)
-        return drho
-
-    # column-stacked superoperator, assembled column by column from basis matrices
-    mat = np.zeros((ng * ng, ng * ng), dtype=complex)
-    for j in range(ng):
-        for i in range(ng):
-            basis = np.zeros((ng, ng), dtype=complex)
-            basis[i, j] = 1.0
-            mat[:, i + j * ng] = act(basis).reshape(ng * ng, order="F")
+    # column-stacked superoperator: populations see no coherent term, each
+    # coherence rho_ab damps at gtilde[a, b] plus half the outflow of a and b
+    mat = hamiltonian_superoperator(h_eff, h_eff.conj().T)
+    pop = np.arange(ng) * (ng + 1)
+    mat[pop, :] = 0.0
+    damping = gtilde + 0.5 * (outflow[:, None] + outflow[None, :])
+    mat[np.diag_indices(ng * ng)] -= damping.ravel(order="F")
+    mat[np.ix_(pop, pop)] = rates.T - np.diag(outflow)
 
     params = EffectiveParams(
         n_ground=ng,

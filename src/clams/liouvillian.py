@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 import scipy.linalg as sla
@@ -30,9 +31,12 @@ __all__ = [
     "DegenerateSteadyStateError",
     "SteadyStateError",
     "PropagationError",
+    "affine_steady_states",
     "build_generator",
     "cascaded_lambda_graph",
+    "hamiltonian_superoperator",
     "steady_state",
+    "steady_states",
     "propagate",
 ]
 
@@ -40,8 +44,12 @@ __all__ = [
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
-RESIDUAL_RTOL = 1e-10
+RESIDUAL_RTOL = 1e-10  # relative to ||L|| ||v||
 NULLSPACE_RTOL = 1e-10
+
+# Batched solves take generator stacks of at most this many bytes; the LU
+# working copies make the peak memory a small multiple of it.
+STACK_BYTES = 2 * 1024**2
 
 
 class SteadyStateError(RuntimeError):
@@ -145,20 +153,26 @@ class DensityMatrix:
         return cls(np.asarray(v, dtype=complex).reshape((n_states, n_states), order="F"))
 
 
+def hamiltonian_superoperator(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """d^2 x d^2 matrix of rho -> -i (left rho - rho right), written from indices."""
+    d = left.shape[0]
+    lio = np.zeros((d * d, d * d), dtype=complex)
+    l4 = lio.reshape(d, d, d, d)  # l4[j, i, l, k] = L[i + j*d, k + l*d]
+    idx = np.arange(d)
+    l4[idx, :, idx, :] -= 1j * left  # left[i, k] rho[k, j]
+    l4[:, idx, :, idx] += 1j * right.T  # rho[i, l] right[l, j]
+    return lio
+
+
 def build_generator(graph: CouplingGraph) -> GeneratorMatrix:
     """Assemble the d^2 x d^2 generator of the coherent + population-decay dynamics."""
     d = graph.n_states
-    h = graph.hamiltonian
-    eye = np.eye(d)
-    lio = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    for src, tgt, rate in graph.population_decays:
-        if rate == 0.0:
-            continue
-        c = np.zeros((d, d))
-        c[tgt, src] = 1.0
-        proj = np.zeros((d, d))
-        proj[src, src] = 1.0  # c^+ c
-        lio = lio + rate * (np.kron(c, c) - 0.5 * (np.kron(eye, proj) + np.kron(proj, eye)))
+    lio = hamiltonian_superoperator(graph.hamiltonian, graph.hamiltonian)
+    if graph.population_decays:
+        src, tgt, rate = map(np.array, zip(*graph.population_decays))
+        np.add.at(lio, (tgt * (d + 1), src * (d + 1)), rate)
+        outflow = np.bincount(src, weights=rate, minlength=d)
+        lio[np.diag_indices(d * d)] -= 0.5 * (outflow[:, None] + outflow[None, :]).ravel()
     return GeneratorMatrix(n_states=d, matrix=lio)
 
 
@@ -196,38 +210,82 @@ def _null_dimension(lio: np.ndarray) -> int:
     return int(np.sum(s < NULLSPACE_RTOL * s[0]))
 
 
+def _relative_residual(lio: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Backward error ||L v|| / (||L||_F ||v||) of null vectors, per generator of a stack;
+    independent of the time unit, and 0 for L = 0, which every vector solves."""
+    lv = np.linalg.norm((lio @ v[..., None])[..., 0], axis=-1)
+    scale = np.linalg.norm(lio, axis=(-2, -1)) * np.linalg.norm(v, axis=-1)
+    return np.divide(lv, scale, out=np.zeros_like(lv), where=scale > 0)
+
+
 def steady_state(gen: GeneratorMatrix) -> DensityMatrix:
     """Unique trace-one null vector of the generator.
 
     One row of L is replaced by the trace functional and the square system is
     solved by dense LU; the solution is then verified against the unmodified L.
-    A residual above ``RESIDUAL_RTOL`` (or a singular solve) triggers a null
-    space diagnosis, and a null dimension other than one is reported as a
-    degeneracy rather than silently picking a state.
+    A relative residual above ``RESIDUAL_RTOL`` (or a singular solve) triggers
+    a null space diagnosis, and a null dimension other than one is reported as
+    a degeneracy rather than silently picking a state.
     """
-    d = gen.n_states
-    lio = gen.matrix
-    a = lio.copy()
-    trace_row = np.zeros(d * d, dtype=complex)
-    trace_row[np.arange(d) * (d + 1)] = 1.0
-    a[0, :] = trace_row
-    b = np.zeros(d * d, dtype=complex)
-    b[0] = 1.0
+    return DensityMatrix(steady_states(gen.matrix[None])[0])
+
+
+def steady_states(stack: np.ndarray) -> np.ndarray:
+    """Steady states, shape (k, d, d), of a stack of k generators of order d^2.
+
+    The method of :func:`steady_state` with one batched LU call for the whole
+    stack; the first member that fails a check raises its typed error.
+    """
+    k, n, _ = stack.shape
+    d = isqrt(n)
+    bordered = stack.copy()
+    bordered[:, 0, :] = 0.0
+    bordered[:, 0, np.arange(d) * (d + 1)] = 1.0  # trace functional
+    rhs = np.zeros((n, 1), dtype=complex)
+    rhs[0] = 1.0
     try:
-        v = sla.solve(a, b)
-    except (np.linalg.LinAlgError, sla.LinAlgError, ValueError):
-        raise DegenerateSteadyStateError(_null_dimension(lio)) from None
-    if not np.all(np.isfinite(v)):
-        raise DegenerateSteadyStateError(_null_dimension(lio))
-    residual = float(np.linalg.norm(lio @ v) / np.linalg.norm(v))
-    if residual > RESIDUAL_RTOL:
-        null_dim = _null_dimension(lio)
-        if null_dim != 1:
-            raise DegenerateSteadyStateError(null_dim)
-        raise SteadyStateError(
-            f"steady-state residual {residual:.3e} exceeds {RESIDUAL_RTOL:.0e}"
-        )
-    return DensityMatrix.from_vec(v, d).validate()
+        v = np.linalg.solve(bordered, rhs)[..., 0]
+    except np.linalg.LinAlgError:  # raised for the whole stack: find the member
+        if k == 1:
+            raise DegenerateSteadyStateError(_null_dimension(stack[0])) from None
+        return np.concatenate([steady_states(lio[None]) for lio in stack])
+    finite = np.isfinite(v).all(axis=1)
+    v[~finite] = 0.0
+    residual = _relative_residual(stack, v)
+    rho = v.reshape(k, d, d).transpose(0, 2, 1)  # column stacking
+    rho_h = rho.conj().transpose(0, 2, 1)
+    ok = finite & (residual <= RESIDUAL_RTOL)
+    ok &= np.abs(rho - rho_h).max(axis=(1, 2)) <= HERMITICITY_ATOL
+    ok &= np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0) <= TRACE_ATOL
+    ok &= np.linalg.eigvalsh(0.5 * (rho + rho_h)).min(axis=1) >= EIGENVALUE_FLOOR
+    for i in np.flatnonzero(~ok):
+        if not finite[i]:
+            raise DegenerateSteadyStateError(_null_dimension(stack[i]))
+        if residual[i] > RESIDUAL_RTOL:
+            null_dim = _null_dimension(stack[i])
+            if null_dim != 1:
+                raise DegenerateSteadyStateError(null_dim)
+            raise SteadyStateError(
+                f"steady-state residual {residual[i]:.3e} exceeds {RESIDUAL_RTOL:.0e}"
+            )
+        DensityMatrix(rho[i]).validate()
+    return rho
+
+
+def affine_steady_states(base: np.ndarray, slope: np.ndarray, xs) -> np.ndarray:
+    """Steady states, shape (len(xs), d, d), of the generators base + x * slope.
+
+    The stack is built and solved at most ``STACK_BYTES`` at a time, so the
+    memory of a sweep does not grow with its number of points.
+    """
+    xs = np.asarray(xs, dtype=float)
+    n = base.shape[0]
+    d = isqrt(n)
+    per = max(1, STACK_BYTES // (16 * n * n))
+    out = np.empty((xs.size, d, d), dtype=complex)
+    for start in range(0, xs.size, per):
+        out[start : start + per] = steady_states(base + xs[start : start + per, None, None] * slope)
+    return out
 
 
 def propagate(gen: GeneratorMatrix, rho0: DensityMatrix, t: float, tol: float = 1e-9) -> DensityMatrix:

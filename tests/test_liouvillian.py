@@ -11,6 +11,7 @@ from clams.liouvillian import (
     cascaded_lambda_graph,
     propagate,
     steady_state,
+    steady_states,
 )
 from conftest import chain_params, hermitian_random, random_graph
 
@@ -145,6 +146,34 @@ def test_degenerate_null_space_is_an_error():
     with pytest.raises(DegenerateSteadyStateError) as err:
         steady_state(build_generator(g))
     assert err.value.null_dim == 2
+
+
+def test_stack_with_disconnected_generator_reports_its_null_dim():
+    rng = np.random.default_rng(27)
+    connected = build_generator(random_graph(rng, d=4))
+    chans = ((1, 0, 1.0), (0, 1, 0.5), (3, 2, 1.0), (2, 3, 0.5))
+    disconnected = build_generator(CouplingGraph(4, np.zeros((4, 4), dtype=complex), chans))
+    with pytest.raises(DegenerateSteadyStateError) as single:
+        steady_state(disconnected)
+    with pytest.raises(DegenerateSteadyStateError) as stacked:
+        steady_states(np.stack([connected.matrix, disconnected.matrix, connected.matrix]))
+    assert stacked.value.null_dim == single.value.null_dim == 2
+
+
+def test_steady_state_independent_of_time_unit():
+    # every rate in units of 10**k: the residual test is relative to ||L||
+    base = dict(
+        rabi=0.05, gamma=1.0, gamma_prime=1e-3, detunings=(0.01, 0.0, -0.02, 0.005, 0.0, 0.003)
+    )
+    want = steady_state(build_generator(cascaded_lambda_graph(chain_params(7, **base)))).matrix
+    for k in range(-8, 9):
+        s = 10.0**k
+        p = chain_params(
+            7, base["rabi"] * s, base["gamma"] * s, base["gamma_prime"] * s,
+            detunings=tuple(x * s for x in base["detunings"]), delta_omega_s=s,
+        )
+        rho = steady_state(build_generator(cascaded_lambda_graph(p))).matrix
+        assert np.abs(rho - want).max() <= 1e-12, k
 
 
 def test_uniqueness_gap_of_test_graphs():
