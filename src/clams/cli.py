@@ -102,9 +102,12 @@ def _resolve(args: argparse.Namespace, cfg: dict[str, str], key: str, default: s
 
 def _as_float(value: str, key: str) -> float:
     try:
-        return float(value)
+        out = float(value)
     except ValueError:
         raise ConfigError(f"{key}: expected a number, got {value!r}") from None
+    if not np.isfinite(out):
+        raise ConfigError(f"{key}: expected a finite number, got {value!r}")
+    return out
 
 
 def _as_int(value: str, key: str) -> int:

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from math import isqrt
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.integrate import solve_ivp
 
 from .level_system import SystemParams, build_rotating_hamiltonian
 
@@ -46,6 +44,9 @@ TRACE_ATOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 RESIDUAL_RTOL = 1e-10  # relative to ||L|| ||v||
 NULLSPACE_RTOL = 1e-10
+# Internal step budget of one propagation; odeint's default of 500 is already
+# reached by some criterion-09 graphs (up to 454 steps at tol = 1e-9).
+PROPAGATE_MAX_STEPS = 100_000
 
 # Batched solves take generator stacks of at most this many bytes; the LU
 # working copies make the peak memory a small multiple of it.
@@ -87,6 +88,8 @@ class CouplingGraph:
         h = np.asarray(self.hamiltonian, dtype=complex)
         if h.shape != (self.n_states, self.n_states):
             raise ValueError(f"hamiltonian must be {self.n_states}x{self.n_states}")
+        if not np.isfinite(h).all():
+            raise ValueError("hamiltonian entries must be finite")
         scale = max(1.0, float(np.abs(h).max()))
         if np.abs(h - h.conj().T).max() > HERMITICITY_ATOL * scale:
             raise ValueError("hamiltonian must be Hermitian")
@@ -99,6 +102,8 @@ class CouplingGraph:
                 raise ValueError("decay channel source and target must differ")
             if rate < 0:
                 raise ValueError(f"negative decay rate {rate}")
+            if not np.isfinite(rate):
+                raise ValueError(f"decay rate {rate} must be finite")
             chans.append((int(src), int(tgt), float(rate)))
         object.__setattr__(self, "population_decays", tuple(chans))
 
@@ -204,7 +209,10 @@ def cascaded_lambda_graph(params: SystemParams) -> CouplingGraph:
 
 
 def _null_dimension(lio: np.ndarray) -> int:
-    s = sla.svdvals(lio)
+    """Numerical null-space dimension; a non-finite generator has none to diagnose."""
+    if not np.isfinite(lio).all():
+        raise SteadyStateError("generator has non-finite entries")
+    s = np.linalg.svd(lio, compute_uv=False)
     if s[0] == 0.0:
         return lio.shape[0]
     return int(np.sum(s < NULLSPACE_RTOL * s[0]))
@@ -261,7 +269,7 @@ def steady_states(stack: np.ndarray) -> np.ndarray:
     for i in np.flatnonzero(~ok):
         if not finite[i]:
             raise DegenerateSteadyStateError(_null_dimension(stack[i]))
-        if residual[i] > RESIDUAL_RTOL:
+        if not residual[i] <= RESIDUAL_RTOL:  # true for a NaN residual too
             null_dim = _null_dimension(stack[i])
             if null_dim != 1:
                 raise DegenerateSteadyStateError(null_dim)
@@ -291,10 +299,15 @@ def affine_steady_states(base: np.ndarray, slope: np.ndarray, xs) -> np.ndarray:
 def propagate(gen: GeneratorMatrix, rho0: DensityMatrix, t: float, tol: float = 1e-9) -> DensityMatrix:
     """Integrate drho/dt = L rho for a time ``t`` with local error <= ``tol``.
 
-    Validation path for the steady-state solver.  The complex linear system is
-    stacked into real and imaginary parts and integrated with an adaptive
-    implicit scheme (the generator supplies the exact Jacobian), which keeps
-    stiff rate hierarchies such as gamma >> gamma_prime tractable.
+    Validation path for the steady-state solver, independent of its LU solve.
+    The complex linear system is stacked into real and imaginary parts and
+    integrated by LSODA (compiled ODEPACK, via ``scipy.integrate.odeint``),
+    which switches between non-stiff Adams and stiff BDF steps as the dynamics
+    require; the generator supplies the exact Jacobian, which keeps stiff rate
+    hierarchies such as gamma >> gamma_prime tractable.  ``odeint`` is used
+    rather than ``solve_ivp``: the latter's BDF is pure Python, and its LSODA
+    rejects a constant array Jacobian and leaks memory on every call.
+    scipy is imported here, so ``import clams`` loads numpy only.
     """
     if t < 0:
         raise ValueError("propagation time must be >= 0")
@@ -302,26 +315,31 @@ def propagate(gen: GeneratorMatrix, rho0: DensityMatrix, t: float, tol: float = 
         raise ValueError("state dimension does not match the generator")
     if t == 0:
         return rho0
+    from scipy.integrate import ODEintWarning, odeint
+
     lio = gen.matrix
     lr = np.block([[lio.real, -lio.imag], [lio.imag, lio.real]])
     z0 = rho0.vec()
     y0 = np.concatenate([z0.real, z0.imag])
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # LSODA/BDF chatter on step-size limits
-        sol = solve_ivp(
-            lambda _t, y: lr @ y,
-            (0.0, float(t)),
-            y0,
-            method="BDF",
-            jac=lambda _t, _y: lr,
-            rtol=tol,
-            atol=tol,
-        )
-    if not sol.success:
-        raise PropagationError(f"integration failed: {sol.message}")
+        warnings.simplefilter("error", ODEintWarning)  # odeint reports failure as a warning
+        try:
+            y_t = odeint(
+                lambda _t, y: lr @ y,
+                y0,
+                [0.0, float(t)],
+                Dfun=lambda _t, _y: lr,
+                rtol=tol,
+                atol=tol,
+                mxstep=PROPAGATE_MAX_STEPS,
+                tfirst=True,
+            )[-1]
+        except ODEintWarning as exc:
+            raise PropagationError(f"integration failed: {exc}") from None
+    if not np.isfinite(y_t).all():
+        raise PropagationError("integration produced non-finite values")
     n2 = gen.n_states**2
-    v = sol.y[:n2, -1] + 1j * sol.y[n2:, -1]
-    rho = DensityMatrix.from_vec(v, gen.n_states)
+    rho = DensityMatrix.from_vec(y_t[:n2] + 1j * y_t[n2:], gen.n_states)
     drift = abs(complex(np.trace(rho.matrix)) - 1.0)
     if drift > 10.0 * tol:
         raise PropagationError(f"trace drift {drift:.3e} exceeds 10*tol")
@@ -330,3 +348,14 @@ def propagate(gen: GeneratorMatrix, rho0: DensityMatrix, t: float, tol: float = 
         trace_atol=10.0 * tol,
         eig_floor=min(EIGENVALUE_FLOOR, -10.0 * tol),
     )
+
+
+def __getattr__(name: str):
+    # PEP 562 hook: callers that look up ``solve_ivp`` here by name (the
+    # benchmark tracer wraps it) still resolve it, and it is imported on first
+    # access so that importing this module does not load scipy.
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -72,6 +72,24 @@ def test_invalid_n_levels_exits_2(tmp_path, capsys):
     assert "n_levels must be odd" in err["error"]
 
 
+@pytest.mark.parametrize("flag", ["--rabi-mhz", "--gamma-mhz", "--gamma-prime-mhz"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_number_exits_2(tmp_path, capsys, flag, value):
+    code = run_cli("steady", "--n-levels", "5", f"{flag}={value}", "--out", str(tmp_path))
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err.strip())
+    assert "expected a finite number" in err["error"]
+
+
+def test_non_finite_config_value_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_levels = 5\ndetunings_mhz = 0, nan, 0, 0\n")
+    assert run_cli("steady", "--config", str(cfg), "--out", str(tmp_path)) == 2
+    assert "detunings_mhz" in json.loads(capsys.readouterr().err.strip())["error"]
+
+
 def test_sweep_detuning_requires_grid(tmp_path, capsys):
     code = run_cli("sweep-detuning", "--out", str(tmp_path))
     assert code == 2

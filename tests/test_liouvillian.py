@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -7,12 +9,16 @@ from clams.liouvillian import (
     CouplingGraph,
     DegenerateSteadyStateError,
     DensityMatrix,
+    GeneratorMatrix,
+    PropagationError,
+    SteadyStateError,
     build_generator,
     cascaded_lambda_graph,
     propagate,
     steady_state,
     steady_states,
 )
+from clams.units import mhz_to_angular
 from conftest import chain_params, hermitian_random, random_graph
 
 
@@ -160,6 +166,18 @@ def test_stack_with_disconnected_generator_reports_its_null_dim():
     assert stacked.value.null_dim == single.value.null_dim == 2
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_stack_with_non_finite_generator_raises():
+    # generator of a 1 -> 0 decay at infinite rate; its residual is NaN
+    bad = np.zeros((4, 4), dtype=complex)
+    bad[0, 3] = np.inf  # rho_00 fed from rho_11
+    bad[1, 1] = bad[2, 2] = bad[3, 3] = -np.inf
+    connected = build_generator(random_graph(np.random.default_rng(28), d=2)).matrix
+    for stack in (bad[None], np.stack([connected, bad])):
+        with pytest.raises(SteadyStateError, match="non-finite"):
+            steady_states(stack)
+
+
 def test_steady_state_independent_of_time_unit():
     # every rate in units of 10**k: the residual test is relative to ||L||
     base = dict(
@@ -198,6 +216,32 @@ def test_propagate_reaches_steady_state():
         assert np.abs(rho_t.matrix - rho_ss.matrix).max() < 1e-6
 
 
+def test_propagate_stiff_readme_chain():
+    # README N=5 point: gamma / gamma_prime = 9500, stiffness ratio ~1.2e4
+    p = chain_params(
+        5, mhz_to_angular(15.2), mhz_to_angular(1900.0), mhz_to_angular(0.2)
+    )
+    gen = build_generator(cascaded_lambda_graph(p))
+    evals = np.linalg.eigvals(gen.matrix)
+    decay = -evals.real[np.abs(evals) > 1e-10 * np.abs(evals).max()]
+    assert decay.max() / decay.min() > 1e4
+    rho0 = DensityMatrix(np.diag([1.0, 0, 0, 0, 0]).astype(complex))
+    rho_t = propagate(gen, rho0, 30.0 / decay.min(), tol=1e-9)
+    assert np.abs(rho_t.matrix - steady_state(gen).matrix).max() < 1e-6
+
+
+def test_propagate_failures_raise():
+    gen = build_generator(pure_decay_graph())
+    nan_gen = GeneratorMatrix(2, np.full((4, 4), np.nan, dtype=complex))
+    rho0 = DensityMatrix(np.diag([0.0, 1.0]).astype(complex))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a failure is an exception, not a warning
+        with pytest.raises(PropagationError, match="integration failed"):
+            propagate(gen, rho0, 1.0, tol=1e-300)
+        with pytest.raises(PropagationError, match="non-finite"):
+            propagate(nan_gen, rho0, 1.0)
+
+
 def test_graph_validation():
     h_ok = np.zeros((2, 2), dtype=complex)
     with pytest.raises(ValueError, match="Hermitian"):
@@ -208,6 +252,11 @@ def test_graph_validation():
         CouplingGraph(2, h_ok, ((1, 1, 0.1),))
     with pytest.raises(ValueError, match="out of range"):
         CouplingGraph(2, h_ok, ((2, 0, 0.1),))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            CouplingGraph(2, np.array([[0.0, bad], [bad, 0.0]]), ())
+        with pytest.raises(ValueError, match="finite"):
+            CouplingGraph(2, h_ok, ((1, 0, bad),))
 
 
 def test_propagate_rejects_negative_time():
