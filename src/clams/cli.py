@@ -15,11 +15,11 @@ frequencies are ordinary MHz and are converted to angular rad/us on load (see
 (``rabi_mhz``, ``gamma_mhz``, ...); flags override file values.
 
 Every CSV starts with a ``# config-hash:`` provenance comment followed by a
-one-line header; floats are written with 17 significant digits so identical
-configurations produce byte-identical files.  Complex matrices are dumped with
-real and imaginary parts interleaved column-wise (re[i,0], im[i,0], re[i,1],
-...).  Exit codes: 0 success, 1 solver failure, 2 configuration error; errors
-are also emitted as one-line JSON on stderr.
+one-line header; floats are written with 17 significant digits (an exact zero
+as ``0``) so identical configurations produce byte-identical files.  Complex
+matrices are dumped with real and imaginary parts interleaved column-wise
+(re[i,0], im[i,0], re[i,1], ...).  Exit codes: 0 success, 1 solver failure,
+2 configuration error; errors are also emitted as one-line JSON on stderr.
 
 Sweeps build the generator stack of each model from two pieces, L(x) = A + x B
 (x is the drive, the two-photon detuning, or the reduced model's hopping rate),
@@ -159,16 +159,23 @@ def config_digest(used: dict[str, str]) -> str:
 # ---------------------------------------------------------------------------
 
 
+_FLOAT_FORMAT = "%.17g"  # 17 significant digits: every double reads back exactly
+_ZERO = _FLOAT_FORMAT % 0.0
+
+
 def _fmt(value) -> str:
     if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
+        return _FLOAT_FORMAT % float(value)
     return str(value)
 
 
+def _write_lines(path: Path, header: list[str], lines, digest: str) -> None:
+    """The CSV layout of every writer: provenance comment, header row, ``lines``."""
+    path.write_text("\n".join([f"# config-hash: {digest}", ",".join(header), *lines]) + "\n")
+
+
 def write_csv(path: Path, header: list[str], rows: list[list], digest: str) -> None:
-    lines = [f"# config-hash: {digest}", ",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+    _write_lines(path, header, (",".join(_fmt(v) for v in row) for row in rows), digest)
 
 
 def write_json(path: Path, payload) -> None:
@@ -176,10 +183,21 @@ def write_json(path: Path, payload) -> None:
 
 
 def write_complex_matrix_csv(path: Path, matrix: np.ndarray, digest: str) -> None:
-    """Dump a complex matrix with interleaved real/imaginary columns."""
+    """Dump a complex matrix with interleaved real/imaginary columns.
+
+    The bytes are those of ``_fmt`` on every part, but only the parts that are
+    not +0.0 (nonzeros, -0.0, NaN, +-inf) are formatted: generators are mostly
+    exact zeros, and each of those is written as ``_ZERO``.
+    """
     header = [f"{part}_{j}" for j in range(matrix.shape[1]) for part in ("re", "im")]
-    rows = np.ascontiguousarray(matrix, dtype=complex).view(float).tolist()
-    write_csv(path, header, rows, digest)
+    flat = np.ascontiguousarray(matrix, dtype=complex).view(float).ravel()
+    cells = [_ZERO] * flat.size
+    formatted = np.flatnonzero((flat != 0.0) | np.signbit(flat))
+    for k, value in zip(formatted.tolist(), flat[formatted].tolist()):
+        cells[k] = _FLOAT_FORMAT % value
+    width = len(header)
+    lines = (",".join(cells[k : k + width]) for k in range(0, flat.size, width))
+    _write_lines(path, header, lines, digest)
 
 
 def _peakset_payload(peaks: spectrum.PeakSet, threshold: float) -> dict:
@@ -245,18 +263,16 @@ def cmd_steady(args, cfg) -> int:
         gen = effective.reduce(params)
         rho = effective.effective_steady_state(gen)
         ground = rho.matrix
-        full_matrix = rho.matrix
     else:
         gen = build_generator(cascaded_lambda_graph(params))
         rho = steady_state(gen)
         gidx = ground_indices(params.n_levels)
         ground = rho.matrix[np.ix_(gidx, gidx)]
-        full_matrix = rho.matrix
-        if args.dump_generator:
-            write_complex_matrix_csv(out / "steady_generator.csv", gen.matrix, digest)
+    if args.dump_generator:
+        write_complex_matrix_csv(out / "steady_generator.csv", gen.matrix, digest)
 
     peaks = spectrum.coherence_peaks(ground, params.delta_omega_s)
-    write_complex_matrix_csv(out / "steady_rho.csv", full_matrix, digest)
+    write_complex_matrix_csv(out / "steady_rho.csv", rho.matrix, digest)
     _write_peaks(out, "steady", peaks, _resolve(args, cfg, "format"), threshold, digest)
     return 0
 
@@ -631,7 +647,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_system_flags(p)
     _add_common_flags(p)
     p.add_argument("--effective", action="store_true", help="use the reduced ground-manifold model")
-    p.add_argument("--dump-generator", action="store_true", help="also dump the generator matrix")
+    p.add_argument("--dump-generator", action="store_true",
+                   help="also dump the generator of the solved model (the reduced one "
+                        "with --effective)")
     p.set_defaults(func=cmd_steady)
 
     p = sub.add_parser("sweep-detuning", help="height ratios against two-photon detuning")

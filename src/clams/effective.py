@@ -119,10 +119,10 @@ def build_effective_generator(
     """
     if n_levels < 3 or n_levels % 2 == 0:
         raise ValueError("n_levels must be odd and >= 3")
-    if j_hop < 0:
-        raise ValueError("hopping rate must be >= 0")
-    if gamma_prime <= 0:
-        raise ValueError("gamma_prime must be positive")
+    if not (np.isfinite(j_hop) and j_hop >= 0):
+        raise ValueError("hopping rate must be finite and >= 0")
+    if not (np.isfinite(gamma_prime) and gamma_prime > 0):
+        raise ValueError("gamma_prime must be finite and positive")
     if detunings is None:
         detunings = (0.0,) * (n_levels - 1)
     ng = (n_levels + 1) // 2

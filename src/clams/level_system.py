@@ -58,6 +58,9 @@ class SystemParams:
     def __post_init__(self) -> None:
         if self.n_levels < 3 or self.n_levels % 2 == 0:
             raise ValueError("n_levels must be odd and >= 3")
+        for name in ("rabi", "gamma", "gamma_prime", "delta_omega_s"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
         if self.gamma_prime <= 0:
@@ -72,6 +75,8 @@ class SystemParams:
                 f"expected {self.n_levels - 1} detunings for n_levels={self.n_levels}, "
                 f"got {len(self.detunings)}"
             )
+        if not np.isfinite(self.detunings).all():
+            raise ValueError("detunings must be finite")
 
     @property
     def hopping_rate(self) -> float:
@@ -108,6 +113,8 @@ def rotating_diagonal(n_levels: int, detunings) -> np.ndarray:
     detunings = np.asarray(detunings, dtype=float)
     if detunings.shape != (n_levels - 1,):
         raise ValueError(f"expected {n_levels - 1} detunings, got {detunings.shape}")
+    if not np.isfinite(detunings).all():
+        raise ValueError("detunings must be finite")
     signs = np.array([(-1.0) ** k for k in range(n_levels - 1)])  # +, -, +, ... for k=1..N-1
     diag = np.zeros(n_levels)
     diag[1:] = np.cumsum(signs * detunings)

@@ -6,7 +6,19 @@ import numpy as np
 from clams.effective import build_effective_generator, effective_steady_state
 from clams.level_system import SystemParams, ground_indices
 from clams.liouvillian import CouplingGraph, build_generator, cascaded_lambda_graph, steady_state
+from clams.rb85 import (
+    DEFAULT_GAMMA_MHZ,
+    DEFAULT_GAMMA_PRIME_MHZ,
+    DEFAULT_RABI_FRACTION,
+    DEFAULT_SPLITTING_MHZ,
+    F_EXCITED,
+    F_GROUND,
+    DriveField,
+    ZeemanManifold,
+    build_full_model,
+)
 from clams.spectrum import coherence_peaks, height_ratios
+from clams.units import mhz_to_angular
 
 
 def chain_params(n_levels, rabi, gamma, gamma_prime, detunings=None, delta_omega_s=1.0):
@@ -64,3 +76,17 @@ def random_graph(rng, d=None) -> CouplingGraph:
 def hermitian_random(rng, d):
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return 0.5 * (a + a.conj().T)
+
+
+def rb85_graph() -> CouplingGraph:
+    """The 16-state Rb-85 model at the default drive, both tones 0.1 rad/us off the line."""
+    gamma = mhz_to_angular(DEFAULT_GAMMA_MHZ)
+    rabi = DEFAULT_RABI_FRACTION * gamma
+    dws = mhz_to_angular(DEFAULT_SPLITTING_MHZ)
+    return build_full_model(
+        ZeemanManifold(F_GROUND, dws),
+        ZeemanManifold(F_EXCITED, dws),
+        (DriveField("sigma+", rabi, 0.1, dws), DriveField("pi", rabi, 0.1, 0.0)),
+        gamma,
+        mhz_to_angular(DEFAULT_GAMMA_PRIME_MHZ),
+    )

@@ -1,9 +1,11 @@
-"""Reference generator builders: the direct Kronecker-product and basis-matrix
-forms that the index-based builders in ``clams`` must reproduce."""
+"""Reference forms that the optimised code in ``clams`` must reproduce: the direct
+Kronecker-product and basis-matrix generator builders, and the per-value
+complex-matrix CSV writer."""
 from __future__ import annotations
 
 import numpy as np
 
+from clams.cli import _fmt
 from clams.effective import coherence_damping, hopping_matrix, population_rates
 from clams.level_system import rotating_diagonal
 from clams.liouvillian import CouplingGraph
@@ -55,3 +57,13 @@ def closure_effective_generator(n_levels, j_hop, gamma_prime, detunings=None) ->
             basis[i, j] = 1.0
             mat[:, i + j * ng] = act(basis).reshape(ng * ng, order="F")
     return mat
+
+
+def per_value_matrix_csv(path, matrix: np.ndarray, digest: str) -> None:
+    """Complex-matrix CSV written by formatting every real and imaginary part
+    with the table rule ``_fmt``, one value at a time."""
+    header = [f"{part}_{j}" for j in range(matrix.shape[1]) for part in ("re", "im")]
+    rows = np.ascontiguousarray(matrix, dtype=complex).view(float).tolist()
+    lines = [f"# config-hash: {digest}", ",".join(header)]
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    path.write_text("\n".join(lines) + "\n")

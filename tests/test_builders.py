@@ -4,19 +4,7 @@ import pytest
 
 from clams.effective import build_effective_generator
 from clams.liouvillian import build_generator, cascaded_lambda_graph
-from clams.rb85 import (
-    DEFAULT_GAMMA_MHZ,
-    DEFAULT_GAMMA_PRIME_MHZ,
-    DEFAULT_RABI_FRACTION,
-    DEFAULT_SPLITTING_MHZ,
-    F_EXCITED,
-    F_GROUND,
-    DriveField,
-    ZeemanManifold,
-    build_full_model,
-)
-from clams.units import mhz_to_angular
-from conftest import chain_params, random_graph
+from conftest import chain_params, random_graph, rb85_graph
 from oracles import closure_effective_generator, kron_generator
 
 AGREEMENT = 1e-15  # times the Frobenius norm of the reference generator
@@ -45,16 +33,7 @@ def test_chains_match_kron_oracle(n_levels):
 
 
 def test_rb85_model_matches_kron_oracle():
-    gamma = mhz_to_angular(DEFAULT_GAMMA_MHZ)
-    rabi = DEFAULT_RABI_FRACTION * gamma
-    dws = mhz_to_angular(DEFAULT_SPLITTING_MHZ)
-    g = build_full_model(
-        ZeemanManifold(F_GROUND, dws),
-        ZeemanManifold(F_EXCITED, dws),
-        (DriveField("sigma+", rabi, 0.1, dws), DriveField("pi", rabi, 0.1, 0.0)),
-        gamma,
-        mhz_to_angular(DEFAULT_GAMMA_PRIME_MHZ),
-    )
+    g = rb85_graph()
     assert g.n_states == 16
     assert_agrees(build_generator(g).matrix, kron_generator(g))
 

@@ -3,7 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from clams.cli import ConfigError, main, parse_config_file
+from clams.cli import ConfigError, main, parse_config_file, write_complex_matrix_csv
+from clams.effective import reduce
+from clams.liouvillian import build_generator, cascaded_lambda_graph
+from clams.units import mhz_to_angular
+from conftest import chain_params, rb85_graph
+from oracles import per_value_matrix_csv
 
 
 def run_cli(*argv):
@@ -63,6 +68,58 @@ def test_steady_effective_close_to_full(tmp_path):
     _, rows_eff = read_csv(eff_dir / "steady_peaks.csv")
     for rf, re_ in zip(rows_full, rows_eff):
         assert float(rf[2]) == pytest.approx(float(re_[2]), rel=1e-3)
+
+
+def chain21_generator():
+    params = chain_params(21, rabi=96.0, gamma=1.2e4, gamma_prime=1.3,
+                          detunings=np.linspace(-2.0, 2.0, 20))
+    return build_generator(cascaded_lambda_graph(params)).matrix
+
+
+def rb85_generator():
+    return build_generator(rb85_graph()).matrix
+
+
+def planted_matrix():
+    """Dense random complex matrix with every kind of float planted in both parts."""
+    rng = np.random.default_rng(17)
+    m = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 3.0, -7.0, np.nan, np.inf, -np.inf]
+    m.real[0, :11] = special
+    m.imag[4, 1:] = special[::-1]
+    m[7:, :3] = 0.0
+    m.imag[9, 5] = -0.0
+    return m
+
+
+@pytest.mark.parametrize("build", [chain21_generator, rb85_generator, planted_matrix])
+def test_matrix_csv_matches_per_value_oracle(tmp_path, build):
+    matrix = build()
+    write_complex_matrix_csv(tmp_path / "got.csv", matrix, "0123456789abcdef")
+    per_value_matrix_csv(tmp_path / "want.csv", matrix, "0123456789abcdef")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n_levels, effective", [(21, False), (13, True)])
+def test_dump_generator_writes_the_solved_model(tmp_path, n_levels, effective):
+    flags = ["--n-levels", str(n_levels), "--rabi-mhz", "15.3", "--gamma-mhz", "1900",
+             "--gamma-prime-mhz", "0.2", "--delta-omega-s-mhz", "2.3", "--dump-generator"]
+    if effective:
+        flags.append("--effective")
+    dumps = []
+    for out in (tmp_path / "a", tmp_path / "b"):
+        assert run_cli("steady", *flags, "--out", str(out)) == 0
+        dumps.append((out / "steady_generator.csv").read_bytes())
+    assert dumps[0] == dumps[1]
+
+    params = chain_params(n_levels, rabi=mhz_to_angular(15.3), gamma=mhz_to_angular(1900.0),
+                          gamma_prime=mhz_to_angular(0.2), delta_omega_s=mhz_to_angular(2.3))
+    if effective:
+        want = reduce(params).matrix
+    else:
+        want = build_generator(cascaded_lambda_graph(params)).matrix
+    _, rows = read_csv(tmp_path / "a" / "steady_generator.csv")
+    assert np.array_equal(np.array(rows, dtype=float).view(complex), want)
 
 
 def test_invalid_n_levels_exits_2(tmp_path, capsys):

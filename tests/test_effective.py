@@ -193,6 +193,14 @@ def test_builder_validation():
         build_effective_generator(5, -0.1, 1.0)
     with pytest.raises(ValueError, match="gamma_prime"):
         build_effective_generator(5, 0.1, 0.0)
+    with pytest.raises(ValueError, match="hopping"):
+        build_effective_generator(5, float("nan"), 0.1)
+    with pytest.raises(ValueError, match="hopping"):
+        build_effective_generator(5, float("inf"), 0.1)
+    with pytest.raises(ValueError, match="gamma_prime"):
+        build_effective_generator(5, 0.1, float("nan"))
+    with pytest.raises(ValueError, match="detunings"):
+        build_effective_generator(5, 0.1, 1.0, (0.0, float("nan"), 0.0, 0.0))
 
 
 def test_effective_ratios_equal_closed_form_ratios_n5():

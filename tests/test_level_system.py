@@ -111,6 +111,13 @@ def test_hopping_rate_definition():
         (dict(gamma_prime=-1.0), "gamma_prime"),
         (dict(rabi=-0.5), "rabi"),
         (dict(delta_omega_s=0.0), "delta_omega_s"),
+        (dict(rabi=float("nan")), "rabi"),
+        (dict(gamma=float("nan")), "gamma"),
+        (dict(gamma=float("inf")), "gamma"),
+        (dict(gamma_prime=float("nan")), "gamma_prime"),
+        (dict(delta_omega_s=float("nan")), "delta_omega_s"),
+        (dict(detunings=(float("nan"),) * 4), "detunings"),
+        (dict(detunings=(0.0, float("-inf"), 0.0, 0.0)), "detunings"),
     ],
 )
 def test_invalid_params_rejected(kwargs, match):
