@@ -23,7 +23,8 @@ matrices are dumped with real and imaginary parts interleaved column-wise
 
 Sweeps build the generator stack of each model from two pieces, L(x) = A + x B
 (x is the drive, the two-photon detuning, or the reduced model's hopping rate),
-and solve it in batched LU calls; ``--parallel`` is accepted and ignored.
+in chunks that reuse one buffer and are solved by one batched LU call each; the
+peak weights of all points are taken at once.  ``--parallel`` is ignored.
 """
 from __future__ import annotations
 
@@ -298,15 +299,9 @@ def _sweep_rows(params: SystemParams, chain_at, xs, reduced_at, js) -> list[list
         (reduced_at, js, np.arange(params.n_ground)),
     ):
         base = build(0.0)
-        harmonics = []
-        for rho in affine_steady_states(base, build(1.0) - base, points):
-            peaks = spectrum.coherence_peaks(rho[np.ix_(gidx, gidx)], params.delta_omega_s)
-            ratios = spectrum.height_ratios(peaks)
-            harmonics.append(
-                [peaks.fundamental_weight] + [ratios.ratio(n) for n in range(2, params.n_ground)]
-            )
-        models.append(harmonics)
-    return [[v for pair in zip(full, eff) for v in pair] for full, eff in zip(*models)]
+        rho = affine_steady_states(base, build(1.0) - base, points)
+        models.append(spectrum.weight_ratios(spectrum.peak_weights(rho[:, gidx][:, :, gidx])))
+    return np.stack(models, axis=-1).reshape(len(models[0]), -1).tolist()
 
 
 def _sweep_header(params: SystemParams) -> list[str]:

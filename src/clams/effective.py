@@ -106,6 +106,13 @@ def hopping_matrix(n_ground: int, amplitude: float, imaginary: bool = True) -> n
     return scale * _chain_adjacency(n_ground).astype(complex)
 
 
+def _check_rates(j_hop: float, gamma_prime: float) -> None:
+    if not (np.isfinite(j_hop) and j_hop >= 0):
+        raise ValueError("hopping rate must be finite and >= 0")
+    if not (np.isfinite(gamma_prime) and gamma_prime > 0):
+        raise ValueError("gamma_prime must be finite and positive")
+
+
 def build_effective_generator(
     n_levels: int,
     j_hop: float,
@@ -119,10 +126,7 @@ def build_effective_generator(
     """
     if n_levels < 3 or n_levels % 2 == 0:
         raise ValueError("n_levels must be odd and >= 3")
-    if not (np.isfinite(j_hop) and j_hop >= 0):
-        raise ValueError("hopping rate must be finite and >= 0")
-    if not (np.isfinite(gamma_prime) and gamma_prime > 0):
-        raise ValueError("gamma_prime must be finite and positive")
+    _check_rates(j_hop, gamma_prime)
     if detunings is None:
         detunings = (0.0,) * (n_levels - 1)
     ng = (n_levels + 1) // 2
@@ -211,6 +215,9 @@ def closed_form_coherences(
 ) -> ClosedFormCoherences:
     """Analytic steady-state coherences at detuning pattern (delta, 0, delta, 0, ...)."""
     jh, gp, d = float(j_hop), float(gamma_prime), float(delta)
+    _check_rates(jh, gp)
+    if not np.isfinite(d):
+        raise ValueError("delta must be finite")
     if n_levels == 3:
         c = {(1, 3): -jh / ((gp + 2 * jh) - 1j * d)}
         exact, valid = True, True

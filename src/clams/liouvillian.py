@@ -48,8 +48,8 @@ NULLSPACE_RTOL = 1e-10
 # reached by some criterion-09 graphs (up to 454 steps at tol = 1e-9).
 PROPAGATE_MAX_STEPS = 100_000
 
-# Batched solves take generator stacks of at most this many bytes; the LU
-# working copies make the peak memory a small multiple of it.
+# Batched solves take generator stacks of at most this many bytes, and a sweep
+# holds its chunks in one such buffer; the LU works on one member at a time.
 STACK_BYTES = 2 * 1024**2
 
 
@@ -218,14 +218,6 @@ def _null_dimension(lio: np.ndarray) -> int:
     return int(np.sum(s < NULLSPACE_RTOL * s[0]))
 
 
-def _relative_residual(lio: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Backward error ||L v|| / (||L||_F ||v||) of null vectors, per generator of a stack;
-    independent of the time unit, and 0 for L = 0, which every vector solves."""
-    lv = np.linalg.norm((lio @ v[..., None])[..., 0], axis=-1)
-    scale = np.linalg.norm(lio, axis=(-2, -1)) * np.linalg.norm(v, axis=-1)
-    return np.divide(lv, scale, out=np.zeros_like(lv), where=scale > 0)
-
-
 def steady_state(gen: GeneratorMatrix) -> DensityMatrix:
     """Unique trace-one null vector of the generator.
 
@@ -244,22 +236,33 @@ def steady_states(stack: np.ndarray) -> np.ndarray:
     The method of :func:`steady_state` with one batched LU call for the whole
     stack; the first member that fails a check raises its typed error.
     """
-    k, n, _ = stack.shape
+    return _solve_stack(stack.astype(complex, order="C"))
+
+
+def _solve_stack(lio: np.ndarray) -> np.ndarray:
+    """:func:`steady_states` of a contiguous complex stack, bordered in place: row 0
+    of each L is saved for the trace functional and written back after the LU
+    solve, so the residual ||L v|| / (||L||_F ||v||) (time-unit free, and 0 for
+    L = 0, which every vector solves) and any diagnosis see L itself."""
+    k, n, _ = lio.shape
     d = isqrt(n)
-    bordered = stack.copy()
-    bordered[:, 0, :] = 0.0
-    bordered[:, 0, np.arange(d) * (d + 1)] = 1.0  # trace functional
-    rhs = np.zeros((n, 1), dtype=complex)
-    rhs[0] = 1.0
+    row0 = lio[:, 0, :].copy()
+    lio[:, 0, :] = 0.0
+    lio[:, 0, np.arange(d) * (d + 1)] = 1.0  # trace functional
     try:
-        v = np.linalg.solve(bordered, rhs)[..., 0]
+        v = np.linalg.solve(lio, np.eye(n, 1, dtype=complex))[..., 0]
     except np.linalg.LinAlgError:  # raised for the whole stack: find the member
+        lio[:, 0, :] = row0
         if k == 1:
-            raise DegenerateSteadyStateError(_null_dimension(stack[0])) from None
-        return np.concatenate([steady_states(lio[None]) for lio in stack])
+            raise DegenerateSteadyStateError(_null_dimension(lio[0])) from None
+        return np.concatenate([_solve_stack(lio[i : i + 1]) for i in range(k)])
+    lio[:, 0, :] = row0
     finite = np.isfinite(v).all(axis=1)
     v[~finite] = 0.0
-    residual = _relative_residual(stack, v)
+    parts = lio.reshape(k, -1).view(float)  # ||L||_F without a conjugate copy of L
+    scale = np.sqrt((parts[:, None, :] @ parts[:, :, None])[:, 0, 0]) * np.linalg.norm(v, axis=-1)
+    residual = np.linalg.norm((lio @ v[..., None])[..., 0], axis=-1)
+    np.divide(residual, scale, out=residual, where=scale > 0)
     rho = v.reshape(k, d, d).transpose(0, 2, 1)  # column stacking
     rho_h = rho.conj().transpose(0, 2, 1)
     ok = finite & (residual <= RESIDUAL_RTOL)
@@ -267,11 +270,9 @@ def steady_states(stack: np.ndarray) -> np.ndarray:
     ok &= np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0) <= TRACE_ATOL
     ok &= np.linalg.eigvalsh(0.5 * (rho + rho_h)).min(axis=1) >= EIGENVALUE_FLOOR
     for i in np.flatnonzero(~ok):
-        if not finite[i]:
-            raise DegenerateSteadyStateError(_null_dimension(stack[i]))
-        if not residual[i] <= RESIDUAL_RTOL:  # true for a NaN residual too
-            null_dim = _null_dimension(stack[i])
-            if null_dim != 1:
+        if not (finite[i] and residual[i] <= RESIDUAL_RTOL):  # true for a NaN residual too
+            null_dim = _null_dimension(lio[i])
+            if null_dim != 1 or not finite[i]:
                 raise DegenerateSteadyStateError(null_dim)
             raise SteadyStateError(
                 f"steady-state residual {residual[i]:.3e} exceeds {RESIDUAL_RTOL:.0e}"
@@ -283,16 +284,19 @@ def steady_states(stack: np.ndarray) -> np.ndarray:
 def affine_steady_states(base: np.ndarray, slope: np.ndarray, xs) -> np.ndarray:
     """Steady states, shape (len(xs), d, d), of the generators base + x * slope.
 
-    The stack is built and solved at most ``STACK_BYTES`` at a time, so the
-    memory of a sweep does not grow with its number of points.
+    The stack is built and solved at most ``STACK_BYTES`` at a time, in one reused
+    buffer, so the memory of a sweep does not grow with its number of points.
     """
     xs = np.asarray(xs, dtype=float)
     n = base.shape[0]
     d = isqrt(n)
-    per = max(1, STACK_BYTES // (16 * n * n))
+    per = max(1, min(xs.size, STACK_BYTES // (16 * n * n)))
+    buf = np.empty((per, n, n), dtype=complex)
     out = np.empty((xs.size, d, d), dtype=complex)
     for start in range(0, xs.size, per):
-        out[start : start + per] = steady_states(base + xs[start : start + per, None, None] * slope)
+        lio = np.multiply(xs[start : start + per, None, None], slope, out=buf[: xs.size - start])
+        lio += base  # the bits of base + x * slope: addition commutes
+        out[start : start + per] = _solve_stack(lio)
     return out
 
 

@@ -24,7 +24,9 @@ __all__ = [
     "HeightRatios",
     "LogLinearFit",
     "coherence_peaks",
+    "peak_weights",
     "height_ratios",
+    "weight_ratios",
     "loglinear_fit",
     "broadened_spectrum",
     "visible_peaks",
@@ -35,7 +37,7 @@ __all__ = [
 # purely a display cutoff, relative to the fundamental peak.
 DEFAULT_DISPLAY_THRESHOLD = 1e-6
 
-CONTRIBUTOR_ATOL = 1e-14
+_UNDRIVEN = "fundamental peak weight is zero (undriven system)"
 
 
 @dataclass(frozen=True)
@@ -100,29 +102,50 @@ def coherence_peaks(rho_ground, delta_omega_s: float, labels=None) -> PeakSet:
         raise ValueError(f"expected {ng} labels, got {len(labels)}")
     peaks = []
     for n in range(1, ng):
-        contribs = tuple(
-            (labels[i], float(abs(m[i, i + n]) ** 2)) for i in range(ng - n)
-        )
+        terms, weight = _harmonic(m, n)
         peaks.append(
             Peak(
                 n=n,
                 frequency=n * delta_omega_s,
-                weight=float(sum(c for _, c in contribs)),
-                contributors=contribs,
+                weight=float(weight),
+                contributors=tuple(zip(labels, terms.tolist())),
             )
         )
     return PeakSet(delta_omega_s=float(delta_omega_s), peaks=tuple(peaks))
+
+
+def _harmonic(m: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Terms |m[..., l, l+n]|^2, bit for bit the scalar float(abs(z)**2) (np.abs(z)**2
+    is not), and weight(n): their sum in index order, as Python's sum adds them."""
+    z = np.diagonal(m, offset=n, axis1=-2, axis2=-1)
+    terms = np.float_power(np.hypot(z.real, z.imag), 2)
+    return terms, np.add.accumulate(terms, axis=-1)[..., -1]
+
+
+def peak_weights(rho_ground) -> np.ndarray:
+    """weight(n), n = 1..ng-1, of a ground block or a (k, ng, ng) stack: shape (..., ng-1)."""
+    m = np.asarray(rho_ground)
+    return np.stack([_harmonic(m, n)[1] for n in range(1, m.shape[-1])], axis=-1)
 
 
 def height_ratios(peaks: PeakSet) -> HeightRatios:
     """Weights of harmonics n >= 2 relative to the fundamental."""
     fundamental = peaks.fundamental_weight
     if fundamental <= 0.0:
-        raise ValueError("fundamental peak weight is zero (undriven system)")
+        raise ValueError(_UNDRIVEN)
     ratios = tuple(
         (p.n, p.weight / fundamental) for p in sorted(peaks.peaks, key=lambda p: p.n) if p.n >= 2
     )
     return HeightRatios(fundamental_weight=fundamental, ratios=ratios)
+
+
+def weight_ratios(weights: np.ndarray) -> np.ndarray:
+    """Rows [weight(1), H_21, H_31, ...] of stacked :func:`peak_weights`, with the
+    numbers and the error of :func:`height_ratios`."""
+    fundamental = weights[..., :1]
+    if (fundamental <= 0.0).any():
+        raise ValueError(_UNDRIVEN)
+    return np.concatenate([fundamental, weights[..., 1:] / fundamental], axis=-1)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Reference forms that the optimised code in ``clams`` must reproduce: the direct
-Kronecker-product and basis-matrix generator builders, and the per-value
-complex-matrix CSV writer."""
+Kronecker-product and basis-matrix generator builders, the per-value
+complex-matrix CSV writer, and the per-pair peak weights."""
 from __future__ import annotations
 
 import numpy as np
@@ -9,6 +9,7 @@ from clams.cli import _fmt
 from clams.effective import coherence_damping, hopping_matrix, population_rates
 from clams.level_system import rotating_diagonal
 from clams.liouvillian import CouplingGraph
+from clams.spectrum import Peak, PeakSet
 
 
 def kron_generator(graph: CouplingGraph) -> np.ndarray:
@@ -67,3 +68,22 @@ def per_value_matrix_csv(path, matrix: np.ndarray, digest: str) -> None:
     lines = [f"# config-hash: {digest}", ",".join(header)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     path.write_text("\n".join(lines) + "\n")
+
+
+def per_pair_coherence_peaks(m: np.ndarray, delta_omega_s: float) -> PeakSet:
+    """Peak set of a ground block taken one pair at a time: each term is the scalar
+    float(abs(m[i, i+n])**2) and each weight is Python's sum of its terms."""
+    ng = m.shape[0]
+    labels = tuple(2 * g + 1 for g in range(ng))
+    peaks = []
+    for n in range(1, ng):
+        contribs = tuple((labels[i], float(abs(m[i, i + n]) ** 2)) for i in range(ng - n))
+        peaks.append(
+            Peak(
+                n=n,
+                frequency=n * delta_omega_s,
+                weight=float(sum(c for _, c in contribs)),
+                contributors=contribs,
+            )
+        )
+    return PeakSet(delta_omega_s=float(delta_omega_s), peaks=tuple(peaks))

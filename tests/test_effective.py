@@ -122,6 +122,32 @@ def test_closed_form_validity_flag():
         closed_form_coherences(9, 0.1, 1.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        (5, -0.1, 1.0, 0.0),
+        (5, float("nan"), 1.0, 0.0),
+        (5, float("inf"), 1.0, 0.0),
+        (7, 0.1, 0.0, 0.0),
+        (3, 0.0, 0.0, 0.0),
+        (5, 0.1, -1.0, 0.0),
+        (5, 0.1, float("nan"), 0.0),
+        (5, 0.1, float("inf"), 0.0),
+        (5, 0.1, 1.0, float("nan")),
+        (7, 0.1, 1.0, float("-inf")),
+    ],
+)
+def test_closed_form_rejects_invalid_rates(args):
+    with pytest.raises(ValueError):
+        closed_form_coherences(*args)
+
+
+def test_closed_form_without_hopping_has_no_coherence():
+    for n_levels in (3, 5, 7):
+        cf = closed_form_coherences(n_levels, 0.0, 1.0, 0.3)
+        assert all(c == 0 for c in cf.coherences.values())
+
+
 def test_closed_form_matrix():
     cf = closed_form_coherences(5, 0.3, 1.0, 0.2)
     m = cf.as_matrix()

@@ -12,6 +12,7 @@ from clams.liouvillian import (
     GeneratorMatrix,
     PropagationError,
     SteadyStateError,
+    affine_steady_states,
     build_generator,
     cascaded_lambda_graph,
     propagate,
@@ -164,6 +165,29 @@ def test_stack_with_disconnected_generator_reports_its_null_dim():
     with pytest.raises(DegenerateSteadyStateError) as stacked:
         steady_states(np.stack([connected.matrix, disconnected.matrix, connected.matrix]))
     assert stacked.value.null_dim == single.value.null_dim == 2
+
+
+def test_affine_family_reports_the_null_dim_of_its_disconnected_member():
+    # base: the disconnected two-block generator; slope: decays that join the
+    # blocks.  Only the member at x = 0, in the middle of one chunk, is
+    # degenerate, and its null space must be diagnosed on L, not on the
+    # bordered system that the solve overwrote row 0 of.
+    h = np.zeros((4, 4), dtype=complex)
+    blocks = ((1, 0, 1.0), (0, 1, 0.5), (3, 2, 1.0), (2, 3, 0.5))
+    base = build_generator(CouplingGraph(4, h, blocks))
+    slope = build_generator(CouplingGraph(4, h, ((1, 2, 1.0), (2, 1, 1.0))))
+    with pytest.raises(DegenerateSteadyStateError) as err:
+        affine_steady_states(base.matrix, slope.matrix, [0.5, 2.0, 0.0, 1.0])
+    assert err.value.null_dim == 2
+
+
+def test_steady_states_leaves_the_stack_unchanged():
+    rng = np.random.default_rng(29)
+    stack = np.stack([build_generator(random_graph(rng, d=5)).matrix for _ in range(3)])
+    before = stack.copy()
+    stack.flags.writeable = False  # a caller's array is read, never written
+    steady_states(stack)
+    assert np.array_equal(stack, before)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")

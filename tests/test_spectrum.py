@@ -7,9 +7,12 @@ from clams.spectrum import (
     coherence_peaks,
     height_ratios,
     loglinear_fit,
+    peak_weights,
     visible_peaks,
+    weight_ratios,
 )
 from conftest import effective_ground_state, effective_height_ratios, hermitian_random
+from oracles import per_pair_coherence_peaks
 
 
 def test_diagonal_state_has_no_peaks():
@@ -44,6 +47,56 @@ def test_weights_equal_contributor_sums():
         peaks = coherence_peaks(rho, 1.0)
         for p in peaks.peaks:
             assert abs(p.weight - sum(c for _, c in p.contributors)) <= 1e-14 * max(1.0, p.weight)
+
+
+def ground_blocks(rng, ng, k):
+    """k random Hermitian blocks whose upper-triangle parts are often exact zeros,
+    -0.0, subnormals, or values whose squares underflow or overflow."""
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-160, -3e-170, 1e155, 1e200])
+    upper = np.stack([hermitian_random(rng, ng) for _ in range(k)])
+    parts = upper.view(float)
+    planted = rng.random(parts.shape) < 0.3
+    parts[planted] = rng.choice(special, size=int(planted.sum()))
+    upper = np.triu(upper, 1)
+    diag = np.eye(ng) * rng.uniform(0.0, 1.0, size=(k, 1, ng))
+    return upper + upper.conj().transpose(0, 2, 1) + diag
+
+
+def bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf / inf
+@pytest.mark.parametrize("ng", range(2, 12))
+def test_stacked_weights_match_the_per_pair_oracle(ng):
+    rng = np.random.default_rng(40 + ng)
+    blocks = ground_blocks(rng, ng, 12)
+    weights = peak_weights(blocks)
+    assert weights.shape == (12, ng - 1)
+    driven = weights[:, 0] > 0.0
+    rows = iter(weight_ratios(weights[driven]))
+    for block, w, is_driven in zip(blocks, weights, driven):
+        want = per_pair_coherence_peaks(block, 0.7)
+        got = coherence_peaks(block, 0.7)
+        want_weights = bits([p.weight for p in want.peaks])
+        assert got == want
+        assert np.array_equal(bits([p.weight for p in got.peaks]), want_weights)
+        assert np.array_equal(bits(w), want_weights)
+        if is_driven:
+            ratios = height_ratios(want)
+            expected = [ratios.fundamental_weight, *(r for _, r in ratios.ratios)]
+            assert np.array_equal(bits(next(rows)), bits(expected))
+
+
+def test_stack_with_zero_fundamental_raises_the_height_ratio_error():
+    rng = np.random.default_rng(52)
+    stack = np.stack([hermitian_random(rng, 4), np.eye(4) / 4.0, hermitian_random(rng, 4)])
+    with pytest.raises(ValueError) as single:
+        height_ratios(coherence_peaks(stack[1], 1.0))
+    with pytest.raises(ValueError) as stacked:
+        weight_ratios(peak_weights(stack))
+    assert str(stacked.value) == str(single.value)
 
 
 def test_harmonics_have_no_gaps():

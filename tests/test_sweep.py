@@ -6,7 +6,14 @@ import clams.liouvillian
 from clams.cli import main
 from clams.effective import build_effective_generator, effective_steady_state
 from clams.level_system import SystemParams, ground_indices, raman_detunings
-from clams.liouvillian import build_generator, cascaded_lambda_graph, steady_state
+from clams.liouvillian import (
+    affine_steady_states,
+    build_generator,
+    cascaded_lambda_graph,
+    hamiltonian_superoperator,
+    steady_state,
+    steady_states,
+)
 from clams.rb85 import (
     DEFAULT_GAMMA_MHZ,
     DEFAULT_GAMMA_PRIME_MHZ,
@@ -15,6 +22,7 @@ from clams.rb85 import (
 )
 from clams.spectrum import coherence_peaks, height_ratios
 from clams.units import mhz_to_angular
+from conftest import hermitian_random, random_graph
 
 SWEEP_RTOL = 1e-12
 
@@ -101,3 +109,29 @@ def test_partial_last_chunk_gives_same_rows(tmp_path, monkeypatch):
     assert main([*argv, "--out", str(tmp_path / "chunked")]) == 0
     one = (tmp_path / "one" / "sweep_rabi.csv").read_bytes()
     assert (tmp_path / "chunked" / "sweep_rabi.csv").read_bytes() == one
+
+
+def test_undriven_sweep_is_a_configuration_error(tmp_path, capsys):
+    argv = ["sweep-detuning", "--n-levels", "5", "--rabi-mhz", "0", "--start-mhz", "-1",
+            "--stop-mhz", "1", "--count", "5", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert "undriven" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("per_chunk", [None, 3])
+def test_affine_states_equal_the_stacked_solve(monkeypatch, per_chunk):
+    # base + x * slope is a random graph whose Hamiltonian moves along a random
+    # Hermitian direction; solved in one reused buffer, chunk by chunk, it must
+    # give the bits of one solve of the whole stack
+    rng = np.random.default_rng(33)
+    for size in (1, 2, 3, 5, 7, 8, 10, 11):  # with 3 per chunk, most end in a partial one
+        graph = random_graph(rng)
+        d = graph.n_states
+        if per_chunk is not None:
+            monkeypatch.setattr(clams.liouvillian, "STACK_BYTES", per_chunk * 16 * d**4)
+        h1 = hermitian_random(rng, d)
+        base = build_generator(graph).matrix
+        slope = hamiltonian_superoperator(h1, h1)
+        xs = rng.uniform(-2.0, 2.0, size=size)
+        got = affine_steady_states(base, slope, xs)
+        assert np.array_equal(got, steady_states(base + xs[:, None, None] * slope))
