@@ -11,8 +11,12 @@ selftest        quick oracle-equivalence checks
 
 Configuration files are flat ``key = value`` text ('#' starts a comment);
 frequencies are ordinary MHz and are converted to angular rad/us on load (see
-:mod:`clams.units`).  Recognized keys mirror the long command-line flags
-(``rabi_mhz``, ``gamma_mhz``, ...); flags override file values.
+:mod:`clams.units`).  One table, ``_PARAMS``, gives every setting's type or
+choices, default, subcommands and help.  Every long flag except ``--config`` and
+the switches ``--effective``, ``--dump-generator`` and ``--with-truncated-13`` is
+also a config key, spelled with underscores (``rabi_mhz``, ``gamma_mhz``, ...);
+a flag overrides the file, and the file overrides the default.  A key that no
+subcommand knows, a switch, or a value outside a key's choices exits 2.
 
 Every CSV starts with a ``# config-hash:`` provenance comment followed by a
 one-line header; floats are written with 17 significant digits (an exact zero
@@ -61,23 +65,59 @@ class ConfigError(ValueError):
 # configuration handling
 # ---------------------------------------------------------------------------
 
-_DEFAULTS = {
-    "n_levels": "5",
-    "rabi_mhz": str(rb85.DEFAULT_RABI_FRACTION * rb85.DEFAULT_GAMMA_MHZ),
-    "gamma_mhz": str(rb85.DEFAULT_GAMMA_MHZ),
-    "gamma_prime_mhz": str(rb85.DEFAULT_GAMMA_PRIME_MHZ),
-    "detunings_mhz": "",
-    "delta_omega_s_mhz": str(rb85.DEFAULT_SPLITTING_MHZ),
-    "threshold": str(spectrum.DEFAULT_DISPLAY_THRESHOLD),
-    "seed": "0",
-    "format": "csv",
-}
+_SYSTEM = ("steady", "sweep-detuning", "sweep-rabi", "rates")
+_ALL = (*_SYSTEM, "rb85", "selftest")
+
+# Every setting: (key, type or choices, default text, subcommands, help).  The flag is
+# --key-with-dashes and the config-file key is the key itself.  A key whose default
+# differs between subcommands has one row per default; None means no default.  bool rows
+# are store_true switches, which only a flag can set.
+_PARAMS = (
+    ("n_levels", int, "5", _SYSTEM, "number of levels of the chain (odd, >= 3)"),
+    ("rabi_mhz", float, str(rb85.DEFAULT_RABI_FRACTION * rb85.DEFAULT_GAMMA_MHZ), _SYSTEM,
+     "drive strength"),
+    ("rabi_mhz", float, None, ("rb85",), "drive strength (default: rabi_fraction * gamma)"),
+    ("rabi_fraction", float, str(rb85.DEFAULT_RABI_FRACTION), ("rb85",), "drive strength / gamma"),
+    ("gamma_mhz", float, str(rb85.DEFAULT_GAMMA_MHZ), (*_SYSTEM, "rb85"), "excited-state decay rate"),
+    ("gamma_prime_mhz", float, str(rb85.DEFAULT_GAMMA_PRIME_MHZ), (*_SYSTEM, "rb85"),
+     "ground-state relaxation rate"),
+    ("detunings_mhz", str, "", _SYSTEM, "comma-separated, one per transition (default: all 0)"),
+    ("delta_omega_s_mhz", float, str(rb85.DEFAULT_SPLITTING_MHZ), _SYSTEM, "offset of the two tones"),
+    ("delta_omega_s_mhz", float, None, ("rb85",), "offset of the two tones (default: splitting)"),
+    ("splitting_mhz", float, str(rb85.DEFAULT_SPLITTING_MHZ), ("rb85",), "ground Zeeman splitting"),
+    ("excited_splitting_mhz", float, None, ("rb85",), "excited Zeeman splitting (default: splitting)"),
+    ("line_detuning_mhz", float, "0", ("rb85",), "detuning of both tones from the line"),
+    ("offset_branch", ("sigma+", "pi"), "sigma+", ("rb85",), "tone that sits delta_omega_s higher"),
+    ("start_mhz", float, None, ("sweep-detuning",), "first two-photon detuning"),
+    ("stop_mhz", float, None, ("sweep-detuning",), "last two-photon detuning"),
+    ("omega_min", float, "1e-4", ("sweep-rabi",), "lowest rabi/gamma"),
+    ("omega_max", float, "5e-2", ("sweep-rabi",), "highest rabi/gamma"),
+    ("count", int, None, ("sweep-detuning",), "number of sweep points"),
+    ("count", int, "41", ("sweep-rabi",), "number of sweep points"),
+    ("spacing", ("linear", "log"), "linear", ("sweep-detuning",), "sweep grid"),
+    ("spacing", ("linear", "log"), "log", ("sweep-rabi",), "sweep grid"),
+    ("effective", bool, None, ("steady",), "use the reduced ground-manifold model"),
+    ("dump_generator", bool, None, ("steady",),
+     "also dump the generator of the solved model (the reduced one with --effective)"),
+    ("with_truncated_13", bool, None, ("rb85",), "also run the 13-level comparison chain"),
+    ("out", str, ".", _ALL, "output directory (default: current)"),
+    ("format", ("csv", "json", "both"), "csv", _ALL, "peak-set file format"),
+    ("threshold", float, str(spectrum.DEFAULT_DISPLAY_THRESHOLD), _ALL,
+     "relative display cutoff for visible peaks"),
+    ("parallel", int, None, _ALL, "accepted for compatibility; has no effect (sweeps are batched)"),
+    ("seed", int, "0", _ALL, "random seed of selftest"),
+)
+_KINDS = {key: kind for key, kind, *_ in _PARAMS}
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
     """Read a flat key=value configuration file."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from None
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -90,15 +130,31 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     return out
 
 
-def _resolve(args: argparse.Namespace, cfg: dict[str, str], key: str, default: str | None = None):
-    flag_value = getattr(args, key, None)
-    if flag_value is not None:
-        return str(flag_value)
-    if key in cfg:
-        return cfg[key]
-    if default is not None:
-        return default
-    return _DEFAULTS.get(key)
+def _settings(args: argparse.Namespace, cfg: dict[str, str]) -> dict[str, str | None]:
+    """The text of every setting of ``args.command``: ``str`` of its flag's parsed value,
+    else the config file's text as written, else the default (None if it has none).
+
+    The subcommands parse their numbers from this text.  The chain's parameters are
+    hashed as this text, so ``--gamma-mhz 1900`` (text ``1900.0``) and ``gamma_mhz =
+    1.9e3`` give different config hashes; the other numbers are hashed as parsed.
+
+    A config file may hold the keys of any subcommand, so that one file serves several.
+    """
+    for key in cfg:
+        if key not in _KINDS:
+            raise ConfigError(f"unknown config key {key!r}")
+        if _KINDS[key] is bool:
+            raise ConfigError(f"{key} is a switch, not a config key: use --{key.replace('_', '-')}")
+    settings = {}
+    for key, kind, default, commands, _ in _PARAMS:
+        if args.command not in commands or kind is bool:
+            continue
+        flag = getattr(args, key)
+        text = cfg.get(key, default) if flag is None else str(flag)
+        if isinstance(kind, tuple) and text not in kind:
+            raise ConfigError(f"{key} must be {' or '.join(map(repr, kind))}")
+        settings[key] = text
+    return settings
 
 
 def _as_float(value: str, key: str) -> float:
@@ -118,20 +174,10 @@ def _as_int(value: str, key: str) -> int:
         raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
 
 
-def _resolve_system(args, cfg) -> tuple[SystemParams, dict[str, str]]:
-    used = {
-        key: _resolve(args, cfg, key)
-        for key in (
-            "n_levels",
-            "rabi_mhz",
-            "gamma_mhz",
-            "gamma_prime_mhz",
-            "detunings_mhz",
-            "delta_omega_s_mhz",
-        )
-    }
-    n_levels = _as_int(used["n_levels"], "n_levels")
-    raw_detunings = used["detunings_mhz"].strip()
+def _system(s: dict[str, str | None]) -> tuple[SystemParams, dict[str, str]]:
+    """The chain's parameters, and their settings' text, which the config hash covers."""
+    n_levels = _as_int(s["n_levels"], "n_levels")
+    raw_detunings = s["detunings_mhz"].strip()
     if raw_detunings:
         detunings = tuple(
             mhz_to_angular(_as_float(v.strip(), "detunings_mhz"))
@@ -141,13 +187,15 @@ def _resolve_system(args, cfg) -> tuple[SystemParams, dict[str, str]]:
         detunings = (0.0,) * max(n_levels - 1, 0)
     params = SystemParams(
         n_levels=n_levels,
-        rabi=mhz_to_angular(_as_float(used["rabi_mhz"], "rabi_mhz")),
-        gamma=mhz_to_angular(_as_float(used["gamma_mhz"], "gamma_mhz")),
-        gamma_prime=mhz_to_angular(_as_float(used["gamma_prime_mhz"], "gamma_prime_mhz")),
+        rabi=mhz_to_angular(_as_float(s["rabi_mhz"], "rabi_mhz")),
+        gamma=mhz_to_angular(_as_float(s["gamma_mhz"], "gamma_mhz")),
+        gamma_prime=mhz_to_angular(_as_float(s["gamma_prime_mhz"], "gamma_prime_mhz")),
         detunings=detunings,
-        delta_omega_s=mhz_to_angular(_as_float(used["delta_omega_s_mhz"], "delta_omega_s_mhz")),
+        delta_omega_s=mhz_to_angular(_as_float(s["delta_omega_s_mhz"], "delta_omega_s_mhz")),
     )
-    return params, used
+    keys = ("n_levels", "rabi_mhz", "gamma_mhz", "gamma_prime_mhz", "detunings_mhz",
+            "delta_omega_s_mhz")
+    return params, {key: s[key] for key in keys}
 
 
 def config_digest(used: dict[str, str]) -> str:
@@ -241,24 +289,27 @@ def _fit_payload(fit: spectrum.LogLinearFit) -> dict:
     return {"slope": fit.slope, "intercept": fit.intercept, "r_squared": fit.r_squared}
 
 
-def _out_dir(args, cfg) -> Path:
-    out = Path(_resolve(args, cfg, "out", ".") or ".")
-    out.mkdir(parents=True, exist_ok=True)
+def _out_dir(s: dict[str, str | None]) -> Path:
+    out = Path(s["out"])
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory: {exc}") from None
     return out
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the parsed ``args``, for its switches, and ``s``, the
+# text of its settings from ``_settings``
 # ---------------------------------------------------------------------------
 
 
-def cmd_steady(args, cfg) -> int:
-    params, used = _resolve_system(args, cfg)
-    threshold = _as_float(_resolve(args, cfg, "threshold"), "threshold")
-    used["threshold"] = _fmt(threshold)
-    used["effective"] = str(bool(args.effective))
+def cmd_steady(args, s) -> int:
+    params, used = _system(s)
+    threshold = _as_float(s["threshold"], "threshold")
+    used.update(threshold=_fmt(threshold), effective=str(args.effective))
     digest = config_digest(used)
-    out = _out_dir(args, cfg)
+    out = _out_dir(s)
 
     if args.effective:
         gen = effective.reduce(params)
@@ -274,7 +325,7 @@ def cmd_steady(args, cfg) -> int:
 
     peaks = spectrum.coherence_peaks(ground, params.delta_omega_s)
     write_complex_matrix_csv(out / "steady_rho.csv", rho.matrix, digest)
-    _write_peaks(out, "steady", peaks, _resolve(args, cfg, "format"), threshold, digest)
+    _write_peaks(out, "steady", peaks, s["format"], threshold, digest)
     return 0
 
 
@@ -309,24 +360,13 @@ def _sweep_header(params: SystemParams) -> list[str]:
     return [f"{name}_{model}" for name in names for model in ("full", "eff")]
 
 
-def cmd_sweep_detuning(args, cfg) -> int:
-    params, used = _resolve_system(args, cfg)
-    start = _resolve(args, cfg, "start_mhz", cfg.get("sweep_start_mhz"))
-    stop = _resolve(args, cfg, "stop_mhz", cfg.get("sweep_stop_mhz"))
-    count = _resolve(args, cfg, "count", cfg.get("sweep_count"))
-    if start is None or stop is None or count is None:
+def cmd_sweep_detuning(args, s) -> int:
+    params, used = _system(s)
+    if None in (s["start_mhz"], s["stop_mhz"], s["count"]):
         raise ConfigError("sweep-detuning needs --start-mhz, --stop-mhz, and --count")
-    start, stop = _as_float(start, "start_mhz"), _as_float(stop, "stop_mhz")
-    count = _as_int(count, "count")
-    if count < 2:
-        raise ConfigError("sweep count must be >= 2")
-    spacing = _resolve(args, cfg, "spacing", cfg.get("sweep_spacing", "linear")) or "linear"
-    grid = _make_grid(start, stop, count, spacing)
-    used.update(
-        start_mhz=_fmt(start), stop_mhz=_fmt(stop), count=str(count), spacing=spacing
-    )
+    grid = _make_grid(s, "start_mhz", "stop_mhz", used)
     digest = config_digest(used)
-    out = _out_dir(args, cfg)
+    out = _out_dir(s)
 
     def at(delta: float) -> SystemParams:
         return replace(params, detunings=raman_detunings(params.n_levels, delta))
@@ -343,20 +383,11 @@ def cmd_sweep_detuning(args, cfg) -> int:
     return 0
 
 
-def cmd_sweep_rabi(args, cfg) -> int:
-    params, used = _resolve_system(args, cfg)
-    omega_min = _as_float(_resolve(args, cfg, "omega_min", "1e-4"), "omega_min")
-    omega_max = _as_float(_resolve(args, cfg, "omega_max", "5e-2"), "omega_max")
-    count = _as_int(_resolve(args, cfg, "count", "41"), "count")
-    if count < 2:
-        raise ConfigError("sweep count must be >= 2")
-    spacing = _resolve(args, cfg, "spacing", "log") or "log"
-    grid = _make_grid(omega_min, omega_max, count, spacing)
-    used.update(
-        omega_min=_fmt(omega_min), omega_max=_fmt(omega_max), count=str(count), spacing=spacing
-    )
+def cmd_sweep_rabi(args, s) -> int:
+    params, used = _system(s)
+    grid = _make_grid(s, "omega_min", "omega_max", used)
     digest = config_digest(used)
-    out = _out_dir(args, cfg)
+    out = _out_dir(s)
 
     rabis = grid * params.gamma
     driven = rabis[rabis != 0.0]
@@ -378,65 +409,34 @@ def cmd_sweep_rabi(args, cfg) -> int:
     return 0
 
 
-def cmd_rb85(args, cfg) -> int:
-    gamma_mhz = _as_float(_resolve(args, cfg, "gamma_mhz"), "gamma_mhz")
-    gamma_prime_mhz = _as_float(_resolve(args, cfg, "gamma_prime_mhz"), "gamma_prime_mhz")
-    splitting_mhz = _as_float(
-        _resolve(args, cfg, "splitting_mhz", str(rb85.DEFAULT_SPLITTING_MHZ)), "splitting_mhz"
-    )
-    excited_splitting_mhz = _as_float(
-        _resolve(args, cfg, "excited_splitting_mhz", _fmt(splitting_mhz)), "excited_splitting_mhz"
-    )
-    dws_mhz = _as_float(
-        _resolve(args, cfg, "delta_omega_s_mhz", _fmt(splitting_mhz)), "delta_omega_s_mhz"
-    )
-    line_detuning_mhz = _as_float(
-        _resolve(args, cfg, "line_detuning_mhz", "0"), "line_detuning_mhz"
-    )
-    # explicit rabi_mhz (flag, then config) wins over the gamma-fraction form
-    rabi_mhz_raw = getattr(args, "rabi_mhz", None)
-    if rabi_mhz_raw is None and getattr(args, "rabi_fraction", None) is None:
-        rabi_mhz_raw = cfg.get("rabi_mhz")
-    if rabi_mhz_raw is not None:
-        rabi_mhz = _as_float(str(rabi_mhz_raw), "rabi_mhz")
+def cmd_rb85(args, s) -> int:
+    mhz: dict[str, float] = {}
+    for key in ("gamma_mhz", "gamma_prime_mhz", "splitting_mhz", "excited_splitting_mhz",
+                "delta_omega_s_mhz", "line_detuning_mhz"):
+        # the two keys without a default take the ground splitting's
+        mhz[key] = mhz["splitting_mhz"] if s[key] is None else _as_float(s[key], key)
+    # rabi_mhz wins over the gamma-fraction form, except that a --rabi-fraction flag wins
+    # over a config-file rabi_mhz
+    if s["rabi_mhz"] is not None and (args.rabi_mhz is not None or args.rabi_fraction is None):
+        mhz["rabi_mhz"] = _as_float(s["rabi_mhz"], "rabi_mhz")
     else:
-        fraction = _as_float(
-            _resolve(args, cfg, "rabi_fraction", str(rb85.DEFAULT_RABI_FRACTION)), "rabi_fraction"
-        )
-        rabi_mhz = fraction * gamma_mhz
-    offset_branch = _resolve(args, cfg, "offset_branch", "sigma+") or "sigma+"
-    if offset_branch not in ("sigma+", "pi"):
-        raise ConfigError("offset_branch must be 'sigma+' or 'pi'")
-    threshold = _as_float(_resolve(args, cfg, "threshold"), "threshold")
-
-    used = {
-        "gamma_mhz": _fmt(gamma_mhz),
-        "gamma_prime_mhz": _fmt(gamma_prime_mhz),
-        "splitting_mhz": _fmt(splitting_mhz),
-        "excited_splitting_mhz": _fmt(excited_splitting_mhz),
-        "delta_omega_s_mhz": _fmt(dws_mhz),
-        "line_detuning_mhz": _fmt(line_detuning_mhz),
-        "rabi_mhz": _fmt(rabi_mhz),
-        "offset_branch": offset_branch,
-        "threshold": _fmt(threshold),
-    }
+        mhz["rabi_mhz"] = _as_float(s["rabi_fraction"], "rabi_fraction") * mhz["gamma_mhz"]
+    threshold = _as_float(s["threshold"], "threshold")
+    used = {key: _fmt(value) for key, value in mhz.items()}
+    used.update(offset_branch=s["offset_branch"], threshold=_fmt(threshold))
     digest = config_digest(used)
-    out = _out_dir(args, cfg)
+    out = _out_dir(s)
 
-    rabi = mhz_to_angular(rabi_mhz)
-    gamma = mhz_to_angular(gamma_mhz)
-    gamma_prime = mhz_to_angular(gamma_prime_mhz)
-    dws = mhz_to_angular(dws_mhz)
-    line_detuning = mhz_to_angular(line_detuning_mhz)
-    sigma_offset = dws if offset_branch == "sigma+" else 0.0
-    pi_offset = dws if offset_branch == "pi" else 0.0
-    drives = (
-        rb85.DriveField("sigma+", rabi, line_detuning, sigma_offset),
-        rb85.DriveField("pi", rabi, line_detuning, pi_offset),
+    gamma, gamma_prime, splitting, excited_splitting, dws, line_detuning, rabi = (
+        mhz_to_angular(value) for value in mhz.values()
+    )
+    drives = tuple(
+        rb85.DriveField(branch, rabi, line_detuning, dws if branch == s["offset_branch"] else 0.0)
+        for branch in ("sigma+", "pi")
     )
     graph = rb85.build_full_model(
-        rb85.ZeemanManifold(rb85.F_GROUND, mhz_to_angular(splitting_mhz)),
-        rb85.ZeemanManifold(rb85.F_EXCITED, mhz_to_angular(excited_splitting_mhz)),
+        rb85.ZeemanManifold(rb85.F_GROUND, splitting),
+        rb85.ZeemanManifold(rb85.F_EXCITED, excited_splitting),
         drives,
         gamma,
         gamma_prime,
@@ -444,8 +444,7 @@ def cmd_rb85(args, cfg) -> int:
     rho = steady_state(build_generator(graph))
     peaks = spectrum.coherence_peaks(rb85.ground_block(rho), dws, labels=rb85.GROUND_M)
 
-    fmt = _resolve(args, cfg, "format")
-    _write_peaks(out, "rb85", peaks, fmt, threshold, digest)
+    _write_peaks(out, "rb85", peaks, s["format"], threshold, digest)
 
     summary: dict = {
         "config_hash": digest,
@@ -472,7 +471,7 @@ def cmd_rb85(args, cfg) -> int:
         rho13 = steady_state(build_generator(rb85.build_truncated_13(params13)))
         gidx = ground_indices(13)
         peaks13 = spectrum.coherence_peaks(rho13.matrix[np.ix_(gidx, gidx)], dws)
-        _write_peaks(out, "rb85_truncated13", peaks13, fmt, threshold, digest)
+        _write_peaks(out, "rb85_truncated13", peaks13, s["format"], threshold, digest)
         if peaks13.fundamental_weight > 0 and peaks.fundamental_weight > 0:
             fit13 = spectrum.loglinear_fit(peaks13)
             summary["truncated13_fit"] = _fit_payload(fit13)
@@ -485,10 +484,10 @@ def cmd_rb85(args, cfg) -> int:
     return 0
 
 
-def cmd_rates(args, cfg) -> int:
-    params, used = _resolve_system(args, cfg)
+def cmd_rates(args, s) -> int:
+    params, used = _system(s)
     digest = config_digest(used)
-    out = _out_dir(args, cfg)
+    out = _out_dir(s)
     resonant_params = replace(params, detunings=(0.0,) * (params.n_levels - 1))
     rows = []
     detuned_input = any(d != 0.0 for d in params.detunings)
@@ -519,9 +518,9 @@ def cmd_rates(args, cfg) -> int:
     return 0
 
 
-def cmd_selftest(args, cfg) -> int:
+def cmd_selftest(args, s) -> int:
     checks: list[tuple[str, bool, str]] = []
-    seed = _as_int(_resolve(args, cfg, "seed"), "seed")
+    seed = _as_int(s["seed"], "seed")
     rng = np.random.default_rng(seed)
 
     def run(name, fn):
@@ -595,14 +594,19 @@ def cmd_selftest(args, cfg) -> int:
     return 0 if ok else 1
 
 
-def _make_grid(start: float, stop: float, count: int, spacing: str) -> np.ndarray:
-    if spacing == "linear":
+def _make_grid(s: dict[str, str | None], first: str, last: str, used: dict[str, str]) -> np.ndarray:
+    """The sweep grid from the settings ``first``, ``last``, ``count`` and ``spacing``,
+    which are added to ``used`` as the config hash sees them."""
+    start, stop = _as_float(s[first], first), _as_float(s[last], last)
+    count = _as_int(s["count"], "count")
+    if count < 2:
+        raise ConfigError("sweep count must be >= 2")
+    used.update({first: _fmt(start), last: _fmt(stop), "count": str(count), "spacing": s["spacing"]})
+    if s["spacing"] == "linear":
         return np.linspace(start, stop, count)
-    if spacing == "log":
-        if start <= 0 or stop <= 0:
-            raise ConfigError("log spacing requires positive endpoints")
-        return np.logspace(np.log10(start), np.log10(stop), count)
-    raise ConfigError(f"unknown spacing {spacing!r}")
+    if start <= 0 or stop <= 0:
+        raise ConfigError("log spacing requires positive endpoints")
+    return np.logspace(np.log10(start), np.log10(stop), count)
 
 
 # ---------------------------------------------------------------------------
@@ -610,25 +614,14 @@ def _make_grid(start: float, stop: float, count: int, spacing: str) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 
-def _add_system_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n-levels", dest="n_levels", type=int)
-    p.add_argument("--rabi-mhz", dest="rabi_mhz", type=float)
-    p.add_argument("--gamma-mhz", dest="gamma_mhz", type=float)
-    p.add_argument("--gamma-prime-mhz", dest="gamma_prime_mhz", type=float)
-    p.add_argument("--detunings-mhz", dest="detunings_mhz", type=str,
-                   help="comma-separated, one per transition")
-    p.add_argument("--delta-omega-s-mhz", dest="delta_omega_s_mhz", type=float)
-
-
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", type=str, help="flat key=value configuration file")
-    p.add_argument("--out", type=str, help="output directory (default: current)")
-    p.add_argument("--format", choices=("csv", "json", "both"), dest="format")
-    p.add_argument("--threshold", dest="threshold", type=float,
-                   help="relative display cutoff for visible peaks")
-    p.add_argument("--parallel", dest="parallel", type=int,
-                   help="accepted for compatibility; has no effect (sweeps are batched)")
-    p.add_argument("--seed", dest="seed", type=int)
+_COMMANDS = {
+    "steady": (cmd_steady, "solve one steady state and emit its peak set"),
+    "sweep-detuning": (cmd_sweep_detuning, "height ratios against two-photon detuning"),
+    "sweep-rabi": (cmd_sweep_rabi, "height ratios against drive strength"),
+    "rb85": (cmd_rb85, "16-state Zeeman model of the driven D2 line"),
+    "rates": (cmd_rates, "multi-photon transition-rate table"),
+    "selftest": (cmd_selftest, "run the oracle-equivalence checks"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -637,74 +630,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="Driven cascaded-Lambda chains: steady states, coherence spectra, rates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("steady", help="solve one steady state and emit its peak set")
-    _add_system_flags(p)
-    _add_common_flags(p)
-    p.add_argument("--effective", action="store_true", help="use the reduced ground-manifold model")
-    p.add_argument("--dump-generator", action="store_true",
-                   help="also dump the generator of the solved model (the reduced one "
-                        "with --effective)")
-    p.set_defaults(func=cmd_steady)
-
-    p = sub.add_parser("sweep-detuning", help="height ratios against two-photon detuning")
-    _add_system_flags(p)
-    _add_common_flags(p)
-    p.add_argument("--start-mhz", dest="start_mhz", type=float)
-    p.add_argument("--stop-mhz", dest="stop_mhz", type=float)
-    p.add_argument("--count", dest="count", type=int)
-    p.add_argument("--spacing", dest="spacing", choices=("linear", "log"))
-    p.set_defaults(func=cmd_sweep_detuning)
-
-    p = sub.add_parser("sweep-rabi", help="height ratios against drive strength")
-    _add_system_flags(p)
-    _add_common_flags(p)
-    p.add_argument("--omega-min", dest="omega_min", type=float, help="lowest rabi/gamma")
-    p.add_argument("--omega-max", dest="omega_max", type=float, help="highest rabi/gamma")
-    p.add_argument("--count", dest="count", type=int)
-    p.add_argument("--spacing", dest="spacing", choices=("linear", "log"))
-    p.set_defaults(func=cmd_sweep_rabi)
-
-    p = sub.add_parser("rb85", help="16-state Zeeman model of the driven D2 line")
-    _add_common_flags(p)
-    p.add_argument("--rabi-fraction", dest="rabi_fraction", type=float,
-                   help="drive strength as a fraction of gamma")
-    p.add_argument("--rabi-mhz", dest="rabi_mhz", type=float)
-    p.add_argument("--gamma-mhz", dest="gamma_mhz", type=float)
-    p.add_argument("--gamma-prime-mhz", dest="gamma_prime_mhz", type=float)
-    p.add_argument("--splitting-mhz", dest="splitting_mhz", type=float)
-    p.add_argument("--excited-splitting-mhz", dest="excited_splitting_mhz", type=float)
-    p.add_argument("--delta-omega-s-mhz", dest="delta_omega_s_mhz", type=float)
-    p.add_argument("--line-detuning-mhz", dest="line_detuning_mhz", type=float)
-    p.add_argument("--offset-branch", dest="offset_branch", choices=("sigma+", "pi"),
-                   help="which tone sits delta_omega_s above the other")
-    p.add_argument("--with-truncated-13", action="store_true",
-                   help="also run the 13-level comparison chain")
-    p.set_defaults(func=cmd_rb85)
-
-    p = sub.add_parser("rates", help="multi-photon transition-rate table")
-    _add_system_flags(p)
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_rates)
-
-    p = sub.add_parser("selftest", help="run the oracle-equivalence checks")
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_selftest)
-
+    parsers = {}
+    for name, (func, help_) in _COMMANDS.items():
+        parsers[name] = sub.add_parser(name, help=help_)
+        parsers[name].add_argument("--config", help="flat key=value configuration file")
+        parsers[name].set_defaults(func=func)
+    for key, kind, _, commands, help_ in _PARAMS:
+        if kind is bool:
+            how = {"action": "store_true"}
+        else:
+            how = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+        for name in commands:
+            parsers[name].add_argument("--" + key.replace("_", "-"), dest=key, help=help_, **how)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = parse_config_file(args.config) if getattr(args, "config", None) else {}
-        return args.func(args, cfg)
-    except (ConfigError, ValueError) as exc:
+        cfg = parse_config_file(args.config) if args.config else {}
+        return args.func(args, _settings(args, cfg))
+    except (ValueError, SteadyStateError, PropagationError) as exc:  # ConfigError is a ValueError
         print(json.dumps({"error": str(exc), "type": type(exc).__name__}), file=sys.stderr)
-        return 2
-    except (SteadyStateError, PropagationError) as exc:
-        print(json.dumps({"error": str(exc), "type": type(exc).__name__}), file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ValueError) else 1
 
 
 if __name__ == "__main__":

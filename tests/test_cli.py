@@ -1,9 +1,10 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from clams.cli import ConfigError, main, parse_config_file, write_complex_matrix_csv
+from clams.cli import _PARAMS, ConfigError, main, parse_config_file, write_complex_matrix_csv
 from clams.effective import reduce
 from clams.liouvillian import build_generator, cascaded_lambda_graph
 from clams.units import mhz_to_angular
@@ -309,3 +310,265 @@ def test_rb85_rabi_from_config_file(tmp_path):
     assert run_cli("rb85", "--config", str(cfg), "--out", str(out)) == 0
     summary = json.loads((out / "rb85_summary.json").read_text())
     assert summary["j_hop_khz"] == pytest.approx(1e3 * 15.2**2 / 1900.0, rel=1e-12)
+
+
+# Config hash and sha256 of every output file of a fixed command set, as an earlier
+# version of the CLI wrote them. The hashes are pure text and must never change; the file
+# digests pin the solver's bytes for one numpy/BLAS build, so after a toolchain change
+# regenerate them from a commit whose outputs are known to be right.
+_RB85_BOTH_RABI_KEYS = "rabi_fraction = 0.009\nrabi_mhz = 14.5\ngamma_mhz = 1.9e3\n"
+GOLDEN = {
+    "steady-readme": (
+        "steady --n-levels 5 --rabi-mhz 15.2 --gamma-mhz 1900 --gamma-prime-mhz 0.2",
+        None,
+        "044db897e89bc3cf",
+        {
+            "steady_peaks.csv": "031f5f7eb041c023be39b85b8b538703f1530ec6e07db4af6542f236e3e688ce",
+            "steady_rho.csv": "edb883b590a9d875aeeaf32e0b172ba9aa664f95fce981cd36ce041f19031d2e",
+        },
+    ),
+    "steady-defaults": (
+        "steady",
+        None,
+        "16f97a82ef75289b",
+        {
+            "steady_peaks.csv": "d9a6bd96311e2a468d6f89ef3eeda8958429bbf9b2505c7dc4e8fff5e7196bd7",
+            "steady_rho.csv": "53fcf803e48a637586a09e3dae945279f94c1f8a3f361fa668f05ef467df949a",
+        },
+    ),
+    # numbers in non-canonical form are hashed as written in the file
+    "steady-config-override": (
+        "steady --gamma-prime-mhz 0.3",
+        "n_levels = 5\nrabi_mhz = 15.20\ngamma_mhz = 1.9e3\ndetunings_mhz = 0.1, 0, 0.1, 0\n",
+        "5a5e73a65bfd5069",
+        {
+            "steady_peaks.csv": "4f1d6b43a27b78ca609ac5c37a959ac17dcfe02532316e0366ca8a8e563e9617",
+            "steady_rho.csv": "0a2b96b3b4afa69210b59ae82ca3599190e0ef7cfe03344a96f35aa800904e7e",
+        },
+    ),
+    "steady-effective-dump": (
+        "steady --n-levels 7 --effective --dump-generator --format both",
+        None,
+        "5172840c7b2218ba",
+        {
+            "steady_generator.csv":
+                "80a70cf8168638e09edae359011b6e55773a7b82d70f53e59756113e371a4632",
+            "steady_peaks.csv": "11399865e5ddc6c78e9451875f86990a9f93a66df8fe3082e4c3c00caac69c63",
+            "steady_peaks.json": "555734c2bb06c4097efd6285f344cac6849349048458b4b8324789fd4a689704",
+            "steady_rho.csv": "e254271995a02e59754e8d1309f7f9db118839b4ebb9721fb173fd2a0d54dc4c",
+        },
+    ),
+    "sweep-detuning-readme": (
+        "sweep-detuning --n-levels 5 --start-mhz -2 --stop-mhz 2 --count 41",
+        None,
+        "f6bf4a0ab3f1d1d0",
+        {"sweep_detuning.csv": "bcadf1e85923b6d38db657020555783b524887d5b5131b30ccd4ea7cf887168e"},
+    ),
+    "sweep-detuning-config": (
+        "sweep-detuning",
+        "start_mhz = -1\nstop_mhz = 1.0\ncount = 7\nspacing = linear\nn_levels = 7\n",
+        "6864a6326f77e71f",
+        {"sweep_detuning.csv": "181a4d10413a4c3497b62493a04569d8f8acb3dc56ad90789215c0c5d96e5f59"},
+    ),
+    "sweep-rabi-readme": (
+        "sweep-rabi --n-levels 7 --omega-min 1e-4 --omega-max 5e-2 --count 201 "
+        "--gamma-prime-mhz 0.02",
+        None,
+        "e8dba1a8b202d6f9",
+        {"sweep_rabi.csv": "87174a6b104428178f408874bf8c8bac18f3eebfa69a991be99116c5bee98faf"},
+    ),
+    "sweep-rabi-defaults": (
+        "sweep-rabi",
+        None,
+        "8ff0945a624553ad",
+        {"sweep_rabi.csv": "b3d80bb98eab19dec6eacdda60608ed56ca3e5deafc11ca0f009fc9b540a0ab5"},
+    ),
+    "rb85-readme": (
+        "rb85 --with-truncated-13 --format both",
+        None,
+        "47019e97af788057",
+        {
+            "rb85_peaks.csv": "2bcc8074d821646037bace66fa5bf21122ab8c847ac74c0c4410a7b6e97e421b",
+            "rb85_peaks.json": "f2dc058d7a3f8faf2cfffbf5f745457e0b73206605935170b88d91103f2cd3c3",
+            "rb85_summary.json": "5e4f75ee599037ad1c85b905fc52af9f51b110a23a866d865d5d30e31faeb8d2",
+            "rb85_truncated13_peaks.csv":
+                "874ca34e55d6bd69299d95b32cd0455e9f3f3a08e9c9cad6e2d8251ecae2b30d",
+            "rb85_truncated13_peaks.json":
+                "ffa7fc639b97317de1b27f68af465fb501b80897b391bc27fcc8cce6a8795a91",
+        },
+    ),
+    # a config rabi_mhz wins over a config rabi_fraction ...
+    "rb85-config-rabi-mhz": (
+        "rb85",
+        _RB85_BOTH_RABI_KEYS,
+        "048bd1b538f87027",
+        {
+            "rb85_peaks.csv": "30958300f1d263a4869072f0dd6eda526c3a01f1e5a40abb65c81f3b7487761a",
+            "rb85_summary.json": "7f181ae43e879e665e2b5579da1e09fc976d973283ac5b77b0f89418d0386f4b",
+        },
+    ),
+    # ... and a --rabi-fraction flag wins over both
+    "rb85-fraction-flag": (
+        "rb85 --rabi-fraction 0.007",
+        _RB85_BOTH_RABI_KEYS,
+        "080c37fbbd698e07",
+        {
+            "rb85_peaks.csv": "d32f8c910a884870aac324a9558b0740ba9afd86a505c942979dfd9441fa22fc",
+            "rb85_summary.json": "7cfbb07dde96f56d149428920a45dcc16bedeb822b267be0e9a8a50c742cd20e",
+        },
+    ),
+    "rb85-pi-branch": (
+        "rb85 --offset-branch pi --line-detuning-mhz 3",
+        None,
+        "7d0120e330e21b60",
+        {
+            "rb85_peaks.csv": "483bd2bd18a6fd27ab9a610c076177966b9ae4127d29a0a21fbc7c44fc75a0fb",
+            "rb85_summary.json": "78470fbcb122e6ed7d33910db48034943b406cd13b015d633487378137f46e30",
+        },
+    ),
+    "rates-readme": (
+        "rates --n-levels 13",
+        None,
+        "8a23821b3d493bd7",
+        {"rates.csv": "8734c6f1e4b50d9b7edd10faaa2beac5c0badb93cd3a930cb8c855215bc2fb29"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_outputs_match_the_golden_bytes(tmp_path, name):
+    command, config, digest, files = GOLDEN[name]
+    argv = command.split()
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--out", str(out)) == 0
+    written = sorted(out.iterdir())
+    assert [path.name for path in written] == sorted(files)
+    for path in written:
+        if path.suffix == ".csv":
+            assert path.read_text().splitlines()[0] == f"# config-hash: {digest}"
+        elif path.name == "rb85_summary.json":
+            assert json.loads(path.read_text())["config_hash"] == digest
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == files[path.name], path.name
+
+
+def run_with_config(tmp_path, capsys, config, *argv):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "out"
+    code = run_cli(*argv, "--config", str(cfg), "--out", str(out))
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err.strip())["error"] if code else None
+    return code, error, out
+
+
+@pytest.mark.parametrize("key", ["rabi_mz", "n_levls", "sweep_count", "sweep_start_mhz", "config"])
+def test_unknown_config_key_exits_2(tmp_path, capsys, key):
+    code, error, out = run_with_config(tmp_path, capsys, f"n_levels = 5\n{key} = 7\n", "steady")
+    assert code == 2
+    assert repr(key) in error
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["effective", "dump_generator", "with_truncated_13"])
+def test_switch_as_config_key_exits_2(tmp_path, capsys, key):
+    code, error, _ = run_with_config(tmp_path, capsys, f"{key} = true\n", "steady")
+    assert code == 2
+    assert "--" + key.replace("_", "-") in error
+
+
+def test_one_config_file_serves_several_subcommands(tmp_path, capsys):
+    config = "n_levels = 3\nsplitting_mhz = 2.0\nomega_min = 1e-3\nstart_mhz = -1\n"
+    for command in ("steady", "rb85", "rates"):
+        (tmp_path / command).mkdir()
+        code, _, out = run_with_config(tmp_path / command, capsys, config, command)
+        assert code == 0
+        assert any(out.iterdir())
+
+
+@pytest.mark.parametrize("argv, config, key", [
+    (["steady"], "format = xml\n", "format"),
+    (["steady"], "format =\n", "format"),
+    (["sweep-rabi"], "spacing = cubic\n", "spacing"),
+    (["sweep-detuning", "--start-mhz", "-1", "--stop-mhz", "1", "--count", "3"], "spacing = \n",
+     "spacing"),
+    (["rb85"], "offset_branch = up\n", "offset_branch"),
+    (["selftest"], "format = CSV\n", "format"),
+], ids=["format", "empty-format", "spacing", "empty-spacing", "offset-branch", "selftest-format"])
+def test_bad_choice_in_config_exits_2(tmp_path, capsys, argv, config, key):
+    code, error, out = run_with_config(tmp_path, capsys, config, *argv)
+    assert code == 2
+    assert error.startswith(f"{key} must be ")
+    assert not out.exists()
+
+
+def test_unreadable_config_exits_2(tmp_path, capsys):
+    code = run_cli("steady", "--config", str(tmp_path / "missing.cfg"), "--out", str(tmp_path))
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err.strip())
+    assert err["type"] == "ConfigError" and "missing.cfg" in err["error"]
+
+
+def test_out_naming_a_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    assert run_cli("rates", "--n-levels", "3", "--out", str(taken)) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["type"] == "ConfigError" and "taken" in err["error"]
+    assert taken.read_text() == "not a directory\n"
+
+
+# Every setting of a subcommand, written as str() of its parsed value, so that its text
+# and therefore the config hash do not depend on whether a flag or the file gave it.
+_CHAIN = {"n_levels": "5", "rabi_mhz": "15.3", "gamma_mhz": "1850.0",
+          "gamma_prime_mhz": "0.25", "detunings_mhz": "0.01,0,0,0.02",
+          "delta_omega_s_mhz": "2.5"}
+_COMMON = {"format": "both", "threshold": "0.001", "parallel": "2", "seed": "3"}
+_RB85 = {"rabi_fraction": "0.007", "gamma_mhz": "1850.0", "gamma_prime_mhz": "0.25",
+         "delta_omega_s_mhz": "2.5", "splitting_mhz": "2.3", "excited_splitting_mhz": "2.2",
+         "line_detuning_mhz": "1.5", "offset_branch": "pi"}
+EQUIVALENT = {
+    "steady": ("steady", {**_CHAIN, **_COMMON}),
+    "sweep-detuning": ("sweep-detuning", {**_CHAIN, **_COMMON, "start_mhz": "-0.5",
+                                          "stop_mhz": "0.5", "count": "5", "spacing": "linear"}),
+    "sweep-rabi": ("sweep-rabi", {**_CHAIN, **_COMMON, "omega_min": "0.001",
+                                  "omega_max": "0.02", "count": "4", "spacing": "log"}),
+    "rates": ("rates", {**_CHAIN, **_COMMON, "n_levels": "9",
+                        "detunings_mhz": "0.01,0,0,0,0,0,0,0.02"}),
+    "rb85-rabi-mhz": ("rb85", {**_RB85, **_COMMON, "rabi_mhz": "14.0"}),
+    "rb85-rabi-fraction": ("rb85", {**_RB85, **_COMMON}),
+    "selftest": ("selftest", _COMMON),
+}
+
+
+@pytest.mark.parametrize("command", ["steady", "sweep-detuning", "sweep-rabi", "rates", "rb85",
+                                     "selftest"])
+def test_equivalence_cases_cover_the_table(command):
+    given = set().union(*(values for cmd, values in EQUIVALENT.values() if cmd == command))
+    table = {key for key, kind, _, cmds, _ in _PARAMS if command in cmds and kind is not bool}
+    assert given | {"out"} == table
+
+
+@pytest.mark.parametrize("name", EQUIVALENT)
+def test_flags_and_config_file_give_the_same_bytes(tmp_path, capsys, name):
+    command, values = EQUIVALENT[name]
+    flags = [f"--{key.replace('_', '-')}={value}" for key, value in values.items()]
+    assert run_cli(command, *flags, "--out", str(tmp_path / "flags")) == 0
+    stdout = capsys.readouterr().out
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in values.items())
+                   + f"out = {tmp_path / 'config'}\n")
+    assert run_cli(command, "--config", str(cfg)) == 0
+    assert capsys.readouterr().out == stdout
+    if command == "selftest":
+        return
+    by_flags = sorted((tmp_path / "flags").iterdir())
+    by_config = sorted((tmp_path / "config").iterdir())
+    assert [p.name for p in by_flags] == [p.name for p in by_config] != []
+    for a, b in zip(by_flags, by_config):
+        assert a.read_bytes() == b.read_bytes(), a.name
