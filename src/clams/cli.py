@@ -218,9 +218,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Every output file is written here; a path that cannot be written is a configuration error."""
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file: {exc}") from None
+
+
 def _write_lines(path: Path, header: list[str], lines, digest: str) -> None:
     """The CSV layout of every writer: provenance comment, header row, ``lines``."""
-    path.write_text("\n".join([f"# config-hash: {digest}", ",".join(header), *lines]) + "\n")
+    _write_text(path, "\n".join([f"# config-hash: {digest}", ",".join(header), *lines]) + "\n")
 
 
 def write_csv(path: Path, header: list[str], rows: list[list], digest: str) -> None:
@@ -228,7 +236,7 @@ def write_csv(path: Path, header: list[str], rows: list[list], digest: str) -> N
 
 
 def write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def write_complex_matrix_csv(path: Path, matrix: np.ndarray, digest: str) -> None:

@@ -1,4 +1,4 @@
-"""Rate-based master-equation generator, steady-state solver, and propagator.
+"""Rate-based master-equation generator, steady-state solver, and exact propagator.
 
 The density matrix evolves under
 
@@ -14,9 +14,8 @@ from that single convention.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from math import isqrt
+from math import factorial, frexp, isfinite, isqrt
 
 import numpy as np
 
@@ -44,9 +43,11 @@ TRACE_ATOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 RESIDUAL_RTOL = 1e-10  # relative to ||L|| ||v||
 NULLSPACE_RTOL = 1e-10
-# Internal step budget of one propagation; odeint's default of 500 is already
-# reached by some criterion-09 graphs (up to 454 steps at tol = 1e-9).
-PROPAGATE_MAX_STEPS = 100_000
+# Degree-13 Pade coefficients of exp, and the 1-norm up to which that approximant
+# is accurate to double precision (Higham 2005, table 2.3).
+_PADE_13 = [factorial(26 - k) * factorial(13) / (factorial(26) * factorial(13 - k) * factorial(k))
+            for k in range(14)]
+_THETA_13 = 5.371920351148152
 
 # Batched solves take generator stacks of at most this many bytes, and a sweep
 # holds its chunks in one such buffer; the LU works on one member at a time.
@@ -300,50 +301,44 @@ def affine_steady_states(base: np.ndarray, slope: np.ndarray, xs) -> np.ndarray:
     return out
 
 
-def propagate(gen: GeneratorMatrix, rho0: DensityMatrix, t: float, tol: float = 1e-9) -> DensityMatrix:
-    """Integrate drho/dt = L rho for a time ``t`` with local error <= ``tol``.
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a): the degree-13 Pade approximant of a / 2^s, where ||a / 2^s||_1 <= theta_13,
+    squared s times (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005))."""
+    s = max(0, frexp(float(np.abs(a).sum(axis=0).max()) / _THETA_13)[1])  # 2^s > ||a||_1 / theta
+    b, a = _PADE_13, a / 2.0**s
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    eye = np.eye(len(a))
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
 
-    Validation path for the steady-state solver, independent of its LU solve.
-    The complex linear system is stacked into real and imaginary parts and
-    integrated by LSODA (compiled ODEPACK, via ``scipy.integrate.odeint``),
-    which switches between non-stiff Adams and stiff BDF steps as the dynamics
-    require; the generator supplies the exact Jacobian, which keeps stiff rate
-    hierarchies such as gamma >> gamma_prime tractable.  ``odeint`` is used
-    rather than ``solve_ivp``: the latter's BDF is pure Python, and its LSODA
-    rejects a constant array Jacobian and leaks memory on every call.
-    scipy is imported here, so ``import clams`` loads numpy only.
-    """
+
+def propagate(gen: GeneratorMatrix, rho0: DensityMatrix, t: float, tol: float = 1e-9) -> DensityMatrix:
+    """vec(rho(t)) = exp(L t) vec(rho0): the validation path for the steady-state
+    solver, independent of its LU solve.  L does not depend on time, so the
+    propagator is one matrix exponential (:func:`_expm`), exact up to rounding of
+    order eps ||L t||_1.  ``tol`` bounds the checks on the result: trace drift and the
+    bounds of ``DensityMatrix.validate`` are widened to 10 tol.  A ``tol`` below
+    100 eps cannot be met in double precision and raises."""
     if t < 0:
         raise ValueError("propagation time must be >= 0")
     if rho0.n_states != gen.n_states:
         raise ValueError("state dimension does not match the generator")
     if t == 0:
         return rho0
-    from scipy.integrate import ODEintWarning, odeint
-
-    lio = gen.matrix
-    lr = np.block([[lio.real, -lio.imag], [lio.imag, lio.real]])
-    z0 = rho0.vec()
-    y0 = np.concatenate([z0.real, z0.imag])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", ODEintWarning)  # odeint reports failure as a warning
-        try:
-            y_t = odeint(
-                lambda _t, y: lr @ y,
-                y0,
-                [0.0, float(t)],
-                Dfun=lambda _t, _y: lr,
-                rtol=tol,
-                atol=tol,
-                mxstep=PROPAGATE_MAX_STEPS,
-                tfirst=True,
-            )[-1]
-        except ODEintWarning as exc:
-            raise PropagationError(f"integration failed: {exc}") from None
-    if not np.isfinite(y_t).all():
-        raise PropagationError("integration produced non-finite values")
-    n2 = gen.n_states**2
-    rho = DensityMatrix.from_vec(y_t[:n2] + 1j * y_t[n2:], gen.n_states)
+    if tol < 100.0 * np.finfo(float).eps:
+        raise PropagationError(f"integration failed: tol {tol:.1e} is below 100 eps")
+    norm = float(np.abs(gen.matrix).sum(axis=0).max()) * float(t)  # overflows to inf, silently
+    if not isfinite(norm):
+        raise PropagationError(f"||L t||_1 = {norm} is non-finite")
+    rho = DensityMatrix.from_vec(_expm(gen.matrix * t) @ rho0.vec(), gen.n_states)
+    if not np.isfinite(rho.matrix).all():
+        raise PropagationError("propagation produced non-finite values")
     drift = abs(complex(np.trace(rho.matrix)) - 1.0)
     if drift > 10.0 * tol:
         raise PropagationError(f"trace drift {drift:.3e} exceeds 10*tol")
@@ -355,9 +350,9 @@ def propagate(gen: GeneratorMatrix, rho0: DensityMatrix, t: float, tol: float = 
 
 
 def __getattr__(name: str):
-    # PEP 562 hook: callers that look up ``solve_ivp`` here by name (the
-    # benchmark tracer wraps it) still resolve it, and it is imported on first
-    # access so that importing this module does not load scipy.
+    # PEP 562 hook that exists only for the benchmark tracer, which looks up and
+    # wraps ``solve_ivp`` here; nothing in clams calls it.  scipy is imported on
+    # first access, so importing this module does not load it.
     if name == "solve_ivp":
         from scipy.integrate import solve_ivp
 

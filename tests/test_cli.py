@@ -523,6 +523,17 @@ def test_out_naming_a_file_exits_2(tmp_path, capsys):
     assert taken.read_text() == "not a directory\n"
 
 
+def test_unwritable_output_file_exits_2(tmp_path, capsys):
+    (tmp_path / "steady_rho.csv").mkdir()
+    assert run_cli("steady", "--n-levels", "3", "--out", str(tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    err = json.loads(line)
+    assert err["type"] == "ConfigError"
+    assert err["error"].startswith("cannot write output file") and "steady_rho.csv" in err["error"]
+
+
 # Every setting of a subcommand, written as str() of its parsed value, so that its text
 # and therefore the config hash do not depend on whether a flag or the file gave it.
 _CHAIN = {"n_levels": "5", "rabi_mhz": "15.3", "gamma_mhz": "1850.0",

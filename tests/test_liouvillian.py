@@ -21,6 +21,7 @@ from clams.liouvillian import (
 )
 from clams.units import mhz_to_angular
 from conftest import chain_params, hermitian_random, random_graph
+from oracles import lsoda_propagate
 
 
 def pure_decay_graph(gamma=1.0):
@@ -264,6 +265,62 @@ def test_propagate_failures_raise():
             propagate(gen, rho0, 1.0, tol=1e-300)
         with pytest.raises(PropagationError, match="non-finite"):
             propagate(nan_gen, rho0, 1.0)
+
+
+def test_propagate_overflowing_time_raises():
+    gen = build_generator(pure_decay_graph())
+    rho0 = DensityMatrix(np.diag([0.0, 1.0]).astype(complex))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way to the typed error
+        with pytest.raises(PropagationError, match="non-finite"):
+            propagate(gen, rho0, 1e308)
+
+
+def propagation_cases():
+    """(name, generator, start state, time): criterion 09's draw, from the maximally
+    mixed state to 30/gap, and the README chains N = 5, 7, 13 from level 1 to 30
+    over their slowest decay rate."""
+    rng = np.random.default_rng(2026)  # the draw sequence of criterion 09
+    for k in range(60):
+        g = random_graph(rng)
+        d = g.n_states
+        rng.normal(size=(d, d)), rng.normal(size=(d, d))
+        gen = build_generator(g)
+        evals = np.linalg.eigvals(gen.matrix)
+        gap = -max(ev.real for ev in evals if abs(ev) > 1e-10 * np.abs(evals).max())
+        yield f"graph {k}", gen, DensityMatrix(np.eye(d, dtype=complex) / d), 30.0 / gap
+    for n in (5, 7, 13):
+        p = chain_params(n, mhz_to_angular(15.2), mhz_to_angular(1900.0), mhz_to_angular(0.2))
+        gen = build_generator(cascaded_lambda_graph(p))
+        evals = np.linalg.eigvals(gen.matrix)
+        decay = -evals.real[np.abs(evals) > 1e-10 * np.abs(evals).max()]
+        rho0 = DensityMatrix(np.diag([1.0] + [0.0] * (n - 1)).astype(complex))
+        yield f"N={n} chain", gen, rho0, 30.0 / decay.min()
+
+
+def rounding_bound(gen, t):
+    """1e-12 plus eps ||L t||_1, the scale of the rounding that s squarings of
+    exp(L t / 2^s) accumulate: about 1e-13 on criterion-09 graphs, and 1.6e-10 to
+    7.9e-10 on the stiff README chains, where the measured error is up to 2e-11."""
+    return 1e-12 + np.finfo(float).eps * np.abs(gen.matrix).sum(axis=0).max() * t
+
+
+def test_propagate_matches_lsoda_and_the_scipy_exponential():
+    for name, gen, rho0, t in propagation_cases():
+        got = propagate(gen, rho0, t, tol=1e-9).matrix
+        lsoda = lsoda_propagate(gen, rho0, t, tol=1e-9).matrix
+        assert np.abs(got - lsoda).max() < 1e-9, name
+        exact = DensityMatrix.from_vec(sla.expm(gen.matrix * t) @ rho0.vec(), gen.n_states)
+        assert np.abs(got - exact.matrix).max() < rounding_bound(gen, t), name
+        if name == "N=13 chain":
+            assert np.abs(got - steady_state(gen).matrix).max() < 1e-6
+
+
+def test_propagate_composes_over_time():
+    for name, gen, rho0, t in propagation_cases():
+        whole = propagate(gen, rho0, t).matrix
+        in_two_steps = propagate(gen, propagate(gen, rho0, 0.3 * t), 0.7 * t).matrix
+        assert np.abs(whole - in_two_steps).max() < rounding_bound(gen, t), name
 
 
 def test_graph_validation():
