@@ -1,7 +1,14 @@
 """Shared helpers for the test suite."""
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
+
+import clams
 
 from clams.effective import build_effective_generator, effective_steady_state
 from clams.level_system import SystemParams, ground_indices
@@ -90,3 +97,22 @@ def rb85_graph() -> CouplingGraph:
         gamma,
         mhz_to_angular(DEFAULT_GAMMA_PRIME_MHZ),
     )
+
+
+# The BLAS/OpenMP thread variables that bench/run.py pins to one thread.  LAPACK's LU
+# rounds differently at one and at two threads from order 121 up (rb85's 256, chains
+# with N >= 11), so byte-exact outputs hold for one thread count.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+def run_python(code: str, *args: str, stdin: str = "", blas_threads: int | None = None) -> str:
+    """stdout of ``python -c code *args`` in a fresh interpreter that imports this
+    checkout's clams, with every BLAS thread variable set to ``blas_threads``, or
+    with none of them set (the library's default) when it is None."""
+    env = {key: value for key, value in os.environ.items() if key not in BLAS_THREAD_VARS}
+    if blas_threads is not None:
+        env.update(dict.fromkeys(BLAS_THREAD_VARS, str(blas_threads)))
+    env["PYTHONPATH"] = str(Path(clams.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", code, *args], input=stdin, env=env,
+                          capture_output=True, text=True, check=True).stdout

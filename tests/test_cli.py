@@ -8,7 +8,7 @@ from clams.cli import _PARAMS, ConfigError, main, parse_config_file, write_compl
 from clams.effective import reduce
 from clams.liouvillian import build_generator, cascaded_lambda_graph
 from clams.units import mhz_to_angular
-from conftest import chain_params, rb85_graph
+from conftest import chain_params, rb85_graph, run_python
 from oracles import per_value_matrix_csv
 
 
@@ -93,7 +93,36 @@ def planted_matrix():
     return m
 
 
-@pytest.mark.parametrize("build", [chain21_generator, rb85_generator, planted_matrix])
+def complex_from_parts(parts):
+    """Complex matrix whose interleaved (re, im) parts are the rows of ``parts``."""
+    return np.array(parts, dtype=float).view(complex)
+
+
+def zero_matrix():
+    return np.zeros((5, 3), dtype=complex)
+
+
+def one_by_one():
+    return complex_from_parts([[-0.0, 2.5]])
+
+
+def one_row():
+    return complex_from_parts([[np.nan, 0.0, 0.0, 1e-300, -np.inf, 0.0, 0.0, -0.0]])
+
+
+def boundary_parts():
+    """Each kind of part that is not +0.0 alone at the start of a row, alone at its end,
+    and at both ends, with all-zero rows between and around those rows."""
+    rows = [[0.0] * 8]
+    for first, last in [(3.0, -7.5), (-0.0, -0.0), (np.nan, np.nan), (np.inf, -np.inf),
+                        (-np.inf, np.inf), (5e-324, -1e300)]:
+        rows += [[first] + [0.0] * 7, [0.0] * 8, [0.0] * 7 + [last], [first] + [0.0] * 6 + [last],
+                 [0.0] * 8]
+    return complex_from_parts(rows)
+
+
+@pytest.mark.parametrize("build", [chain21_generator, rb85_generator, planted_matrix, zero_matrix,
+                                   one_by_one, one_row, boundary_parts])
 def test_matrix_csv_matches_per_value_oracle(tmp_path, build):
     matrix = build()
     write_complex_matrix_csv(tmp_path / "got.csv", matrix, "0123456789abcdef")
@@ -314,8 +343,9 @@ def test_rb85_rabi_from_config_file(tmp_path):
 
 # Config hash and sha256 of every output file of a fixed command set, as an earlier
 # version of the CLI wrote them. The hashes are pure text and must never change; the file
-# digests pin the solver's bytes for one numpy/BLAS build, so after a toolchain change
-# regenerate them from a commit whose outputs are known to be right.
+# digests pin the solver's bytes for one numpy/BLAS build and one BLAS thread count (the
+# cases run with every BLAS thread variable at 1, as the benchmark runs them), so after a
+# toolchain change regenerate them from a commit whose outputs are known to be right.
 _RB85_BOTH_RABI_KEYS = "rabi_fraction = 0.009\nrabi_mhz = 14.5\ngamma_mhz = 1.9e3\n"
 GOLDEN = {
     "steady-readme": (
@@ -358,6 +388,18 @@ GOLDEN = {
             "steady_rho.csv": "e254271995a02e59754e8d1309f7f9db118839b4ebb9721fb173fd2a0d54dc4c",
         },
     ),
+    # the full N = 21 chain's generator: 441 x 441, 99 % exact zeros
+    "steady-chain21-dump": (
+        "steady --n-levels 21 --dump-generator",
+        None,
+        "33b2682baf81dea3",
+        {
+            "steady_generator.csv":
+                "1b7b73156cc11fafa218a57457ed27e513ce403b1b1672be5c782c8fed9ebbaf",
+            "steady_peaks.csv": "3aa012851adad021759e90bf3a73c73f3026c18d8648e42f450d379094c91aba",
+            "steady_rho.csv": "983b5da9661b8637021b9617d70aa65c9edff646595565d7309a0cc26b101cad",
+        },
+    ),
     "sweep-detuning-readme": (
         "sweep-detuning --n-levels 5 --start-mhz -2 --stop-mhz 2 --count 41",
         None,
@@ -388,13 +430,13 @@ GOLDEN = {
         None,
         "47019e97af788057",
         {
-            "rb85_peaks.csv": "2bcc8074d821646037bace66fa5bf21122ab8c847ac74c0c4410a7b6e97e421b",
-            "rb85_peaks.json": "f2dc058d7a3f8faf2cfffbf5f745457e0b73206605935170b88d91103f2cd3c3",
-            "rb85_summary.json": "5e4f75ee599037ad1c85b905fc52af9f51b110a23a866d865d5d30e31faeb8d2",
+            "rb85_peaks.csv": "1b3aea799e1eece3fcfc1c43a167286108a59f3cddbcbd6dfe88c3a9c4ae8a56",
+            "rb85_peaks.json": "7e24f0c5d0b0ba83c3454a6133b17785e0e8250ec1091e041060a216a5e90f5b",
+            "rb85_summary.json": "235b96140cc4e9cfaa48f904ff3864455cbc120f165240b3bd9e8f58f5c65998",
             "rb85_truncated13_peaks.csv":
-                "874ca34e55d6bd69299d95b32cd0455e9f3f3a08e9c9cad6e2d8251ecae2b30d",
+                "7fefbb2925d234eba7ab98476e7e8ce913f5a9d5912a4700157fda242acf866d",
             "rb85_truncated13_peaks.json":
-                "ffa7fc639b97317de1b27f68af465fb501b80897b391bc27fcc8cce6a8795a91",
+                "b8f72d8d7c90ed76287dd387ac2f45770bd5831ef2d7a1601d1c5dc4d2b86af4",
         },
     ),
     # a config rabi_mhz wins over a config rabi_fraction ...
@@ -403,7 +445,7 @@ GOLDEN = {
         _RB85_BOTH_RABI_KEYS,
         "048bd1b538f87027",
         {
-            "rb85_peaks.csv": "30958300f1d263a4869072f0dd6eda526c3a01f1e5a40abb65c81f3b7487761a",
+            "rb85_peaks.csv": "e80ce72f66ea6d0971c605c46114296138901a1ed41503f1a3d23ff49885aa2a",
             "rb85_summary.json": "7f181ae43e879e665e2b5579da1e09fc976d973283ac5b77b0f89418d0386f4b",
         },
     ),
@@ -413,7 +455,7 @@ GOLDEN = {
         _RB85_BOTH_RABI_KEYS,
         "080c37fbbd698e07",
         {
-            "rb85_peaks.csv": "d32f8c910a884870aac324a9558b0740ba9afd86a505c942979dfd9441fa22fc",
+            "rb85_peaks.csv": "1c863d9021cf95c5e8d06b72449be2695f629443ced5a93f318e758f57a04e6d",
             "rb85_summary.json": "7cfbb07dde96f56d149428920a45dcc16bedeb822b267be0e9a8a50c742cd20e",
         },
     ),
@@ -422,8 +464,8 @@ GOLDEN = {
         None,
         "7d0120e330e21b60",
         {
-            "rb85_peaks.csv": "483bd2bd18a6fd27ab9a610c076177966b9ae4127d29a0a21fbc7c44fc75a0fb",
-            "rb85_summary.json": "78470fbcb122e6ed7d33910db48034943b406cd13b015d633487378137f46e30",
+            "rb85_peaks.csv": "29b684dd7d75c289bb2a68df4d59f069cc71373a27d6546e8c971909d501f9c9",
+            "rb85_summary.json": "fc218c33ce517ca3f2e6b07cadadc7c9b477193292ce13efa6bee775e5994c92",
         },
     ),
     "rates-readme": (
@@ -435,23 +477,94 @@ GOLDEN = {
 }
 
 
+# Runs [tag, argv] pairs from stdin through one in-process main() each, in order, and
+# prints per tag the exit code, stderr, and every output file's first line, JSON
+# config_hash and sha256.
+_CHILD_RUNS = """
+import contextlib, hashlib, io, json, sys
+from pathlib import Path
+from clams.cli import main
+
+results = {}
+for tag, argv in json.load(sys.stdin):
+    out = Path(sys.argv[1]) / tag
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            code = main([*argv, "--out", str(out)])
+        except SystemExit as exc:  # an argparse error
+            code = exc.code
+    files = {}
+    for path in sorted(out.iterdir()) if out.exists() else ():
+        data = path.read_bytes()
+        files[path.name] = {
+            "first_line": data.decode().split("\\n", 1)[0],
+            "config_hash": json.loads(data).get("config_hash") if path.suffix == ".json" else None,
+            "sha256": hashlib.sha256(data).hexdigest(),
+        }
+    results[tag] = {"code": code, "stderr": err.getvalue(), "files": files}
+print(json.dumps(results))
+"""
+
+
+@pytest.fixture(scope="module")
+def golden_runs(tmp_path_factory):
+    """Every GOLDEN case run twice in one interpreter with BLAS at one thread: forward
+    ("fwd-<name>"), then two failing commands, then in reverse order ("rev-<name>"), so
+    that a call that leaves state behind in the CLI shows as a changed output."""
+    root = tmp_path_factory.mktemp("golden")
+    argvs = {}
+    for name, (command, config, _, _) in GOLDEN.items():
+        argvs[name] = command.split()
+        if config is not None:
+            (root / f"{name}.cfg").write_text(config)
+            argvs[name] += ["--config", str(root / f"{name}.cfg")]
+    (root / "bad.cfg").write_text("format = xml\n")
+    runs = [
+        *([f"fwd-{name}", argv] for name, argv in argvs.items()),
+        ["bad-config", ["rb85", "--with-truncated-13", "--config", str(root / "bad.cfg")]],
+        ["bad-flag", ["steady", "--n-levels", "21", "--effective", "--rabi-mhz", "fast"]],
+        *([f"rev-{name}", argv] for name, argv in reversed(argvs.items())),
+    ]
+    return json.loads(run_python(_CHILD_RUNS, str(root / "out"), stdin=json.dumps(runs),
+                                 blas_threads=1))
+
+
 @pytest.mark.parametrize("name", GOLDEN)
-def test_outputs_match_the_golden_bytes(tmp_path, name):
-    command, config, digest, files = GOLDEN[name]
-    argv = command.split()
-    if config is not None:
-        (tmp_path / "run.cfg").write_text(config)
-        argv += ["--config", str(tmp_path / "run.cfg")]
-    out = tmp_path / "out"
-    assert run_cli(*argv, "--out", str(out)) == 0
-    written = sorted(out.iterdir())
-    assert [path.name for path in written] == sorted(files)
-    for path in written:
-        if path.suffix == ".csv":
-            assert path.read_text().splitlines()[0] == f"# config-hash: {digest}"
-        elif path.name == "rb85_summary.json":
-            assert json.loads(path.read_text())["config_hash"] == digest
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == files[path.name], path.name
+def test_outputs_match_the_golden_bytes(golden_runs, name):
+    _, _, digest, files = GOLDEN[name]
+    for tag in (f"fwd-{name}", f"rev-{name}"):
+        run = golden_runs[tag]
+        assert (run["code"], run["stderr"]) == (0, ""), tag
+        assert sorted(run["files"]) == sorted(files), tag
+        for file_name, got in run["files"].items():
+            if file_name.endswith(".csv"):
+                assert got["first_line"] == f"# config-hash: {digest}", (tag, file_name)
+            elif file_name == "rb85_summary.json":
+                assert got["config_hash"] == digest, tag
+            assert got["sha256"] == files[file_name], (tag, file_name)
+
+
+def test_failing_calls_between_the_golden_runs_exit_2(golden_runs):
+    bad_config, bad_flag = golden_runs["bad-config"], golden_runs["bad-flag"]
+    assert bad_config["code"] == 2 and bad_config["files"] == {}
+    assert json.loads(bad_config["stderr"])["error"].startswith("format must be ")
+    assert bad_flag["code"] == 2 and bad_flag["files"] == {}
+    assert "argument --rabi-mhz: invalid float value: 'fast'" in bad_flag["stderr"]
+
+
+def test_rb85_peak_weights_barely_depend_on_the_blas_thread_count(tmp_path):
+    """LAPACK's LU rounds differently at one BLAS thread and at the library's default,
+    so the golden bytes hold for one thread count; the numbers agree far below any
+    tolerance of the model."""
+    weights = []
+    for threads in (1, None):
+        out = tmp_path / str(threads)
+        run_python("import sys; from clams.cli import main; sys.exit(main(sys.argv[1:]))",
+                   "rb85", "--with-truncated-13", "--format", "json", "--out", str(out),
+                   blas_threads=threads)
+        weights.append([peak["weight"] for stem in ("rb85", "rb85_truncated13")
+                        for peak in json.loads((out / f"{stem}_peaks.json").read_text())["peaks"]])
+    np.testing.assert_allclose(weights[0], weights[1], rtol=1e-12, atol=0)
 
 
 def run_with_config(tmp_path, capsys, config, *argv):

@@ -1,24 +1,14 @@
 """The package imports numpy only, and its validation route, ``propagate``, runs on
 numpy alone; scipy is needed by the tests and the benchmark, not by clams."""
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
-import clams
+from conftest import run_python
 
 SCIPY_MODULES = "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
 
 
 def scipy_modules_after(code):
-    src = str(Path(clams.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c", f"import json, sys; {code}; {SCIPY_MODULES}"],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    return json.loads(out.stdout)
+    return json.loads(run_python(f"import json, sys; {code}; {SCIPY_MODULES}"))
 
 
 def test_import_does_not_load_scipy():
