@@ -20,10 +20,12 @@ subcommand knows, a switch, or a value outside a key's choices exits 2.
 
 Every CSV starts with a ``# config-hash:`` provenance comment followed by a
 one-line header; floats are written with 17 significant digits (an exact zero
-as ``0``) so identical configurations produce byte-identical files.  Complex
+as ``0``) and files as UTF-8 bytes with ``\n`` line ends, so identical configurations
+produce byte-identical files for one numpy/BLAS build and BLAS thread count.  Complex
 matrices are dumped with real and imaginary parts interleaved column-wise
 (re[i,0], im[i,0], re[i,1], ...).  Exit codes: 0 success, 1 solver failure,
 2 configuration error; errors are also emitted as one-line JSON on stderr.
+``main`` may be called repeatedly in one process; the parser is built once.
 
 Sweeps build the generator stack of each model from two pieces, L(x) = A + x B
 (x is the drive, the two-photon detuning, or the reduced model's hopping rate),
@@ -33,7 +35,9 @@ peak weights of all points are taken at once.  ``--parallel`` is ignored.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
+import itertools
 import json
 import sys
 from dataclasses import replace
@@ -221,7 +225,7 @@ def _fmt(value) -> str:
 def _write_text(path: Path, text: str) -> None:
     """Every output file is written here; a path that cannot be written is a configuration error."""
     try:
-        path.write_text(text)
+        path.write_bytes(text.encode())
     except OSError as exc:
         raise ConfigError(f"cannot write output file: {exc}") from None
 
@@ -242,18 +246,23 @@ def write_json(path: Path, payload) -> None:
 def write_complex_matrix_csv(path: Path, matrix: np.ndarray, digest: str) -> None:
     """Dump a complex matrix with interleaved real/imaginary columns.
 
-    The bytes are those of ``_fmt`` on every part, but only the parts that are
-    not +0.0 (nonzeros, -0.0, NaN, +-inf) are formatted: generators are mostly
-    exact zeros, and each of those is written as ``_ZERO``.
+    The bytes are those of ``_fmt`` on every part.  Generators are mostly exact
+    zeros, so every row starts as one shared all-``_ZERO`` line, in which part c
+    is the character at 2c; only the parts that are not +0.0 (nonzeros, -0.0,
+    NaN, +-inf) are formatted and spliced into it.
     """
     header = [f"{part}_{j}" for j in range(matrix.shape[1]) for part in ("re", "im")]
-    flat = np.ascontiguousarray(matrix, dtype=complex).view(float).ravel()
-    cells = [_ZERO] * flat.size
-    formatted = np.flatnonzero((flat != 0.0) | np.signbit(flat))
-    for k, value in zip(formatted.tolist(), flat[formatted].tolist()):
-        cells[k] = _FLOAT_FORMAT % value
-    width = len(header)
-    lines = (",".join(cells[k : k + width]) for k in range(0, flat.size, width))
+    parts = np.ascontiguousarray(matrix, dtype=complex).view(float)
+    zero_row = ",".join([_ZERO] * len(header))
+    lines = [zero_row] * len(parts)
+    rows, cols = np.nonzero((parts != 0.0) | np.signbit(parts))
+    spliced = zip(rows.tolist(), (2 * cols).tolist(), parts[rows, cols].tolist())
+    for row, cells in itertools.groupby(spliced, key=lambda cell: cell[0]):
+        line, start = [], 0
+        for _, at, value in cells:
+            line += (zero_row[start:at], _FLOAT_FORMAT % value)
+            start = at + 1
+        lines[row] = "".join(line) + zero_row[start:]
     _write_lines(path, header, lines, digest)
 
 
@@ -632,6 +641,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="clams",
