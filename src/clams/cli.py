@@ -255,7 +255,7 @@ def write_complex_matrix_csv(path: Path, matrix: np.ndarray, digest: str) -> Non
     parts = np.ascontiguousarray(matrix, dtype=complex).view(float)
     zero_row = ",".join([_ZERO] * len(header))
     lines = [zero_row] * len(parts)
-    rows, cols = np.nonzero((parts != 0.0) | np.signbit(parts))
+    rows, cols = divmod(np.flatnonzero((parts != 0.0) | np.signbit(parts)), len(header))
     spliced = zip(rows.tolist(), (2 * cols).tolist(), parts[rows, cols].tolist())
     for row, cells in itertools.groupby(spliced, key=lambda cell: cell[0]):
         line, start = [], 0
