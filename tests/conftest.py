@@ -9,7 +9,6 @@ from pathlib import Path
 import numpy as np
 
 import clams
-
 from clams.effective import build_effective_generator, effective_steady_state
 from clams.level_system import SystemParams, ground_indices
 from clams.liouvillian import CouplingGraph, build_generator, cascaded_lambda_graph, steady_state
