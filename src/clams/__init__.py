@@ -7,106 +7,19 @@ coherence power-spectrum peaks and height ratios, perturbative multi-photon
 transition rates, and the full 16-state Zeeman model of the driven Rb-85 D2
 line.
 """
-from .effective import (
-    ClosedFormCoherences,
-    EffectiveGenerator,
-    EffectiveParams,
-    anti_pt_defect,
-    build_effective_generator,
-    closed_form_coherences,
-    effective_steady_state,
-    hopping_matrix,
-    reduce,
-)
-from .level_system import (
-    SystemParams,
-    build_rotating_hamiltonian,
-    detunings_from_energies,
-    ground_indices,
-    is_excited,
-    is_ground,
-    parity,
-    raman_detunings,
-    rotating_phase,
-)
-from .liouvillian import (
-    CouplingGraph,
-    DegenerateSteadyStateError,
-    DensityMatrix,
-    GeneratorMatrix,
-    PropagationError,
-    SteadyStateError,
-    build_generator,
-    cascaded_lambda_graph,
-    propagate,
-    steady_state,
-)
-from .rates import RateResult, rate_ratio, transition_amplitude
-from .spectrum import (
-    DEFAULT_DISPLAY_THRESHOLD,
-    HeightRatios,
-    LogLinearFit,
-    Peak,
-    PeakSet,
-    broadened_spectrum,
-    coherence_peaks,
-    height_ratios,
-    loglinear_fit,
-    visible_peaks,
-)
-from .units import angular_to_mhz, mhz_to_angular
+from . import effective, level_system, liouvillian, rates, spectrum, units
+from .effective import *
+from .level_system import *
+from .liouvillian import *
+from .rates import *
+from .spectrum import *
+from .units import *
 
 __version__ = "0.1.0"
 
+# each module declares its public names once, in its own __all__
 __all__ = [
     "__version__",
-    # level system
-    "SystemParams",
-    "parity",
-    "is_ground",
-    "is_excited",
-    "ground_indices",
-    "build_rotating_hamiltonian",
-    "rotating_phase",
-    "raman_detunings",
-    "detunings_from_energies",
-    # master equation
-    "CouplingGraph",
-    "GeneratorMatrix",
-    "DensityMatrix",
-    "build_generator",
-    "cascaded_lambda_graph",
-    "steady_state",
-    "propagate",
-    "SteadyStateError",
-    "DegenerateSteadyStateError",
-    "PropagationError",
-    # reduced dynamics
-    "EffectiveParams",
-    "EffectiveGenerator",
-    "ClosedFormCoherences",
-    "build_effective_generator",
-    "reduce",
-    "effective_steady_state",
-    "closed_form_coherences",
-    "anti_pt_defect",
-    "hopping_matrix",
-    # rates
-    "RateResult",
-    "transition_amplitude",
-    "rate_ratio",
-    # spectrum
-    "Peak",
-    "PeakSet",
-    "HeightRatios",
-    "LogLinearFit",
-    "coherence_peaks",
-    "height_ratios",
-    "loglinear_fit",
-    "broadened_spectrum",
-    "visible_peaks",
-    "DEFAULT_DISPLAY_THRESHOLD",
-    # units
-    "mhz_to_angular",
-    "angular_to_mhz",
+    *(name for module in (level_system, liouvillian, effective, rates, spectrum, units)
+      for name in module.__all__),
 ]

@@ -15,8 +15,11 @@ frequencies are ordinary MHz and are converted to angular rad/us on load (see
 choices, default, subcommands and help.  Every long flag except ``--config`` and
 the switches ``--effective``, ``--dump-generator`` and ``--with-truncated-13`` is
 also a config key, spelled with underscores (``rabi_mhz``, ``gamma_mhz``, ...);
-a flag overrides the file, and the file overrides the default.  A key that no
-subcommand knows, a switch, or a value outside a key's choices exits 2.
+a flag overrides the file, and the file overrides the default.  Each subcommand
+takes only the flags it reads: ``--format`` and ``--threshold`` belong to
+``steady`` and ``rb85``, ``--seed`` to ``selftest`` and ``--parallel`` to the two
+sweeps.  A key that no subcommand knows, a switch, or a value outside a key's
+choices exits 2.
 
 Every CSV starts with a ``# config-hash:`` provenance comment followed by a
 one-line header; floats are written with 17 significant digits (an exact zero
@@ -24,8 +27,9 @@ as ``0``) and files as UTF-8 bytes with ``\n`` line ends, so identical configura
 produce byte-identical files for one numpy/BLAS build and BLAS thread count.  Complex
 matrices are dumped with real and imaginary parts interleaved column-wise
 (re[i,0], im[i,0], re[i,1], ...).  Exit codes: 0 success, 1 solver failure,
-2 configuration error; errors are also emitted as one-line JSON on stderr.
-``main`` may be called repeatedly in one process; the parser is built once.
+2 configuration error, a command line that argparse rejects included; errors are
+also emitted as one-line JSON on stderr.  ``main`` may be called repeatedly in one
+process; the parser is built once.
 
 Sweeps build the generator stack of each model from two pieces, L(x) = A + x B
 (x is the drive, the two-photon detuning, or the reduced model's hopping rate),
@@ -48,6 +52,7 @@ import numpy as np
 from . import effective, rb85, spectrum
 from .level_system import SystemParams, ground_indices, raman_detunings
 from .liouvillian import (
+    CouplingGraph,
     PropagationError,
     SteadyStateError,
     affine_steady_states,
@@ -69,8 +74,10 @@ class ConfigError(ValueError):
 # configuration handling
 # ---------------------------------------------------------------------------
 
-_SYSTEM = ("steady", "sweep-detuning", "sweep-rabi", "rates")
+_SWEEPS = ("sweep-detuning", "sweep-rabi")
+_SYSTEM = ("steady", *_SWEEPS, "rates")
 _ALL = (*_SYSTEM, "rb85", "selftest")
+_PEAKS = ("steady", "rb85")
 
 # Every setting: (key, type or choices, default text, subcommands, help).  The flag is
 # --key-with-dashes and the config-file key is the key itself.  A key whose default
@@ -105,11 +112,12 @@ _PARAMS = (
      "also dump the generator of the solved model (the reduced one with --effective)"),
     ("with_truncated_13", bool, None, ("rb85",), "also run the 13-level comparison chain"),
     ("out", str, ".", _ALL, "output directory (default: current)"),
-    ("format", ("csv", "json", "both"), "csv", _ALL, "peak-set file format"),
-    ("threshold", float, str(spectrum.DEFAULT_DISPLAY_THRESHOLD), _ALL,
+    ("format", ("csv", "json", "both"), "csv", _PEAKS, "peak-set file format"),
+    ("threshold", float, str(spectrum.DEFAULT_DISPLAY_THRESHOLD), _PEAKS,
      "relative display cutoff for visible peaks"),
-    ("parallel", int, None, _ALL, "accepted for compatibility; has no effect (sweeps are batched)"),
-    ("seed", int, "0", _ALL, "random seed of selftest"),
+    ("parallel", int, None, _SWEEPS,
+     "accepted for compatibility; has no effect (sweeps are batched)"),
+    ("seed", int, "0", ("selftest",), "random seed of selftest"),
 )
 _KINDS = {key: kind for key, kind, *_ in _PARAMS}
 
@@ -271,7 +279,7 @@ def _peakset_payload(peaks: spectrum.PeakSet, threshold: float) -> dict:
     return {
         "delta_omega_s_mhz": angular_to_mhz(peaks.delta_omega_s),
         "threshold": threshold,
-        "visible": [p.n for p in spectrum.visible_peaks(peaks, threshold)] if fundamental > 0 else [],
+        "visible": [p.n for p in spectrum.visible_peaks(peaks, threshold)],
         "peaks": [
             {
                 "n": p.n,
@@ -331,19 +339,22 @@ def cmd_steady(args, s) -> int:
     if args.effective:
         gen = effective.reduce(params)
         rho = effective.effective_steady_state(gen)
-        ground = rho.matrix
+        peaks = spectrum.coherence_peaks(rho, params.delta_omega_s)
     else:
-        gen = build_generator(cascaded_lambda_graph(params))
-        rho = steady_state(gen)
-        gidx = ground_indices(params.n_levels)
-        ground = rho.matrix[np.ix_(gidx, gidx)]
+        gen, rho, peaks = _chain_peaks(cascaded_lambda_graph(params), params.delta_omega_s)
     if args.dump_generator:
         write_complex_matrix_csv(out / "steady_generator.csv", gen.matrix, digest)
-
-    peaks = spectrum.coherence_peaks(ground, params.delta_omega_s)
     write_complex_matrix_csv(out / "steady_rho.csv", rho.matrix, digest)
     _write_peaks(out, "steady", peaks, s["format"], threshold, digest)
     return 0
+
+
+def _chain_peaks(graph: CouplingGraph, delta_omega_s: float):
+    """Generator, steady state and ground-block peak set of a cascaded-Lambda chain."""
+    gen = build_generator(graph)
+    rho = steady_state(gen)
+    gidx = ground_indices(graph.n_states)
+    return gen, rho, spectrum.coherence_peaks(rho.matrix[np.ix_(gidx, gidx)], delta_omega_s)
 
 
 def _chain_generator(params: SystemParams) -> np.ndarray:
@@ -466,9 +477,7 @@ def cmd_rb85(args, s) -> int:
     summary: dict = {
         "config_hash": digest,
         "j_hop_khz": 1e3 * angular_to_mhz(rabi**2 / gamma),
-        "visible_peaks": len(spectrum.visible_peaks(peaks, threshold))
-        if peaks.fundamental_weight > 0
-        else 0,
+        "visible_peaks": len(spectrum.visible_peaks(peaks, threshold)),
         "threshold": threshold,
     }
     if peaks.fundamental_weight > 0:
@@ -485,9 +494,7 @@ def cmd_rb85(args, s) -> int:
             detunings=(0.0,) * 12,
             delta_omega_s=dws,
         )
-        rho13 = steady_state(build_generator(rb85.build_truncated_13(params13)))
-        gidx = ground_indices(13)
-        peaks13 = spectrum.coherence_peaks(rho13.matrix[np.ix_(gidx, gidx)], dws)
+        _, _, peaks13 = _chain_peaks(rb85.build_truncated_13(params13), dws)
         _write_peaks(out, "rb85_truncated13", peaks13, s["format"], threshold, digest)
         if peaks13.fundamental_weight > 0 and peaks.fundamental_weight > 0:
             fit13 = spectrum.loglinear_fit(peaks13)
@@ -536,16 +543,8 @@ def cmd_rates(args, s) -> int:
 
 
 def cmd_selftest(args, s) -> int:
-    checks: list[tuple[str, bool, str]] = []
     seed = _as_int(s["seed"], "seed")
     rng = np.random.default_rng(seed)
-
-    def run(name, fn):
-        try:
-            fn()
-            checks.append((name, True, ""))
-        except Exception as exc:  # noqa: BLE001 - report, don't crash the suite
-            checks.append((name, False, str(exc)))
 
     def check_closed_forms():
         points = [(j, d) for j in (1e-3, 1.0, 1e3) for d in (-5.0, 0.0, 5.0)]
@@ -596,18 +595,19 @@ def cmd_selftest(args, s) -> int:
             if effective.anti_pt_defect(mutant) < 0.7:
                 raise AssertionError("Hermitian mutant not flagged")
 
-    run("effective-vs-closed-form coherences (N=3, 5)", check_closed_forms)
-    run("detuned rates reduce to resonant forms", check_rates)
-    run("Clebsch-Gordan branching completeness", check_cg)
-    run("anti-PT symmetry of the hopping term", check_anti_pt)
-
     ok = True
-    for name, passed, msg in checks:
-        line = f"{'PASS' if passed else 'FAIL'}  {name}"
-        if msg:
-            line += f"  ({msg})"
-        print(line)
-        ok = ok and passed
+    for name, check in (
+        ("effective-vs-closed-form coherences (N=3, 5)", check_closed_forms),
+        ("detuned rates reduce to resonant forms", check_rates),
+        ("Clebsch-Gordan branching completeness", check_cg),
+        ("anti-PT symmetry of the hopping term", check_anti_pt),
+    ):
+        try:
+            check()
+            print(f"PASS  {name}")
+        except Exception as exc:  # noqa: BLE001 - report, don't crash the suite
+            print(f"FAIL  {name}" + (f"  ({exc})" if str(exc) else ""))
+            ok = False
     return 0 if ok else 1
 
 
@@ -641,9 +641,16 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a rejected command line as a :class:`ConfigError`; subparsers inherit it."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 @functools.cache  # parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="clams",
         description="Driven cascaded-Lambda chains: steady states, coherence spectra, rates.",
     )
@@ -664,8 +671,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = parse_config_file(args.config) if args.config else {}
         return args.func(args, _settings(args, cfg))
     except (ValueError, SteadyStateError, PropagationError) as exc:  # ConfigError is a ValueError

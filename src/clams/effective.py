@@ -38,7 +38,6 @@ from .liouvillian import (
 )
 
 __all__ = [
-    "EffectiveParams",
     "EffectiveGenerator",
     "ClosedFormCoherences",
     "population_rates",
@@ -51,34 +50,17 @@ __all__ = [
     "anti_pt_defect",
 ]
 
-# Leading-order closed forms for the 7-level chain hold in this corner only.
+# The reduction (rabi/gamma) and the leading-order closed forms for the 7-level
+# chain (hopping and detuning over gamma_prime) hold in this corner only.
 VALIDITY_RATIO = 0.05
 
 
 @dataclass(frozen=True)
-class EffectiveParams:
-    """Rates of the reduced model on the (N+1)/2 ground states."""
+class EffectiveGenerator(GeneratorMatrix):
+    """Generator of the reduced dynamics on vectorized ground density matrices
+    (``n_states`` ground states), with its hopping coupling ``v_eff``."""
 
-    n_ground: int
-    hopping_rate: float
-    gamma_prime: float
-    ground_detunings: tuple[float, ...]
-    population_rate_matrix: np.ndarray
-    coherence_damping_matrix: np.ndarray
-
-
-@dataclass(frozen=True)
-class EffectiveGenerator:
-    """Generator of the reduced dynamics on vectorized ground density matrices."""
-
-    params: EffectiveParams
-    h_eff: np.ndarray
     v_eff: np.ndarray
-    matrix: np.ndarray
-
-    @property
-    def n_ground(self) -> int:
-        return self.params.n_ground
 
 
 def _chain_adjacency(n_ground: int) -> np.ndarray:
@@ -147,26 +129,19 @@ def build_effective_generator(
     mat[np.diag_indices(ng * ng)] -= damping.ravel(order="F")
     mat[np.ix_(pop, pop)] = rates.T - np.diag(outflow)
 
-    params = EffectiveParams(
-        n_ground=ng,
-        hopping_rate=float(j_hop),
-        gamma_prime=float(gamma_prime),
-        ground_detunings=tuple(gdiag),
-        population_rate_matrix=rates,
-        coherence_damping_matrix=gtilde,
-    )
-    return EffectiveGenerator(params=params, h_eff=h_eff, v_eff=v_eff, matrix=mat)
+    return EffectiveGenerator(n_states=ng, matrix=mat, v_eff=v_eff)
 
 
 def reduce(params: SystemParams) -> EffectiveGenerator:
     """Reduce full chain parameters to the ground-manifold generator.
 
-    Valid for rabi << gamma; a ratio above 0.05 still builds the generator but
-    warns that the elimination of the excited states is getting inaccurate.
+    Valid for rabi << gamma; a ratio above ``VALIDITY_RATIO`` still builds the
+    generator but warns that the elimination of the excited states is getting
+    inaccurate.
     """
-    if params.rabi / params.gamma > 0.05:
+    if params.rabi / params.gamma > VALIDITY_RATIO:
         warnings.warn(
-            f"rabi/gamma = {params.rabi / params.gamma:.3g} > 0.05; "
+            f"rabi/gamma = {params.rabi / params.gamma:.3g} > {VALIDITY_RATIO}; "
             "the reduced description degrades at strong driving",
             stacklevel=2,
         )
@@ -177,8 +152,7 @@ def reduce(params: SystemParams) -> EffectiveGenerator:
 
 def effective_steady_state(gen: EffectiveGenerator) -> DensityMatrix:
     """Unique trace-one steady state of the reduced dynamics."""
-    wrapped = GeneratorMatrix(n_states=gen.n_ground, matrix=gen.matrix)
-    return steady_state(wrapped)
+    return steady_state(gen)
 
 
 @dataclass(frozen=True)

@@ -205,6 +205,10 @@ def broadened_spectrum(peaks: PeakSet, linewidth: float, grid) -> np.ndarray:
 
 
 def visible_peaks(peaks: PeakSet, rel_threshold: float = DEFAULT_DISPLAY_THRESHOLD) -> tuple[Peak, ...]:
-    """Peaks at or above ``rel_threshold`` times the fundamental weight."""
-    floor = rel_threshold * peaks.fundamental_weight
+    """Peaks at or above ``rel_threshold`` times the fundamental weight; none when the
+    fundamental weight is zero (an undriven system shows no peaks)."""
+    fundamental = peaks.fundamental_weight
+    if fundamental <= 0.0:
+        return ()
+    floor = rel_threshold * fundamental
     return tuple(p for p in peaks.peaks if p.weight >= floor and p.weight > 0.0)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 
+__all__ = ["mhz_to_angular", "angular_to_mhz"]
+
 TWO_PI = 2.0 * math.pi
 
 

@@ -177,6 +177,27 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys):
     assert "detunings_mhz" in json.loads(capsys.readouterr().err.strip())["error"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep-rabi", "--format", "json"],
+    ["steady", "--rabi-mhz", "fast"],
+    ["steady", "--no-such-flag", "1"],
+    [],
+], ids=["flag-of-another-subcommand", "bad-value", "unknown-flag", "no-command"])
+def test_rejected_command_line_is_one_json_error(capsys, argv):
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert json.loads(line)["type"] == "ConfigError"
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("steady", "--help")
+    assert exc.value.code == 0
+    assert "--n-levels" in capsys.readouterr().out
+
+
 def test_sweep_detuning_requires_grid(tmp_path, capsys):
     code = run_cli("sweep-detuning", "--out", str(tmp_path))
     assert code == 2
@@ -609,8 +630,8 @@ def test_one_config_file_serves_several_subcommands(tmp_path, capsys):
     (["sweep-detuning", "--start-mhz", "-1", "--stop-mhz", "1", "--count", "3"], "spacing = \n",
      "spacing"),
     (["rb85"], "offset_branch = up\n", "offset_branch"),
-    (["selftest"], "format = CSV\n", "format"),
-], ids=["format", "empty-format", "spacing", "empty-spacing", "offset-branch", "selftest-format"])
+    (["rb85"], "format = CSV\n", "format"),
+], ids=["format", "empty-format", "spacing", "empty-spacing", "offset-branch", "rb85-format"])
 def test_bad_choice_in_config_exits_2(tmp_path, capsys, argv, config, key):
     code, error, out = run_with_config(tmp_path, capsys, config, *argv)
     assert code == 2
@@ -652,21 +673,21 @@ def test_unwritable_output_file_exits_2(tmp_path, capsys):
 _CHAIN = {"n_levels": "5", "rabi_mhz": "15.3", "gamma_mhz": "1850.0",
           "gamma_prime_mhz": "0.25", "detunings_mhz": "0.01,0,0,0.02",
           "delta_omega_s_mhz": "2.5"}
-_COMMON = {"format": "both", "threshold": "0.001", "parallel": "2", "seed": "3"}
+_PEAK_FILES = {"format": "both", "threshold": "0.001"}
 _RB85 = {"rabi_fraction": "0.007", "gamma_mhz": "1850.0", "gamma_prime_mhz": "0.25",
          "delta_omega_s_mhz": "2.5", "splitting_mhz": "2.3", "excited_splitting_mhz": "2.2",
          "line_detuning_mhz": "1.5", "offset_branch": "pi"}
 EQUIVALENT = {
-    "steady": ("steady", {**_CHAIN, **_COMMON}),
-    "sweep-detuning": ("sweep-detuning", {**_CHAIN, **_COMMON, "start_mhz": "-0.5",
+    "steady": ("steady", {**_CHAIN, **_PEAK_FILES}),
+    "sweep-detuning": ("sweep-detuning", {**_CHAIN, "parallel": "2", "start_mhz": "-0.5",
                                           "stop_mhz": "0.5", "count": "5", "spacing": "linear"}),
-    "sweep-rabi": ("sweep-rabi", {**_CHAIN, **_COMMON, "omega_min": "0.001",
+    "sweep-rabi": ("sweep-rabi", {**_CHAIN, "parallel": "2", "omega_min": "0.001",
                                   "omega_max": "0.02", "count": "4", "spacing": "log"}),
-    "rates": ("rates", {**_CHAIN, **_COMMON, "n_levels": "9",
+    "rates": ("rates", {**_CHAIN, "n_levels": "9",
                         "detunings_mhz": "0.01,0,0,0,0,0,0,0.02"}),
-    "rb85-rabi-mhz": ("rb85", {**_RB85, **_COMMON, "rabi_mhz": "14.0"}),
-    "rb85-rabi-fraction": ("rb85", {**_RB85, **_COMMON}),
-    "selftest": ("selftest", _COMMON),
+    "rb85-rabi-mhz": ("rb85", {**_RB85, **_PEAK_FILES, "rabi_mhz": "14.0"}),
+    "rb85-rabi-fraction": ("rb85", {**_RB85, **_PEAK_FILES}),
+    "selftest": ("selftest", {"seed": "3"}),
 }
 
 

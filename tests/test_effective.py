@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from clams.effective import (
+    EffectiveGenerator,
     anti_pt_defect,
     build_effective_generator,
     closed_form_coherences,
@@ -12,6 +13,7 @@ from clams.effective import (
     reduce,
 )
 from clams.level_system import raman_detunings
+from clams.liouvillian import GeneratorMatrix, steady_state
 from clams.spectrum import coherence_peaks, height_ratios
 from conftest import (
     chain_height_ratios,
@@ -63,7 +65,7 @@ def test_population_rates_structure():
 
 def test_populations_decouple_from_coherences():
     gen = build_effective_generator(7, 0.4, 0.2, raman_detunings(7, 0.3))
-    ng = gen.n_ground
+    ng = gen.n_states
     diag_coords = np.arange(ng) * (ng + 1)
     coh_coords = np.setdiff1d(np.arange(ng * ng), diag_coords)
     assert np.abs(gen.matrix[np.ix_(diag_coords, coh_coords)]).max() == 0.0
@@ -72,8 +74,26 @@ def test_populations_decouple_from_coherences():
 def test_zero_drive_leaves_pure_ground_relaxation():
     gen = build_effective_generator(5, 0.0, 0.25)
     assert np.abs(gen.v_eff).max() == 0.0
-    assert gen.params.population_rate_matrix[0, 1] == pytest.approx(0.25)
-    assert np.abs(gen.params.coherence_damping_matrix).max() == 0.0
+    ng = gen.n_states
+    pop = np.arange(ng) * (ng + 1)
+    coh = np.setdiff1d(np.arange(ng * ng), pop)
+    # populations hop at gamma_prime = 0.25 alone; each coherence rho_ab only damps, at
+    # half the outflow of a and b (no hopping, no extra damping, no coupling to populations)
+    rates = 0.25 * (np.eye(ng, k=1) + np.eye(ng, k=-1))
+    outflow = rates.sum(axis=0)
+    expect = np.zeros((ng * ng, ng * ng), dtype=complex)
+    expect[np.ix_(pop, pop)] = rates - np.diag(outflow)
+    a, b = coh % ng, coh // ng  # column stacking: index a + ng * b holds rho_ab
+    expect[coh, coh] = -0.5 * (outflow[a] + outflow[b])
+    assert gen.matrix[pop[0], pop[1]] == 0.25
+    assert np.array_equal(gen.matrix, expect)
+
+
+def test_effective_generator_is_a_generator_matrix():
+    gen = build_effective_generator(7, 0.4, 0.2, raman_detunings(7, 0.3))
+    assert isinstance(gen, GeneratorMatrix) and isinstance(gen, EffectiveGenerator)
+    assert gen.n_states == 4 and gen.dim == gen.matrix.shape[0] == 16
+    assert np.array_equal(steady_state(gen).matrix, effective_steady_state(gen).matrix)
 
 
 def test_reduce_matches_direct_builder_and_warns():

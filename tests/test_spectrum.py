@@ -241,6 +241,15 @@ def test_visible_peaks_threshold():
     assert [p.n for p in visible_peaks(peaks, 1e-12)] == [1, 2, 3]
 
 
+def test_zero_fundamental_shows_no_peaks():
+    rho = np.eye(3, dtype=complex) / 3.0
+    rho[0, 2] = rho[2, 0] = 0.1  # an n = 2 coherence without any n = 1 coherence
+    peaks = coherence_peaks(rho, 1.0)
+    assert peaks.fundamental_weight == 0.0 and peaks.weight(2) > 0.0
+    for threshold in (1e-6, 0.0):
+        assert visible_peaks(peaks, threshold) == ()
+
+
 def test_coherence_peaks_dimension_errors():
     with pytest.raises(ValueError, match="square"):
         coherence_peaks(np.zeros((3, 4)), 1.0)
