@@ -31,10 +31,13 @@ matrices are dumped with real and imaginary parts interleaved column-wise
 also emitted as one-line JSON on stderr.  ``main`` may be called repeatedly in one
 process; the parser is built once.
 
-Sweeps build the generator stack of each model from two pieces, L(x) = A + x B
+Sweeps build the generators of each model from two pieces, L(x) = A + x B
 (x is the drive, the two-photon detuning, or the reduced model's hopping rate),
-in chunks that reuse one buffer and are solved by one batched LU call each; the
-peak weights of all points are taken at once.  ``--parallel`` is ignored.
+and solve them batched, in chunks of points: models of 10 or more states by
+block elimination over coherence orders, which takes only the blocks next to
+the diagonal of each L, and smaller ones by one dense LU each in a reused
+buffer.  The peak weights of all points are taken at once.  ``--parallel`` is
+ignored.
 """
 from __future__ import annotations
 

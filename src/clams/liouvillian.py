@@ -15,7 +15,7 @@ from that single convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, frexp, isfinite, isqrt
+from math import factorial, frexp, inf, isfinite, isqrt
 
 import numpy as np
 
@@ -49,9 +49,13 @@ _PADE_13 = [factorial(26 - k) * factorial(13) / (factorial(26) * factorial(13 - 
             for k in range(14)]
 _THETA_13 = 5.371920351148152
 
-# Batched solves take generator stacks of at most this many bytes, and a sweep
-# holds its chunks in one such buffer; the LU works on one member at a time.
+# A sweep builds and solves its points in chunks of at most this many bytes of
+# generator (whole, or the blocks of its coherence orders); the solves work on
+# one member at a time.
 STACK_BYTES = 2 * 1024**2
+# Generators of at least this many states are solved by block elimination over
+# coherence orders where their structure allows it; below, one dense LU is faster.
+GRADED_MIN_STATES = 10
 
 
 class SteadyStateError(RuntimeError):
@@ -223,10 +227,12 @@ def steady_state(gen: GeneratorMatrix) -> DensityMatrix:
     """Unique trace-one null vector of the generator.
 
     One row of L is replaced by the trace functional and the square system is
-    solved by dense LU; the solution is then verified against the unmodified L.
-    A relative residual above ``RESIDUAL_RTOL`` (or a singular solve) triggers
-    a null space diagnosis, and a null dimension other than one is reported as
-    a degeneracy rather than silently picking a state.
+    solved directly: by block elimination over coherence orders when L is
+    block-tridiagonal in them (:func:`_coherence_levels`), else by one dense LU.
+    The solution is then verified against the unmodified L.  A relative residual
+    above ``RESIDUAL_RTOL`` (or a singular solve) triggers a null space
+    diagnosis, and a null dimension other than one is reported as a degeneracy
+    rather than silently picking a state.
     """
     return DensityMatrix(steady_states(gen.matrix[None])[0])
 
@@ -234,17 +240,177 @@ def steady_state(gen: GeneratorMatrix) -> DensityMatrix:
 def steady_states(stack: np.ndarray) -> np.ndarray:
     """Steady states, shape (k, d, d), of a stack of k generators of order d^2.
 
-    The method of :func:`steady_state` with one batched LU call for the whole
-    stack; the first member that fails a check raises its typed error.
+    The method of :func:`steady_state`, batched over the stack; the first member
+    that fails a check raises its typed error.
     """
+    levels = _coherence_levels(stack)
+    if levels is not None:
+        lio = np.ascontiguousarray(stack, dtype=complex)
+        rho = _graded_states(
+            lambda q, r: lio[:, levels[q][:, :, None], levels[r][:, None, :]],
+            levels,
+            lambda v: (lio @ v[..., None])[..., 0],
+            _frobenius(lio),
+        )
+        if rho is not None:
+            return rho
     return _solve_stack(stack.astype(complex, order="C"))
 
 
+def _pairs(levels: list) -> list[tuple[int, int]]:
+    """(q, r) of the blocks of a generator that is block-tridiagonal in ``levels``."""
+    top = len(levels) - 1
+    return [(q, r) for q in range(top + 1) for r in (q - 1, q, q + 1) if 0 <= r <= top]
+
+
+def _bfs_levels(nbrs: list[list[int]], root: int) -> list[int]:
+    """Breadth-first level of each state from ``root``; -1 outside its component."""
+    level = [-1] * len(nbrs)
+    level[root] = 0
+    frontier = [root]
+    while frontier:
+        reached = []
+        for a in frontier:
+            for b in nbrs[a]:
+                if level[b] < 0:
+                    level[b] = level[a] + 1
+                    reached.append(b)
+        frontier = reached
+    return level
+
+
+def _coherence_levels(*gens: np.ndarray) -> list[np.ndarray] | None:
+    """Vec indices by coherence order c = phi(a) - phi(b) for generators whose
+    nonzeros are those of ``gens`` (generators or stacks of them): entry 0 holds
+    order 0, shape (1, m_0), and entry q > 0 orders +q and -q, shape (2, m_q).
+    None means one block.
+
+    phi is the breadth-first level of a state in the graph that joins two states
+    when L has a left- or right-multiplication entry between them, searched from
+    a pseudo-peripheral state of each component (George & Liu).  The orders are
+    kept only if every nonzero of L joins orders at most 1 apart, so that L is
+    block-tridiagonal in them, and only from ``GRADED_MIN_STATES`` states up.
+    Populations, and so the trace row, are order 0.
+    """
+    n = gens[0].shape[-1]
+    d = isqrt(n)
+    if d < GRADED_MIN_STATES:
+        return None
+    pattern = np.logical_or.reduce([(g != 0).reshape(-1, n, n).any(axis=0) for g in gens])
+    p4 = pattern.reshape(d, d, d, d)  # p4[j, i, l, k]: entry L[i + j*d, k + l*d]
+    idx = np.arange(d)
+    adj = p4[idx, :, idx, :].any(axis=0) | p4[:, idx, :, idx].any(axis=0)  # H[i, k], H[l, j]
+    adj |= adj.T
+    adj[idx, idx] = False
+    nbrs = [[b for b, joined in enumerate(row) if joined] for row in adj.tolist()]
+    phi = [-1] * d
+    for start in range(d):
+        if phi[start] >= 0:
+            continue
+        level = _bfs_levels(nbrs, start)
+        while True:  # restart from a farthest state of least degree while the depth grows
+            depth = max(level)
+            far = _bfs_levels(nbrs, min((a for a in range(d) if level[a] == depth),
+                                        key=lambda a: len(nbrs[a])))
+            if max(far) <= depth:
+                break
+            level = far
+        phi = [max(a, b) for a, b in zip(phi, level)]
+    phi = np.array(phi, dtype=np.int8 if d <= 64 else np.int32)  # int8 differences: fast
+    order = (phi[:, None] - phi[None, :]).ravel(order="F")  # of vec index i + j*d
+    top = int(order.max())
+    if top == 0 or (pattern & (np.abs(order[:, None] - order[None, :]) > 1)).any():
+        return None
+    size = np.abs(order)
+    by_level = np.argsort(2 * size + (order < 0), kind="stable")  # orders 0, +1, -1, +2, -2, ...
+    parts = np.split(by_level, np.cumsum(np.bincount(size))[:-1])
+    return [part.reshape(1 + (q > 0), -1) for q, part in enumerate(parts)]
+
+
+def _graded_states(block, levels: list[np.ndarray], matvec, fro: np.ndarray):
+    """Steady states of a stack of L from its blocks, ``block(q, r)`` the stack of
+    shape (k, s, m_q, m_r) between ``levels[q]`` and ``levels[r]`` (s = 2 sides, +q
+    and -q, but 1 for the order-0 block), a new array taken once and dropped after
+    its level; None if a block solve is singular or a member fails :func:`_checked`
+    (given ``matvec`` and ``fro``), for the caller to re-solve with one block.
+
+    Block elimination (the matrix continued fraction; Risken, The Fokker-Planck
+    Equation, ch. 9) inward from the outermost orders, both sides at once:
+    S_q = L_qq - L_q,q+1 X_q+1 and X_q = S_q^-1 L_q,q-1.  The folded order-0 block,
+    bordered with the trace functional in its row 0 (vec index 0), gives v_0,
+    and v_q = -X_q v_q-1 outward.  The outer orders hold only coherences: where
+    each decays, the Hermitian part of their blocks is the damping
+    -(G_a + G_b)/2 < 0, Schur complements keep that sign, and no S_q is singular.
+    """
+    top = len(levels) - 1
+    n = sum(level.size for level in levels)
+    d = isqrt(n)
+    x = {}
+    try:
+        for q in range(top, 0, -1):
+            s = block(q, q)
+            if q < top:
+                s -= block(q, q + 1) @ x[q + 1]  # in place: less heap growth in a sweep
+            x[q] = np.linalg.solve(s, block(q, q - 1))
+        s = block(0, 0)[:, 0] - (block(0, 1) @ x[1]).sum(axis=1)
+        s[:, 0, :] = 0.0
+        s[:, 0, np.searchsorted(levels[0][0], np.arange(d) * (d + 1))] = 1.0  # trace functional
+        v = [np.linalg.solve(s, np.eye(s.shape[1], 1, dtype=complex))[:, None]]
+    except np.linalg.LinAlgError:
+        return None
+    for q in range(1, top + 1):
+        v.append(-(x[q] @ v[q - 1]))
+    vec = np.empty((len(s), n), dtype=complex)
+    for level, part in zip(levels, v):
+        vec[:, level] = part[..., 0]
+    return _checked(vec, matvec, fro)
+
+
+def _frobenius(lio: np.ndarray) -> np.ndarray:
+    """||L||_F of each member of a contiguous complex stack, without a conjugate copy."""
+    parts = lio.reshape(len(lio), -1).view(float)
+    return np.sqrt((parts[:, None, :] @ parts[:, :, None])[:, 0, 0])
+
+
+def _checked(v: np.ndarray, matvec, fro: np.ndarray, lio: np.ndarray | None = None):
+    """Density matrices of the solutions ``v`` (k, d^2) of k generators, checked
+    against each L itself: the residual ||L v|| / (||L||_F ||v||) (time-unit free,
+    and 0 for L = 0, which every vector solves) against ``RESIDUAL_RTOL``, then
+    hermiticity, unit trace and the eigenvalue floor.  ``matvec(v)`` is L v and
+    ``fro`` ||L||_F, per member.  Given the stack ``lio`` of L, the first member
+    that fails raises its typed error; without it, any failure returns None."""
+    k, n = v.shape
+    d = isqrt(n)
+    finite = np.isfinite(v).all(axis=1)
+    v[~finite] = 0.0
+    scale = fro * np.linalg.norm(v, axis=-1)
+    residual = np.linalg.norm(matvec(v), axis=-1)
+    np.divide(residual, scale, out=residual, where=scale > 0)
+    rho = v.reshape(k, d, d).transpose(0, 2, 1)  # column stacking
+    rho_h = rho.conj().transpose(0, 2, 1)
+    ok = finite & (residual <= RESIDUAL_RTOL)
+    ok &= np.abs(rho - rho_h).max(axis=(1, 2)) <= HERMITICITY_ATOL
+    ok &= np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0) <= TRACE_ATOL
+    ok &= np.linalg.eigvalsh(0.5 * (rho + rho_h)).min(axis=1) >= EIGENVALUE_FLOOR
+    if lio is None and not ok.all():
+        return None
+    for i in np.flatnonzero(~ok):
+        if not (finite[i] and residual[i] <= RESIDUAL_RTOL):  # true for a NaN residual too
+            null_dim = _null_dimension(lio[i])
+            if null_dim != 1 or not finite[i]:
+                raise DegenerateSteadyStateError(null_dim)
+            raise SteadyStateError(
+                f"steady-state residual {residual[i]:.3e} exceeds {RESIDUAL_RTOL:.0e}"
+            )
+        DensityMatrix(rho[i]).validate()
+    return rho
+
+
 def _solve_stack(lio: np.ndarray) -> np.ndarray:
-    """:func:`steady_states` of a contiguous complex stack, bordered in place: row 0
-    of each L is saved for the trace functional and written back after the LU
-    solve, so the residual ||L v|| / (||L||_F ||v||) (time-unit free, and 0 for
-    L = 0, which every vector solves) and any diagnosis see L itself."""
+    """:func:`steady_states` of a contiguous complex stack as one block each,
+    bordered in place: row 0 of each L is saved for the trace functional and
+    written back after the LU solve, so that the checks and any diagnosis see L
+    itself."""
     k, n, _ = lio.shape
     d = isqrt(n)
     row0 = lio[:, 0, :].copy()
@@ -258,37 +424,47 @@ def _solve_stack(lio: np.ndarray) -> np.ndarray:
             raise DegenerateSteadyStateError(_null_dimension(lio[0])) from None
         return np.concatenate([_solve_stack(lio[i : i + 1]) for i in range(k)])
     lio[:, 0, :] = row0
-    finite = np.isfinite(v).all(axis=1)
-    v[~finite] = 0.0
-    parts = lio.reshape(k, -1).view(float)  # ||L||_F without a conjugate copy of L
-    scale = np.sqrt((parts[:, None, :] @ parts[:, :, None])[:, 0, 0]) * np.linalg.norm(v, axis=-1)
-    residual = np.linalg.norm((lio @ v[..., None])[..., 0], axis=-1)
-    np.divide(residual, scale, out=residual, where=scale > 0)
-    rho = v.reshape(k, d, d).transpose(0, 2, 1)  # column stacking
-    rho_h = rho.conj().transpose(0, 2, 1)
-    ok = finite & (residual <= RESIDUAL_RTOL)
-    ok &= np.abs(rho - rho_h).max(axis=(1, 2)) <= HERMITICITY_ATOL
-    ok &= np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0) <= TRACE_ATOL
-    ok &= np.linalg.eigvalsh(0.5 * (rho + rho_h)).min(axis=1) >= EIGENVALUE_FLOOR
-    for i in np.flatnonzero(~ok):
-        if not (finite[i] and residual[i] <= RESIDUAL_RTOL):  # true for a NaN residual too
-            null_dim = _null_dimension(lio[i])
-            if null_dim != 1 or not finite[i]:
-                raise DegenerateSteadyStateError(null_dim)
-            raise SteadyStateError(
-                f"steady-state residual {residual[i]:.3e} exceeds {RESIDUAL_RTOL:.0e}"
-            )
-        DensityMatrix(rho[i]).validate()
-    return rho
+    return _checked(v, lambda v: (lio @ v[..., None])[..., 0], _frobenius(lio), lio)
 
 
 def affine_steady_states(base: np.ndarray, slope: np.ndarray, xs) -> np.ndarray:
     """Steady states, shape (len(xs), d, d), of the generators base + x * slope.
 
-    The stack is built and solved at most ``STACK_BYTES`` at a time, in one reused
-    buffer, so the memory of a sweep does not grow with its number of points.
+    Points are solved in chunks of at most ``STACK_BYTES`` of generator.  When
+    ``(base != 0) | (slope != 0)`` grades L into coherence orders, that is of the
+    blocks of each L, taken as x * slope_block + base_block (the bits of the dense
+    entries), and a chunk that fails is re-solved as whole generators, which
+    raises the typed error; otherwise whole generators are built in one reused
+    buffer.  So the memory of a sweep does not grow with its points.
     """
     xs = np.asarray(xs, dtype=float)
+    base, slope = np.asarray(base, dtype=complex), np.asarray(slope, dtype=complex)
+    levels = _coherence_levels(base, slope)
+    if levels is None:
+        return _dense_affine(base, slope, xs)
+    pieces = {}
+    for q, r in _pairs(levels):
+        at = (levels[q][:, :, None], levels[r][:, None, :])
+        pieces[q, r] = (slope[at], base[at])
+    nonzero = np.flatnonzero((base != 0) | (slope != 0))
+    slope_nz, base_nz = slope.ravel()[nonzero], base.ravel()[nonzero]
+    per = max(1, min(xs.size, STACK_BYTES // (16 * sum(s.size for s, _ in pieces.values()))))
+    out = np.empty((xs.size, *(isqrt(base.shape[0]),) * 2), dtype=complex)
+    for start in range(0, xs.size, per):
+        x = xs[start : start + per]
+        rho = _graded_states(
+            lambda q, r: x[:, None, None, None] * pieces[q, r][0] + pieces[q, r][1],
+            levels,
+            lambda v: v @ base.T + x[:, None] * (v @ slope.T),
+            np.linalg.norm(x[:, None] * slope_nz + base_nz, axis=1),
+        )
+        out[start : start + per] = _dense_affine(base, slope, x) if rho is None else rho
+    return out
+
+
+def _dense_affine(base: np.ndarray, slope: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """:func:`affine_steady_states` as whole generators, built and solved at most
+    ``STACK_BYTES`` at a time in one reused buffer."""
     n = base.shape[0]
     d = isqrt(n)
     per = max(1, min(xs.size, STACK_BYTES // (16 * n * n)))
@@ -301,14 +477,30 @@ def affine_steady_states(base: np.ndarray, slope: np.ndarray, xs) -> np.ndarray:
     return out
 
 
+def _norm1(m: np.ndarray) -> float:
+    return float(np.abs(m).sum(axis=0).max())
+
+
 def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(a): the degree-13 Pade approximant of a / 2^s, where ||a / 2^s||_1 <= theta_13,
-    squared s times (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005))."""
-    s = max(0, frexp(float(np.abs(a).sum(axis=0).max()) / _THETA_13)[1])  # 2^s > ||a||_1 / theta
-    b, a = _PADE_13, a / 2.0**s
+    """exp(a): the degree-13 Pade approximant of A = a / 2^s, squared s times (Higham,
+    SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).  s starts where ||A||_1 <= theta_13
+    and drops by each squaring that keeps max(||A^4||_1^(1/4), ||A^6||_1^(1/6)) at or
+    below theta_13, which bounds the approximant's error as well (Al-Mohy & Higham,
+    SIAM J. Matrix Anal. Appl. 31, 970 (2009), Thm 4.2 with p = 2).  The powers
+    already formed are kept, and the exact powers of two go into the coefficients."""
+    s = max(0, frexp(_norm1(a) / _THETA_13)[1])  # 2^s > ||a||_1 / theta
+    a = a / 2.0**s
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a4 @ a2
+    eta = _norm1(a4) ** 0.25 if s else inf
+    if 2.0 * eta <= _THETA_13:  # only then can a squaring go, so only then is a6 read
+        eta = max(eta, _norm1(a6) ** (1 / 6))
+    drop = 0
+    while drop < s and 2.0 ** (drop + 1) * eta <= _THETA_13:
+        drop += 1
+    s -= drop
+    b = [bk * 2.0 ** (k * drop) for k, bk in enumerate(_PADE_13)]  # b_k (2^drop A)^k
     eye = np.eye(len(a))
     u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
     v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
@@ -333,7 +525,7 @@ def propagate(gen: GeneratorMatrix, rho0: DensityMatrix, t: float, tol: float = 
         return rho0
     if tol < 100.0 * np.finfo(float).eps:
         raise PropagationError(f"integration failed: tol {tol:.1e} is below 100 eps")
-    norm = float(np.abs(gen.matrix).sum(axis=0).max()) * float(t)  # overflows to inf, silently
+    norm = _norm1(gen.matrix) * float(t)  # overflows to inf, silently
     if not isfinite(norm):
         raise PropagationError(f"||L t||_1 = {norm} is non-finite")
     rho = DensityMatrix.from_vec(_expm(gen.matrix * t) @ rho0.vec(), gen.n_states)

@@ -99,8 +99,8 @@ def rb85_graph() -> CouplingGraph:
 
 
 # The BLAS/OpenMP thread variables that bench/run.py pins to one thread.  LAPACK's LU
-# rounds differently at one and at two threads from order 121 up (rb85's 256, chains
-# with N >= 11), so byte-exact outputs hold for one thread count.
+# of a whole generator rounds differently at one and at two threads from order 121 up,
+# so byte-exact outputs are only promised for one thread count.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                     "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 

@@ -1,10 +1,11 @@
 """Reference forms that the optimised code in ``clams`` must reproduce: the direct
-Kronecker-product and basis-matrix generator builders, the per-value
-complex-matrix CSV writer, the per-pair peak weights, and the LSODA time
-integration that ``propagate`` replaced by the exact exponential."""
+Kronecker-product and basis-matrix generator builders, the dense bordered steady-state
+solve, the per-value complex-matrix CSV writer, the per-pair peak weights, and the
+LSODA time integration that ``propagate`` replaced by the exact exponential."""
 from __future__ import annotations
 
 import warnings
+from math import isqrt
 
 import numpy as np
 
@@ -14,10 +15,15 @@ from clams.level_system import rotating_diagonal
 from clams.liouvillian import (
     EIGENVALUE_FLOOR,
     HERMITICITY_ATOL,
+    RESIDUAL_RTOL,
+    TRACE_ATOL,
     CouplingGraph,
+    DegenerateSteadyStateError,
     DensityMatrix,
     GeneratorMatrix,
     PropagationError,
+    SteadyStateError,
+    _null_dimension,
 )
 from clams.spectrum import Peak, PeakSet
 
@@ -68,6 +74,48 @@ def closure_effective_generator(n_levels, j_hop, gamma_prime, detunings=None) ->
             basis[i, j] = 1.0
             mat[:, i + j * ng] = act(basis).reshape(ng * ng, order="F")
     return mat
+
+
+def dense_bordered_steady_states(lio: np.ndarray) -> np.ndarray:
+    """Steady states of a contiguous complex stack of generators by one dense LU of
+    order d^2 each, row 0 bordered with the trace functional in place: the solver
+    that ``steady_states`` used for every size before block elimination over
+    coherence orders, kept verbatim.  Pass a copy; row 0 is restored afterwards."""
+    k, n, _ = lio.shape
+    d = isqrt(n)
+    row0 = lio[:, 0, :].copy()
+    lio[:, 0, :] = 0.0
+    lio[:, 0, np.arange(d) * (d + 1)] = 1.0  # trace functional
+    try:
+        v = np.linalg.solve(lio, np.eye(n, 1, dtype=complex))[..., 0]
+    except np.linalg.LinAlgError:  # raised for the whole stack: find the member
+        lio[:, 0, :] = row0
+        if k == 1:
+            raise DegenerateSteadyStateError(_null_dimension(lio[0])) from None
+        return np.concatenate([dense_bordered_steady_states(lio[i : i + 1]) for i in range(k)])
+    lio[:, 0, :] = row0
+    finite = np.isfinite(v).all(axis=1)
+    v[~finite] = 0.0
+    parts = lio.reshape(k, -1).view(float)  # ||L||_F without a conjugate copy of L
+    scale = np.sqrt((parts[:, None, :] @ parts[:, :, None])[:, 0, 0]) * np.linalg.norm(v, axis=-1)
+    residual = np.linalg.norm((lio @ v[..., None])[..., 0], axis=-1)
+    np.divide(residual, scale, out=residual, where=scale > 0)
+    rho = v.reshape(k, d, d).transpose(0, 2, 1)  # column stacking
+    rho_h = rho.conj().transpose(0, 2, 1)
+    ok = finite & (residual <= RESIDUAL_RTOL)
+    ok &= np.abs(rho - rho_h).max(axis=(1, 2)) <= HERMITICITY_ATOL
+    ok &= np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0) <= TRACE_ATOL
+    ok &= np.linalg.eigvalsh(0.5 * (rho + rho_h)).min(axis=1) >= EIGENVALUE_FLOOR
+    for i in np.flatnonzero(~ok):
+        if not (finite[i] and residual[i] <= RESIDUAL_RTOL):  # true for a NaN residual too
+            null_dim = _null_dimension(lio[i])
+            if null_dim != 1 or not finite[i]:
+                raise DegenerateSteadyStateError(null_dim)
+            raise SteadyStateError(
+                f"steady-state residual {residual[i]:.3e} exceeds {RESIDUAL_RTOL:.0e}"
+            )
+        DensityMatrix(rho[i]).validate()
+    return rho
 
 
 def per_value_matrix_csv(path, matrix: np.ndarray, digest: str) -> None:

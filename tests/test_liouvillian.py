@@ -12,6 +12,7 @@ from clams.liouvillian import (
     GeneratorMatrix,
     PropagationError,
     SteadyStateError,
+    _coherence_levels,
     affine_steady_states,
     build_generator,
     cascaded_lambda_graph,
@@ -219,6 +220,26 @@ def test_steady_state_independent_of_time_unit():
         assert np.abs(rho - want).max() <= 1e-12, k
 
 
+@pytest.mark.parametrize("n_levels", [13, 21])
+def test_graded_steady_state_independent_of_time_unit(n_levels):
+    # the same for chains that block elimination over coherence orders solves
+    base = dict(rabi=0.05, gamma=1.0, gamma_prime=1e-3,
+                detunings=tuple(0.01 * np.cos(np.arange(1, n_levels))))
+
+    def solve(s):
+        p = chain_params(
+            n_levels, base["rabi"] * s, base["gamma"] * s, base["gamma_prime"] * s,
+            detunings=tuple(x * s for x in base["detunings"]), delta_omega_s=s,
+        )
+        lio = build_generator(cascaded_lambda_graph(p)).matrix
+        assert _coherence_levels(lio) is not None
+        return steady_state(GeneratorMatrix(n_levels, lio)).matrix
+
+    want = solve(1.0)
+    for k in range(-8, 9):
+        assert np.abs(solve(10.0**k) - want).max() <= 1e-12, k
+
+
 def test_uniqueness_gap_of_test_graphs():
     rng = np.random.default_rng(25)
     for _ in range(10):
@@ -253,6 +274,20 @@ def test_propagate_stiff_readme_chain():
     rho0 = DensityMatrix(np.diag([1.0, 0, 0, 0, 0]).astype(complex))
     rho_t = propagate(gen, rho0, 30.0 / decay.min(), tol=1e-9)
     assert np.abs(rho_t.matrix - steady_state(gen).matrix).max() < 1e-6
+
+
+def test_propagate_stiff_readme_chain_matches_the_scipy_exponential():
+    # at 30 over the slowest decay ||L t||_1 asks for 18 squarings; the norms of
+    # the powers of L t allow 17, and each squaring fewer rounds less
+    p = chain_params(
+        5, mhz_to_angular(15.2), mhz_to_angular(1900.0), mhz_to_angular(0.2)
+    )
+    gen = build_generator(cascaded_lambda_graph(p))
+    evals = np.linalg.eigvals(gen.matrix)
+    t = 30.0 / -evals.real[np.abs(evals) > 1e-10 * np.abs(evals).max()].max()
+    rho0 = DensityMatrix(np.diag([1.0, 0, 0, 0, 0]).astype(complex))
+    exact = DensityMatrix.from_vec(sla.expm(gen.matrix * t) @ rho0.vec(), 5).matrix
+    assert np.abs(propagate(gen, rho0, t).matrix - exact).max() < 1e-12
 
 
 def test_propagate_failures_raise():
