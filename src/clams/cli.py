@@ -44,7 +44,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import itertools
 import json
 import sys
 from dataclasses import replace
@@ -242,7 +241,7 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _write_lines(path: Path, header: list[str], lines, digest: str) -> None:
-    """The CSV layout of every writer: provenance comment, header row, ``lines``."""
+    """The CSV layout: provenance comment, header row, ``lines`` (the matrix writer's too)."""
     _write_text(path, "\n".join([f"# config-hash: {digest}", ",".join(header), *lines]) + "\n")
 
 
@@ -257,24 +256,27 @@ def write_json(path: Path, payload) -> None:
 def write_complex_matrix_csv(path: Path, matrix: np.ndarray, digest: str) -> None:
     """Dump a complex matrix with interleaved real/imaginary columns.
 
-    The bytes are those of ``_fmt`` on every part.  Generators are mostly exact
-    zeros, so every row starts as one shared all-``_ZERO`` line, in which part c
-    is the character at 2c; only the parts that are not +0.0 (nonzeros, -0.0,
-    NaN, +-inf) are formatted and spliced into it.
+    The bytes are those of ``_fmt`` on every part.  The body is all-``_ZERO``
+    rows of 4m bytes for m complex columns, in which part k of the flat
+    row-major parts is the character at byte 2k.  Only the parts whose 64-bit
+    pattern is not that of +0.0 (nonzeros, -0.0, NaN, +-inf) are spliced in,
+    each distinct pattern formatted once, between gaps cut from one template of
+    whole rows that is as long as the longest gap needs.
     """
-    header = [f"{part}_{j}" for j in range(matrix.shape[1]) for part in ("re", "im")]
-    parts = np.ascontiguousarray(matrix, dtype=complex).view(float)
-    zero_row = ",".join([_ZERO] * len(header))
-    lines = [zero_row] * len(parts)
-    rows, cols = divmod(np.flatnonzero((parts != 0.0) | np.signbit(parts)), len(header))
-    spliced = zip(rows.tolist(), (2 * cols).tolist(), parts[rows, cols].tolist())
-    for row, cells in itertools.groupby(spliced, key=lambda cell: cell[0]):
-        line, start = [], 0
-        for _, at, value in cells:
-            line += (zero_row[start:at], _FLOAT_FORMAT % value)
-            start = at + 1
-        lines[row] = "".join(line) + zero_row[start:]
-    _write_lines(path, header, lines, digest)
+    header = ",".join([f"re_{j},im_{j}" for j in range(matrix.shape[1])])
+    bits = np.ascontiguousarray(matrix, dtype=complex).view(np.int64)
+    flat = np.flatnonzero(bits != 0)
+    distinct, which = np.unique(bits.ravel()[flat], return_inverse=True)
+    texts = np.array([_FLOAT_FORMAT % v for v in distinct.view(float).tolist()], dtype=object)
+    row = ",".join([_ZERO] * bits.shape[1]) + "\n"
+    starts = np.append(0, 2 * flat + 1)  # the gaps of the body around the spliced parts
+    sizes = np.append(2 * flat, len(row) * len(bits)) - starts
+    starts %= len(row)  # rows repeat, so a gap starts at its offset within its row
+    template = row * (int((starts + sizes).max()) // len(row) + 1)
+    pieces = [f"# config-hash: {digest}\n{header}\n"] + [None] * (2 * len(flat) + 1)
+    pieces[1::2] = [template[at : at + size] for at, size in zip(starts.tolist(), sizes.tolist())]
+    pieces[2::2] = texts[which].tolist()
+    _write_text(path, "".join(pieces))
 
 
 def _peakset_payload(peaks: spectrum.PeakSet, threshold: float) -> dict:

@@ -125,7 +125,7 @@ def per_value_matrix_csv(path, matrix: np.ndarray, digest: str) -> None:
     rows = np.ascontiguousarray(matrix, dtype=complex).view(float).tolist()
     lines = [f"# config-hash: {digest}", ",".join(header)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+    path.write_bytes(("\n".join(lines) + "\n").encode())  # UTF-8 and "\n" on every platform
 
 
 def per_pair_coherence_peaks(m: np.ndarray, delta_omega_s: float) -> PeakSet:

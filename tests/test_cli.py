@@ -6,7 +6,7 @@ import pytest
 
 from clams.cli import _PARAMS, ConfigError, main, parse_config_file, write_complex_matrix_csv
 from clams.effective import reduce
-from clams.liouvillian import build_generator, cascaded_lambda_graph
+from clams.liouvillian import build_generator, cascaded_lambda_graph, steady_states
 from clams.units import mhz_to_angular
 from conftest import chain_params, rb85_graph, run_python
 from oracles import per_value_matrix_csv
@@ -102,6 +102,14 @@ def zero_matrix():
     return np.zeros((5, 3), dtype=complex)
 
 
+def no_rows():
+    return np.zeros((0, 3), dtype=complex)
+
+
+def no_columns():
+    return np.zeros((3, 0), dtype=complex)
+
+
 def one_by_one():
     return complex_from_parts([[-0.0, 2.5]])
 
@@ -121,8 +129,33 @@ def boundary_parts():
     return complex_from_parts(rows)
 
 
+def repeated_patterns():
+    """Wide sparse matrix in which a few bit patterns recur over many rows and in both
+    parts: NaNs that differ in sign or payload, -0.0, +-5e-324, +-inf and one finite value."""
+    values = np.array([np.nan, np.copysign(np.nan, -1), -0.0, 5e-324, -5e-324, np.inf, -np.inf,
+                       0.1])
+    patterns = np.append(values.view(np.int64), 0x7FF8_0000_0000_0ABC)  # another NaN payload
+    rng = np.random.default_rng(11)
+    bits = np.zeros((40, 160), dtype=np.int64)
+    cells = rng.choice(bits.size, size=600, replace=False)
+    bits.ravel()[cells] = rng.choice(patterns, size=cells.size)
+    return bits.view(complex)
+
+
+def steady_state_view():
+    """The F-ordered view that ``steady_state`` hands the writer."""
+    rho = steady_states(chain21_generator()[None])[0]
+    assert not rho.flags.c_contiguous
+    return rho
+
+
+def strided_slice():
+    return planted_matrix()[::2, 1::2]
+
+
 @pytest.mark.parametrize("build", [chain21_generator, rb85_generator, planted_matrix, zero_matrix,
-                                   one_by_one, one_row, boundary_parts])
+                                   no_rows, no_columns, one_by_one, one_row, boundary_parts,
+                                   repeated_patterns, steady_state_view, strided_slice])
 def test_matrix_csv_matches_per_value_oracle(tmp_path, build):
     matrix = build()
     write_complex_matrix_csv(tmp_path / "got.csv", matrix, "0123456789abcdef")

@@ -216,3 +216,19 @@ def test_singular_block_solve_falls_back_to_the_dense_bits(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", solve)
     assert np.array_equal(steady_states(stack), want)
     assert np.array_equal(affine_steady_states(base, slope, xs), want)
+
+
+def test_entries_joining_orders_two_apart_take_the_dense_solve():
+    """A Hermiticity-preserving pair of coherence-to-coherence entries, rho_01 <- rho_43
+    and its conjugate, joins orders -1 and +1 of the README chain: the grading check
+    rejects it, and the single and the affine solve are the dense one, bit for bit."""
+    base, slope, xs = detuning_family(13)
+    assert _coherence_levels(base) is not None
+    d, alpha = 13, 1e-3 * readme_chain(13).gamma_prime * (1.0 + 1.0j)
+    base[0 + 1 * d, 4 + 3 * d] = alpha  # the vec index of rho_ij is i + j*d
+    base[1 + 0 * d, 3 + 4 * d] = np.conj(alpha)
+    assert _coherence_levels(base) is None
+    assert np.array_equal(steady_states(base[None]), dense(base))
+    xs = xs[::8]
+    assert np.array_equal(affine_steady_states(base, slope, xs),
+                          dense(base + xs[:, None, None] * slope))
