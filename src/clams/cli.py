@@ -33,11 +33,10 @@ process; the parser is built once.
 
 Sweeps build the generators of each model from two pieces, L(x) = A + x B
 (x is the drive, the two-photon detuning, or the reduced model's hopping rate),
-and solve them batched, in chunks of points: models of 10 or more states by
-block elimination over coherence orders, which takes only the blocks next to
-the diagonal of each L, and smaller ones by one dense LU each in a reused
-buffer.  The peak weights of all points are taken at once.  ``--parallel`` is
-ignored.
+and solve them batched, in chunks of points, by block elimination over
+coherence orders: models of 10 or more states take only the blocks next to the
+diagonal of each L, and any other model is one block, one dense LU each.  The
+peak weights of all points are taken at once.  ``--parallel`` is ignored.
 """
 from __future__ import annotations
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial, frexp, inf, isfinite, isqrt
+from operator import iadd
 
 import numpy as np
 
@@ -50,11 +51,12 @@ _PADE_13 = [factorial(26 - k) * factorial(13) / (factorial(26) * factorial(13 - 
 _THETA_13 = 5.371920351148152
 
 # A sweep builds and solves its points in chunks of at most this many bytes of
-# generator (whole, or the blocks of its coherence orders); the solves work on
-# one member at a time.
+# the blocks of their coherence orders (one block: the whole generator); the
+# solves work on one member at a time.
 STACK_BYTES = 2 * 1024**2
 # Generators of at least this many states are solved by block elimination over
-# coherence orders where their structure allows it; below, one dense LU is faster.
+# coherence orders where their structure allows it; below, one block (a dense LU)
+# is faster.
 GRADED_MIN_STATES = 10
 
 
@@ -227,12 +229,13 @@ def steady_state(gen: GeneratorMatrix) -> DensityMatrix:
     """Unique trace-one null vector of the generator.
 
     One row of L is replaced by the trace functional and the square system is
-    solved directly: by block elimination over coherence orders when L is
-    block-tridiagonal in them (:func:`_coherence_levels`), else by one dense LU.
-    The solution is then verified against the unmodified L.  A relative residual
-    above ``RESIDUAL_RTOL`` (or a singular solve) triggers a null space
-    diagnosis, and a null dimension other than one is reported as a degeneracy
-    rather than silently picking a state.
+    solved directly by block elimination over coherence orders: over the orders
+    of :func:`_coherence_levels` when L is block-tridiagonal in them, else, or if
+    that solve fails, over one block, which is one dense LU.  The solution is then
+    verified against the unmodified L.  A relative residual above
+    ``RESIDUAL_RTOL`` (or a singular solve) triggers a null space diagnosis, and a
+    null dimension other than one is reported as a degeneracy rather than
+    silently picking a state.
     """
     return DensityMatrix(steady_states(gen.matrix[None])[0])
 
@@ -243,24 +246,30 @@ def steady_states(stack: np.ndarray) -> np.ndarray:
     The method of :func:`steady_state`, batched over the stack; the first member
     that fails a check raises its typed error.
     """
-    levels = _coherence_levels(stack)
-    if levels is not None:
-        lio = np.ascontiguousarray(stack, dtype=complex)
-        rho = _graded_states(
-            lambda q, r: lio[:, levels[q][:, :, None], levels[r][:, None, :]],
-            levels,
-            lambda v: (lio @ v[..., None])[..., 0],
-            _frobenius(lio),
-        )
-        if rho is not None:
-            return rho
-    return _solve_stack(stack.astype(complex, order="C"))
+    lio = np.ascontiguousarray(stack, dtype=complex)
+    matvec, fro = lambda v: (lio @ v[..., None])[..., 0], _frobenius(lio)
+    levels = _coherence_levels(lio)
+    rho = levels and _graded_states(lambda q, r: _block(lio, levels, q, r), levels, matvec, fro)
+    if rho is None:
+        one = [np.arange(lio.shape[-1])[None]]
+        rho = _graded_states(lambda q, r: _block(lio, one, q, r), one, matvec, fro, lio)
+    if rho is None:  # one block is singular for the whole stack: find the member
+        rho = np.concatenate([steady_states(member[None]) for member in lio])
+    return rho
 
 
 def _pairs(levels: list) -> list[tuple[int, int]]:
     """(q, r) of the blocks of a generator that is block-tridiagonal in ``levels``."""
     top = len(levels) - 1
     return [(q, r) for q in range(top + 1) for r in (q - 1, q, q + 1) if 0 <= r <= top]
+
+
+def _block(a: np.ndarray, levels: list, q: int, r: int) -> np.ndarray:
+    """Block of ``a`` (a generator or a stack) between ``levels[q]`` and ``levels[r]``,
+    shape (..., s, m_q, m_r), as a new array: a plain copy for one block, not a gather."""
+    if len(levels) == 1:
+        return a[..., None, :, :].copy()
+    return a[..., levels[q][:, :, None], levels[r][:, None, :]]
 
 
 def _bfs_levels(nbrs: list[list[int]], root: int) -> list[int]:
@@ -327,12 +336,16 @@ def _coherence_levels(*gens: np.ndarray) -> list[np.ndarray] | None:
     return [part.reshape(1 + (q > 0), -1) for q, part in enumerate(parts)]
 
 
-def _graded_states(block, levels: list[np.ndarray], matvec, fro: np.ndarray):
+def _graded_states(block, levels: list[np.ndarray], matvec, fro: np.ndarray,
+                   lio: np.ndarray | None = None):
     """Steady states of a stack of L from its blocks, ``block(q, r)`` the stack of
     shape (k, s, m_q, m_r) between ``levels[q]`` and ``levels[r]`` (s = 2 sides, +q
     and -q, but 1 for the order-0 block), a new array taken once and dropped after
-    its level; None if a block solve is singular or a member fails :func:`_checked`
-    (given ``matvec`` and ``fro``), for the caller to re-solve with one block.
+    its level.  One level, ``[arange(d^2)[None]]``, is one dense LU of each L.  The
+    states are checked by :func:`_checked` (given ``matvec``, ``fro`` and ``lio``).
+    Without the stack ``lio`` of L, a failing member or a singular solve gives None,
+    for the caller to re-solve.  With it, a failing member raises its typed error,
+    and so does a singular solve of one L; one of several gives None, to be split.
 
     Block elimination (the matrix continued fraction; Risken, The Fokker-Planck
     Equation, ch. 9) inward from the outermost orders, both sides at once:
@@ -352,18 +365,24 @@ def _graded_states(block, levels: list[np.ndarray], matvec, fro: np.ndarray):
             if q < top:
                 s -= block(q, q + 1) @ x[q + 1]  # in place: less heap growth in a sweep
             x[q] = np.linalg.solve(s, block(q, q - 1))
-        s = block(0, 0)[:, 0] - (block(0, 1) @ x[1]).sum(axis=1)
+        s = block(0, 0)[:, 0]
+        if top:
+            s -= (block(0, 1) @ x[1]).sum(axis=1)
         s[:, 0, :] = 0.0
-        s[:, 0, np.searchsorted(levels[0][0], np.arange(d) * (d + 1))] = 1.0  # trace functional
+        s[:, 0, levels[0][0].searchsorted(np.arange(0, n, d + 1))] = 1.0  # trace functional
         v = [np.linalg.solve(s, np.eye(s.shape[1], 1, dtype=complex))[:, None]]
     except np.linalg.LinAlgError:
-        return None
+        if lio is None or len(lio) > 1:
+            return None
+        raise DegenerateSteadyStateError(_null_dimension(lio[0])) from None
     for q in range(1, top + 1):
         v.append(-(x[q] @ v[q - 1]))
+    if top == 0:  # one block: v_0 is in vec order
+        return _checked(v[0][:, 0, :, 0], matvec, fro, lio)
     vec = np.empty((len(s), n), dtype=complex)
     for level, part in zip(levels, v):
         vec[:, level] = part[..., 0]
-    return _checked(vec, matvec, fro)
+    return _checked(vec, matvec, fro, lio)
 
 
 def _frobenius(lio: np.ndarray) -> np.ndarray:
@@ -406,74 +425,34 @@ def _checked(v: np.ndarray, matvec, fro: np.ndarray, lio: np.ndarray | None = No
     return rho
 
 
-def _solve_stack(lio: np.ndarray) -> np.ndarray:
-    """:func:`steady_states` of a contiguous complex stack as one block each,
-    bordered in place: row 0 of each L is saved for the trace functional and
-    written back after the LU solve, so that the checks and any diagnosis see L
-    itself."""
-    k, n, _ = lio.shape
-    d = isqrt(n)
-    row0 = lio[:, 0, :].copy()
-    lio[:, 0, :] = 0.0
-    lio[:, 0, np.arange(d) * (d + 1)] = 1.0  # trace functional
-    try:
-        v = np.linalg.solve(lio, np.eye(n, 1, dtype=complex))[..., 0]
-    except np.linalg.LinAlgError:  # raised for the whole stack: find the member
-        lio[:, 0, :] = row0
-        if k == 1:
-            raise DegenerateSteadyStateError(_null_dimension(lio[0])) from None
-        return np.concatenate([_solve_stack(lio[i : i + 1]) for i in range(k)])
-    lio[:, 0, :] = row0
-    return _checked(v, lambda v: (lio @ v[..., None])[..., 0], _frobenius(lio), lio)
-
-
 def affine_steady_states(base: np.ndarray, slope: np.ndarray, xs) -> np.ndarray:
     """Steady states, shape (len(xs), d, d), of the generators base + x * slope.
 
-    Points are solved in chunks of at most ``STACK_BYTES`` of generator.  When
-    ``(base != 0) | (slope != 0)`` grades L into coherence orders, that is of the
-    blocks of each L, taken as x * slope_block + base_block (the bits of the dense
-    entries), and a chunk that fails is re-solved as whole generators, which
-    raises the typed error; otherwise whole generators are built in one reused
-    buffer.  So the memory of a sweep does not grow with its points.
+    The method of :func:`steady_state` over the coherence orders that
+    ``(base != 0) | (slope != 0)`` grades L into, else over one block, in chunks of
+    at most ``STACK_BYTES`` of blocks.  Each block is built as x * slope_block +
+    base_block, which has the bits of the dense entries, and a chunk that fails is
+    re-solved by :func:`steady_states`, which raises the typed error.  So the
+    memory of a sweep does not grow with its points.
     """
     xs = np.asarray(xs, dtype=float)
     base, slope = np.asarray(base, dtype=complex), np.asarray(slope, dtype=complex)
-    levels = _coherence_levels(base, slope)
-    if levels is None:
-        return _dense_affine(base, slope, xs)
-    pieces = {}
-    for q, r in _pairs(levels):
-        at = (levels[q][:, :, None], levels[r][:, None, :])
-        pieces[q, r] = (slope[at], base[at])
+    levels = _coherence_levels(base, slope) or [np.arange(base.shape[0])[None]]
+    pieces = {(q, r): (_block(slope, levels, q, r), _block(base, levels, q, r))
+              for q, r in _pairs(levels)}
     nonzero = np.flatnonzero((base != 0) | (slope != 0))
     slope_nz, base_nz = slope.ravel()[nonzero], base.ravel()[nonzero]
     per = max(1, min(xs.size, STACK_BYTES // (16 * sum(s.size for s, _ in pieces.values()))))
     out = np.empty((xs.size, *(isqrt(base.shape[0]),) * 2), dtype=complex)
     for start in range(0, xs.size, per):
         x = xs[start : start + per]
-        rho = _graded_states(
-            lambda q, r: x[:, None, None, None] * pieces[q, r][0] + pieces[q, r][1],
+        rho = _graded_states(  # blocks added to in place: the bits of base + x * slope
+            lambda q, r: iadd(x[:, None, None, None] * pieces[q, r][0], pieces[q, r][1]),
             levels,
             lambda v: v @ base.T + x[:, None] * (v @ slope.T),
-            np.linalg.norm(x[:, None] * slope_nz + base_nz, axis=1),
+            _frobenius(x[:, None] * slope_nz + base_nz),
         )
-        out[start : start + per] = _dense_affine(base, slope, x) if rho is None else rho
-    return out
-
-
-def _dense_affine(base: np.ndarray, slope: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """:func:`affine_steady_states` as whole generators, built and solved at most
-    ``STACK_BYTES`` at a time in one reused buffer."""
-    n = base.shape[0]
-    d = isqrt(n)
-    per = max(1, min(xs.size, STACK_BYTES // (16 * n * n)))
-    buf = np.empty((per, n, n), dtype=complex)
-    out = np.empty((xs.size, d, d), dtype=complex)
-    for start in range(0, xs.size, per):
-        lio = np.multiply(xs[start : start + per, None, None], slope, out=buf[: xs.size - start])
-        lio += base  # the bits of base + x * slope: addition commutes
-        out[start : start + per] = _solve_stack(lio)
+        out[start : start + per] = steady_states(base + x[:, None, None] * slope) if rho is None else rho
     return out
 
 

@@ -10,6 +10,7 @@ from clams.level_system import SystemParams, ground_indices, raman_detunings
 from clams.liouvillian import (
     GRADED_MIN_STATES,
     CouplingGraph,
+    DegenerateSteadyStateError,
     SteadyStateError,
     _coherence_levels,
     _pairs,
@@ -31,14 +32,24 @@ def dense(stack):
     return dense_bordered_steady_states(np.array(stack, dtype=complex, ndmin=3))
 
 
-def no_dense_solve(*_args):
-    raise AssertionError("the dense solve ran")
+def no_dense_solve(solve, on_call=None):
+    """A spy on the block solve ``solve`` that fails when it is called with one level,
+    which is the dense LU, and otherwise hands ``on_call`` its arguments first."""
+    def spy(block, levels, matvec, fro, lio=None):
+        if len(levels) == 1:
+            raise AssertionError("the dense solve ran")
+        if on_call is not None:
+            on_call(block, levels, fro)
+        return solve(block, levels, matvec, fro, lio)
+
+    return spy
 
 
 def graded(lio):
     """Steady state of one generator by block elimination alone."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(clams.liouvillian, "_solve_stack", no_dense_solve)
+        mp.setattr(clams.liouvillian, "_graded_states",
+                   no_dense_solve(clams.liouvillian._graded_states))
         return steady_states(lio[None])[0]
 
 
@@ -161,14 +172,12 @@ def detuning_family(n_levels=13):
 def test_affine_chunks_give_the_same_bits(monkeypatch):
     base, slope, xs = detuning_family()
     chunks = []
-    real = clams.liouvillian._graded_states
 
-    def spy(block, levels, matvec, fro):
+    def count(block, levels, fro):
         chunks.append((len(fro), sum(block(q, r)[0].nbytes for q, r in _pairs(levels))))
-        return real(block, levels, matvec, fro)
 
-    monkeypatch.setattr(clams.liouvillian, "_graded_states", spy)
-    monkeypatch.setattr(clams.liouvillian, "_dense_affine", no_dense_solve)
+    monkeypatch.setattr(clams.liouvillian, "_graded_states",
+                        no_dense_solve(clams.liouvillian._graded_states, count))
     monkeypatch.setattr(clams.liouvillian, "STACK_BYTES", 2**40)
     whole = affine_steady_states(base, slope, xs)
     assert [k for k, _ in chunks] == [41]
@@ -200,6 +209,43 @@ def test_non_finite_member_of_a_graded_stack_raises_the_dense_error():
     base = base.copy()
     base[5, 5] = np.inf
     assert raised(affine_steady_states, base, slope, xs[:3]) == error
+
+
+def disconnected_family():
+    """base: two disconnected 2-level blocks (null space of dimension 2); slope:
+    decays that join them, so only the member at x = 0 is degenerate."""
+    h = np.zeros((4, 4), dtype=complex)
+    base = build_generator(CouplingGraph(4, h, ((1, 0, 1.0), (0, 1, 0.5), (3, 2, 1.0), (2, 3, 0.5))))
+    slope = build_generator(CouplingGraph(4, h, ((1, 2, 1.0), (2, 1, 1.0))))
+    return base.matrix, slope.matrix
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_first_failing_member_raises_the_dense_error(at):
+    """A failing member first, in the middle or last of a stack and of a sweep: the
+    stacked and the affine solve raise the error of the dense solve, member split
+    included.  The non-finite member of the README 13-level family is one with inf on
+    the diagonal, which keeps the stack graded, or the point x = inf of the sweep; the
+    degenerate member of the 4-level family is its point x = 0.  With both of these
+    in one sweep, the first of them raises."""
+    base, slope, xs = detuning_family()
+    stack = base + xs[:3, None, None] * slope
+    stack[at, 5, 5] = np.inf
+    assert _coherence_levels(stack) is not None
+    error = raised(dense, stack)
+    assert "non-finite" in error[1]
+    assert raised(steady_states, stack) == error
+    cases = [(base, slope, np.insert(xs[:2], at, np.inf), (SteadyStateError, None)),
+             (*disconnected_family(), np.insert([0.5, 2.0], at, 0.0), (DegenerateSteadyStateError, 2)),
+             (*disconnected_family(), np.insert([0.0, 2.0], at, np.inf),  # two failing members
+              (SteadyStateError, None) if at == 0 else (DegenerateSteadyStateError, 2))]
+    for base, slope, xs, (kind, null_dim) in cases:
+        stack = base + xs[:, None, None] * slope
+        error = raised(dense, stack)
+        assert (error[0], error[2]) == (kind, null_dim)
+        assert raised(steady_states, stack) == error
+        assert raised(affine_steady_states, base, slope, xs) == error
 
 
 def test_singular_block_solve_falls_back_to_the_dense_bits(monkeypatch):

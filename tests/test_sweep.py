@@ -1,4 +1,6 @@
 """Batched sweeps against per-point steady states."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from clams.rb85 import (
 from clams.spectrum import coherence_peaks, height_ratios
 from clams.units import mhz_to_angular
 from conftest import hermitian_random, random_graph
+from oracles import dense_bordered_steady_states
 
 SWEEP_RTOL = 1e-12
 
@@ -118,20 +121,40 @@ def test_undriven_sweep_is_a_configuration_error(tmp_path, capsys):
     assert "undriven" in capsys.readouterr().err
 
 
+def readme_families():
+    """(base, slope, xs) of one-block sweeps like the README commands: the N = 5 and
+    N = 7 chains against the two-photon detuning, and the reduced N = 7 and N = 13
+    models against the hopping rate on the grid of the README drive sweep."""
+    for n in (5, 7):
+        p = default_params(n)
+        base = build_generator(cascaded_lambda_graph(p)).matrix  # zero detuning
+        moved = replace(p, detunings=raman_detunings(n, 1.0))
+        slope = build_generator(cascaded_lambda_graph(moved)).matrix - base
+        yield base, slope, mhz_to_angular(np.linspace(-2.0, 2.0, 41))
+    for n in (7, 13):
+        p = default_params(n, gamma_prime_mhz=0.02)
+        base = build_effective_generator(n, 0.0, p.gamma_prime, p.detunings).matrix
+        slope = build_effective_generator(n, 1.0, p.gamma_prime, p.detunings).matrix - base
+        rabis = np.logspace(-4.0, np.log10(5e-2), 201) * p.gamma
+        yield base, slope, rabis**2 / p.gamma
+
+
 @pytest.mark.parametrize("per_chunk", [None, 3])
 def test_affine_states_equal_the_stacked_solve(monkeypatch, per_chunk):
     # base + x * slope is a random graph whose Hamiltonian moves along a random
-    # Hermitian direction; solved in one reused buffer, chunk by chunk, it must
-    # give the bits of one solve of the whole stack
+    # Hermitian direction, or a README sweep; solved chunk by chunk, it must give
+    # the bits of one solve of the whole stack and of the dense bordered solve
     rng = np.random.default_rng(33)
+    families = []
     for size in (1, 2, 3, 5, 7, 8, 10, 11):  # with 3 per chunk, most end in a partial one
         graph = random_graph(rng)
-        d = graph.n_states
+        h1 = hermitian_random(rng, graph.n_states)
+        families.append((build_generator(graph).matrix, hamiltonian_superoperator(h1, h1),
+                         rng.uniform(-2.0, 2.0, size=size)))
+    for base, slope, xs in [*families, *readme_families()]:
         if per_chunk is not None:
-            monkeypatch.setattr(clams.liouvillian, "STACK_BYTES", per_chunk * 16 * d**4)
-        h1 = hermitian_random(rng, d)
-        base = build_generator(graph).matrix
-        slope = hamiltonian_superoperator(h1, h1)
-        xs = rng.uniform(-2.0, 2.0, size=size)
+            monkeypatch.setattr(clams.liouvillian, "STACK_BYTES", per_chunk * 16 * base.size)
         got = affine_steady_states(base, slope, xs)
-        assert np.array_equal(got, steady_states(base + xs[:, None, None] * slope))
+        stack = base + xs[:, None, None] * slope
+        assert np.array_equal(got, steady_states(stack))
+        assert np.array_equal(got, dense_bordered_steady_states(stack))
