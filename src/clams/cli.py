@@ -34,8 +34,9 @@ process; the parser is built once.
 Sweeps build the generators of each model from two pieces, L(x) = A + x B
 (x is the drive, the two-photon detuning, or the reduced model's hopping rate),
 and solve them batched, in chunks of points, by block elimination over
-coherence orders: models of 10 or more states take only the blocks next to the
-diagonal of each L, and any other model is one block, one dense LU each.  The
+coherence orders: models with two or more orders beyond 0 take only the blocks
+of the orders 0 and +q next to the diagonal of each L (the orders -q are their
+conjugate mirror), and any other model is one block, one dense LU each.  The
 peak weights of all points are taken at once.  ``--parallel`` is ignored.
 """
 from __future__ import annotations

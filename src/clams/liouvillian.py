@@ -14,9 +14,11 @@ from that single convention.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial, frexp, inf, isfinite, isqrt
-from operator import iadd
+from operator import iadd, imul
 
 import numpy as np
 
@@ -51,13 +53,9 @@ _PADE_13 = [factorial(26 - k) * factorial(13) / (factorial(26) * factorial(13 - 
 _THETA_13 = 5.371920351148152
 
 # A sweep builds and solves its points in chunks of at most this many bytes of
-# the blocks of their coherence orders (one block: the whole generator); the
-# solves work on one member at a time.
+# the blocks it eliminates (one block: the whole generator); the solves work on
+# one member at a time.
 STACK_BYTES = 2 * 1024**2
-# Generators of at least this many states are solved by block elimination over
-# coherence orders where their structure allows it; below, one block (a dense LU)
-# is faster.
-GRADED_MIN_STATES = 10
 
 
 class SteadyStateError(RuntimeError):
@@ -230,12 +228,12 @@ def steady_state(gen: GeneratorMatrix) -> DensityMatrix:
 
     One row of L is replaced by the trace functional and the square system is
     solved directly by block elimination over coherence orders: over the orders
-    of :func:`_coherence_levels` when L is block-tridiagonal in them, else, or if
-    that solve fails, over one block, which is one dense LU.  The solution is then
-    verified against the unmodified L.  A relative residual above
-    ``RESIDUAL_RTOL`` (or a singular solve) triggers a null space diagnosis, and a
-    null dimension other than one is reported as a degeneracy rather than
-    silently picking a state.
+    +q of :func:`_coherence_levels`, -q being their mirror, where it finds two or
+    more beyond 0, else, or if that solve fails, over one block, which is one dense
+    LU.  The solution is then verified against the unmodified L.  A relative
+    residual above ``RESIDUAL_RTOL`` (or a singular solve) triggers a null space
+    diagnosis, and a null dimension other than one is reported as a degeneracy
+    rather than silently picking a state.
     """
     return DensityMatrix(steady_states(gen.matrix[None])[0])
 
@@ -248,70 +246,74 @@ def steady_states(stack: np.ndarray) -> np.ndarray:
     """
     lio = np.ascontiguousarray(stack, dtype=complex)
     matvec, fro = lambda v: (lio @ v[..., None])[..., 0], _frobenius(lio)
-    levels = _coherence_levels(lio)
-    rho = levels and _graded_states(lambda q, r: _block(lio, levels, q, r), levels, matvec, fro)
+    flat, grading = lio.reshape(len(lio), -1), _coherence_levels(lio)
+    band = None if grading is None else flat[:, grading.band]
+    rho = None if band is None else _graded_states(lambda a, b: band[:, a:b], grading, matvec, fro)
     if rho is None:
-        one = [np.arange(lio.shape[-1])[None]]
-        rho = _graded_states(lambda q, r: _block(lio, one, q, r), one, matvec, fro, lio)
+        rho = _graded_states(lambda a, b: flat.copy(), _one_block(lio.shape[-1]), matvec, fro, lio)
     if rho is None:  # one block is singular for the whole stack: find the member
         rho = np.concatenate([steady_states(member[None]) for member in lio])
     return rho
 
 
-def _pairs(levels: list) -> list[tuple[int, int]]:
-    """(q, r) of the blocks of a generator that is block-tridiagonal in ``levels``."""
-    top = len(levels) - 1
-    return [(q, r) for q in range(top + 1) for r in (q - 1, q, q + 1) if 0 <= r <= top]
+_Grading = namedtuple("_Grading", "far band mirrored rows trace mirror unsort")
 
 
-def _block(a: np.ndarray, levels: list, q: int, r: int) -> np.ndarray:
-    """Block of ``a`` (a generator or a stack) between ``levels[q]`` and ``levels[r]``,
-    shape (..., s, m_q, m_r), as a new array: a plain copy for one block, not a gather."""
-    if len(levels) == 1:
-        return a[..., None, :, :].copy()
-    return a[..., levels[q][:, :, None], levels[r][:, None, :]]
+@lru_cache(maxsize=None)
+def _one_block(n: int) -> _Grading:
+    """The grading of generators of order n as one block: each L whole, in vec order."""
+    return _Grading(None, slice(None), None, [(0, n * n, n, n, 0, n)], slice(0, n, isqrt(n) + 1),
+                    None, None)
 
 
 def _bfs_levels(nbrs: list[list[int]], root: int) -> list[int]:
     """Breadth-first level of each state from ``root``; -1 outside its component."""
-    level = [-1] * len(nbrs)
-    level[root] = 0
-    frontier = [root]
+    level, frontier, depth = [-1] * len(nbrs), {root}, 0
     while frontier:
-        reached = []
         for a in frontier:
-            for b in nbrs[a]:
-                if level[b] < 0:
-                    level[b] = level[a] + 1
-                    reached.append(b)
-        frontier = reached
+            level[a] = depth
+        frontier, depth = {b for a in frontier for b in nbrs[a] if level[b] < 0}, depth + 1
     return level
 
 
-def _coherence_levels(*gens: np.ndarray) -> list[np.ndarray] | None:
-    """Vec indices by coherence order c = phi(a) - phi(b) for generators whose
-    nonzeros are those of ``gens`` (generators or stacks of them): entry 0 holds
-    order 0, shape (1, m_0), and entry q > 0 orders +q and -q, shape (2, m_q).
-    None means one block.
-
+def _coherence_levels(*gens: np.ndarray) -> _Grading | None:
+    """The :func:`_grading` into coherence orders c = phi(a) - phi(b) of generators
+    with the nonzeros of ``gens`` (generators or stacks), or None for one block.
     phi is the breadth-first level of a state in the graph that joins two states
-    when L has a left- or right-multiplication entry between them, searched from
-    a pseudo-peripheral state of each component (George & Liu).  The orders are
-    kept only if every nonzero of L joins orders at most 1 apart, so that L is
-    block-tridiagonal in them, and only from ``GRADED_MIN_STATES`` states up.
-    Populations, and so the trace row, are order 0.
-    """
+    when L has a left- or right-multiplication entry between them (d^3 entries of
+    L).  The orders are kept if there are two or more beyond 0, every nonzero of L
+    joins orders at most 1 apart (L is block-tridiagonal in them), and L preserves
+    Hermiticity exactly on them.  Populations, and so the trace row, are order 0."""
     n = gens[0].shape[-1]
     d = isqrt(n)
-    if d < GRADED_MIN_STATES:
+    adj = False
+    for g in gens:
+        g5 = g.reshape(-1, d, d, d, d)  # g5[m, j, i, l, k]: entry L[i + j*d, k + l*d] of member m
+        adj = adj | g5.diagonal(0, 1, 3).any(axis=(0, 3)) | g5.diagonal(0, 2, 4).any(axis=(0, 3))
+    grading = _grading((adj | adj.T).tobytes(), d)  # j = l: H[i, k]; i = k: H[l, j]
+    flat = [g.reshape(-1, n * n) for g in gens]
+    if grading is None or any((np.packbits(f != 0, axis=-1) & grading.far).any() for f in flat):
         return None
-    pattern = np.logical_or.reduce([(g != 0).reshape(-1, n, n).any(axis=0) for g in gens])
-    p4 = pattern.reshape(d, d, d, d)  # p4[j, i, l, k]: entry L[i + j*d, k + l*d]
-    idx = np.arange(d)
-    adj = p4[idx, :, idx, :].any(axis=0) | p4[:, idx, :, idx].any(axis=0)  # H[i, k], H[l, j]
-    adj |= adj.T
-    adj[idx, idx] = False
-    nbrs = [[b for b, joined in enumerate(row) if joined] for row in adj.tolist()]
+    mirrored = all(np.array_equal(f[:, grading.mirrored], f[:, grading.band].conj()) for f in flat)
+    return grading if mirrored else None
+
+
+@lru_cache(maxsize=16)
+def _grading(adjacency: bytes, d: int) -> _Grading | None:
+    """Block elimination over the coherence orders 0, ..., +top of the state graph
+    ``adjacency`` (d x d booleans), or None if each component is a clique (top <= 1).
+    phi is searched from a pseudo-peripheral state of each component (George & Liu).
+    ``far`` marks the entries of L joining orders more than 1 apart, bit-packed;
+    ``band`` the flat indices into L of the row block of each order q = top, ..., 0
+    in the columns of orders q-1, q and q+1, each at ``rows`` (start, stop, rows,
+    columns, first column of order q, first of q+1); ``mirrored`` their (P a, P b);
+    ``trace`` the order-0 places of the populations; ``mirror`` (P a, P b) in the
+    flat order-0 block; ``unsort`` the places of the vec indices in [0, +1.., +top,
+    -1.., -top]."""
+    adj = np.frombuffer(adjacency, dtype=bool).reshape(d, d) | np.eye(d, dtype=bool)
+    if (adj @ adj == adj).all():
+        return None
+    nbrs = [[b for b, joined in enumerate(row) if joined] for row in adj.tolist()]  # a among them
     phi = [-1] * d
     for start in range(d):
         if phi[start] >= 0:
@@ -325,68 +327,78 @@ def _coherence_levels(*gens: np.ndarray) -> list[np.ndarray] | None:
                 break
             level = far
         phi = [max(a, b) for a, b in zip(phi, level)]
-    phi = np.array(phi, dtype=np.int8 if d <= 64 else np.int32)  # int8 differences: fast
-    order = (phi[:, None] - phi[None, :]).ravel(order="F")  # of vec index i + j*d
-    top = int(order.max())
-    if top == 0 or (pattern & (np.abs(order[:, None] - order[None, :]) > 1)).any():
-        return None
-    size = np.abs(order)
-    by_level = np.argsort(2 * size + (order < 0), kind="stable")  # orders 0, +1, -1, +2, -2, ...
-    parts = np.split(by_level, np.cumsum(np.bincount(size))[:-1])
-    return [part.reshape(1 + (q > 0), -1) for q, part in enumerate(parts)]
+    phi = np.array(phi, dtype=np.int8 if d <= 64 else np.int32)  # int8 differences: small
+    order = np.subtract.outer(phi, phi).ravel(order="F")  # of vec index i + j*d
+    n, top = d * d, int(order.max())
+    sizes = np.bincount(order[order >= 0])
+    idx = np.argsort(order, kind="stable")[n - sizes.sum() :]  # orders 0, +1, ..., +top
+    at = [0, *np.cumsum([0, *sizes, 0]).tolist()]  # at[q + 1]: where order q starts in idx
+    rows, band, stop = [], [], 0
+    for q in range(top, -1, -1):
+        lo, mid, end, hi = at[q : q + 4]  # orders q-1 (none for q = 0), q, q+1 (none for top)
+        band.append((idx[mid:end, None] * n + idx[lo:hi]).ravel())
+        rows.append((stop, stop + band[-1].size, end - mid, hi - lo, mid - lo, end - lo))
+        stop += band[-1].size
+    swap = np.arange(n) % d * d + np.arange(n) // d  # P: the vec index of rho_ba
+    band, zero = np.concatenate(band), idx[: sizes[0]]
+    mirror = zero.searchsorted(swap[zero])
+    return _Grading(np.packbits(np.abs(order[:, None] - order[None, :]) > 1), band,
+                    swap[band // n] * n + swap[band % n], rows,
+                    zero.searchsorted(np.arange(0, n, d + 1)),
+                    (mirror[:, None] * zero.size + mirror).ravel(),
+                    np.argsort(np.concatenate((idx, swap[idx[sizes[0] :]]))))
 
 
-def _graded_states(block, levels: list[np.ndarray], matvec, fro: np.ndarray,
-                   lio: np.ndarray | None = None):
-    """Steady states of a stack of L from its blocks, ``block(q, r)`` the stack of
-    shape (k, s, m_q, m_r) between ``levels[q]`` and ``levels[r]`` (s = 2 sides, +q
-    and -q, but 1 for the order-0 block), a new array taken once and dropped after
-    its level.  One level, ``[arange(d^2)[None]]``, is one dense LU of each L.  The
-    states are checked by :func:`_checked` (given ``matvec``, ``fro`` and ``lio``).
-    Without the stack ``lio`` of L, a failing member or a singular solve gives None,
-    for the caller to re-solve.  With it, a failing member raises its typed error,
-    and so does a singular solve of one L; one of several gives None, to be split.
+def _graded_states(block, grading: _Grading, matvec, fro: np.ndarray, lio: np.ndarray | None = None):
+    """Steady states of a stack of L from the band of its ``grading`` (with
+    :func:`_one_block`, one dense LU of each L), ``block(start, stop)`` an array
+    (k, stop - start) of each L's band that may be overwritten.  They are checked
+    by :func:`_checked` (given ``matvec``, ``fro`` and ``lio``).  Without the
+    stack ``lio`` of L, a failing member or a singular solve gives None, for the
+    caller to re-solve.  With it, a failing member raises its typed error, and so
+    does a singular solve of one L; one of several gives None, to be split.
 
     Block elimination (the matrix continued fraction; Risken, The Fokker-Planck
-    Equation, ch. 9) inward from the outermost orders, both sides at once:
-    S_q = L_qq - L_q,q+1 X_q+1 and X_q = S_q^-1 L_q,q-1.  The folded order-0 block,
-    bordered with the trace functional in its row 0 (vec index 0), gives v_0,
-    and v_q = -X_q v_q-1 outward.  The outer orders hold only coherences: where
-    each decays, the Hermitian part of their blocks is the damping
-    -(G_a + G_b)/2 < 0, Schur complements keep that sign, and no S_q is singular.
-    """
-    top = len(levels) - 1
-    n = sum(level.size for level in levels)
-    d = isqrt(n)
-    x = {}
+    Equation, ch. 9) inward from the outermost order, on the side +q only:
+    S_q = L_qq - L_q,q+1 X_q+1 and X_q = S_q^-1 L_q,q-1.  L preserves Hermiticity,
+    L_PaPb = conj(L_ab) with P the swap rho_ab <-> rho_ba, so the blocks and X_-q of
+    side -q are the conjugates of those of +q (X_-1 with its columns mirrored), and
+    S_0 = L_00 - T - conj(T[P][:, P]) with T = L_0,+1 X_+1.  Bordered with the trace
+    functional in its row 0 (vec index 0), it gives v_0; then v_q = -X_q v_q-1 and
+    v_-q = conj(v_q).  The outer orders hold only coherences: where each decays,
+    the Hermitian part of their blocks is the damping -(G_a + G_b)/2 < 0, Schur
+    complements keep that sign, and no S_q is singular."""
+    k, x = len(fro), []  # x: X_top, ..., X_1
     try:
-        for q in range(top, 0, -1):
-            s = block(q, q)
-            if q < top:
-                s -= block(q, q + 1) @ x[q + 1]  # in place: less heap growth in a sweep
-            x[q] = np.linalg.solve(s, block(q, q - 1))
-        s = block(0, 0)[:, 0]
-        if top:
-            s -= (block(0, 1) @ x[1]).sum(axis=1)
+        for start, stop, m, width, c1, c2 in grading.rows:  # orders top, ..., 0
+            r = block(start, stop).reshape(k, m, width)
+            s = r[..., c1:c2]
+            if x:
+                t = r[..., c2:] @ x[-1]  # L_q,q+1 X_q+1
+                s -= t  # in place: less heap growth in a sweep
+            if c1:
+                x.append(np.linalg.solve(s, r[..., :c1]))
+        if x:
+            s -= t.reshape(k, -1)[:, grading.mirror].reshape(s.shape).conj()
         s[:, 0, :] = 0.0
-        s[:, 0, levels[0][0].searchsorted(np.arange(0, n, d + 1))] = 1.0  # trace functional
-        v = [np.linalg.solve(s, np.eye(s.shape[1], 1, dtype=complex))[:, None]]
+        s[:, 0, grading.trace] = 1.0  # trace functional
+        v = [np.linalg.solve(s, np.eye(s.shape[1], 1, dtype=complex))]
     except np.linalg.LinAlgError:
         if lio is None or len(lio) > 1:
             return None
         raise DegenerateSteadyStateError(_null_dimension(lio[0])) from None
-    for q in range(1, top + 1):
-        v.append(-(x[q] @ v[q - 1]))
-    if top == 0:  # one block: v_0 is in vec order
-        return _checked(v[0][:, 0, :, 0], matvec, fro, lio)
-    vec = np.empty((len(s), n), dtype=complex)
-    for level, part in zip(levels, v):
-        vec[:, level] = part[..., 0]
-    return _checked(vec, matvec, fro, lio)
+    for xq in reversed(x):
+        v.append(-(xq @ v[-1]))
+    if not x:  # one block: v_0 is in vec order
+        return _checked(v[0][..., 0], matvec, fro, lio)
+    x.clear()  # not needed by the check: less heap growth in a sweep
+    plus = np.concatenate(v, axis=1)[..., 0]
+    vec = np.concatenate((plus, plus[:, s.shape[1] :].conj()), axis=1)
+    return _checked(vec.take(grading.unsort, axis=1), matvec, fro, lio)
 
 
 def _frobenius(lio: np.ndarray) -> np.ndarray:
-    """||L||_F of each member of a contiguous complex stack, without a conjugate copy."""
+    """||L||_F (||v||) of each member of a contiguous complex stack, without a conjugate copy."""
     parts = lio.reshape(len(lio), -1).view(float)
     return np.sqrt((parts[:, None, :] @ parts[:, :, None])[:, 0, 0])
 
@@ -402,14 +414,14 @@ def _checked(v: np.ndarray, matvec, fro: np.ndarray, lio: np.ndarray | None = No
     d = isqrt(n)
     finite = np.isfinite(v).all(axis=1)
     v[~finite] = 0.0
-    scale = fro * np.linalg.norm(v, axis=-1)
-    residual = np.linalg.norm(matvec(v), axis=-1)
+    scale = fro * _frobenius(v)
+    residual = _frobenius(matvec(v))
     np.divide(residual, scale, out=residual, where=scale > 0)
     rho = v.reshape(k, d, d).transpose(0, 2, 1)  # column stacking
-    rho_h = rho.conj().transpose(0, 2, 1)
+    rho_h = v.reshape(k, d, d).conj()
     ok = finite & (residual <= RESIDUAL_RTOL)
     ok &= np.abs(rho - rho_h).max(axis=(1, 2)) <= HERMITICITY_ATOL
-    ok &= np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0) <= TRACE_ATOL
+    ok &= np.abs(v[:, :: d + 1].sum(axis=1) - 1.0) <= TRACE_ATOL
     ok &= np.linalg.eigvalsh(0.5 * (rho + rho_h)).min(axis=1) >= EIGENVALUE_FLOOR
     if lio is None and not ok.all():
         return None
@@ -431,28 +443,29 @@ def affine_steady_states(base: np.ndarray, slope: np.ndarray, xs) -> np.ndarray:
     The method of :func:`steady_state` over the coherence orders that
     ``(base != 0) | (slope != 0)`` grades L into, else over one block, in chunks of
     at most ``STACK_BYTES`` of blocks.  Each block is built as x * slope_block +
-    base_block, which has the bits of the dense entries, and a chunk that fails is
-    re-solved by :func:`steady_states`, which raises the typed error.  So the
-    memory of a sweep does not grow with its points.
+    base_block, which has the bits of the dense entries, the residual L v is taken
+    from the nonzeros of L, and a chunk that fails is re-solved by
+    :func:`steady_states`, which raises the typed error.  So the memory of a sweep
+    does not grow with its points.
     """
     xs = np.asarray(xs, dtype=float)
     base, slope = np.asarray(base, dtype=complex), np.asarray(slope, dtype=complex)
-    levels = _coherence_levels(base, slope) or [np.arange(base.shape[0])[None]]
-    pieces = {(q, r): (_block(slope, levels, q, r), _block(base, levels, q, r))
-              for q, r in _pairs(levels)}
+    n = base.shape[0]
+    grading = _coherence_levels(base, slope) or _one_block(n)
+    slope_band, base_band = slope.ravel()[grading.band], base.ravel()[grading.band]
     nonzero = np.flatnonzero((base != 0) | (slope != 0))
     slope_nz, base_nz = slope.ravel()[nonzero], base.ravel()[nonzero]
-    per = max(1, min(xs.size, STACK_BYTES // (16 * sum(s.size for s, _ in pieces.values()))))
-    out = np.empty((xs.size, *(isqrt(base.shape[0]),) * 2), dtype=complex)
+    cols, heads = nonzero % n, np.flatnonzero(np.diff(nonzero // n, prepend=-1))  # row starts
+    per = max(1, min(xs.size, STACK_BYTES // (16 * slope_band.size)))
+    out = np.empty((xs.size, *(isqrt(n),) * 2), dtype=complex)
     for start in range(0, xs.size, per):
-        x = xs[start : start + per]
-        rho = _graded_states(  # blocks added to in place: the bits of base + x * slope
-            lambda q, r: iadd(x[:, None, None, None] * pieces[q, r][0], pieces[q, r][1]),
-            levels,
-            lambda v: v @ base.T + x[:, None] * (v @ slope.T),
-            _frobenius(x[:, None] * slope_nz + base_nz),
+        x = xs[start : start + per, None]
+        rho = _graded_states(  # the band and the nonzeros of each L: the bits of base + x * slope
+            lambda a, b: iadd(x * slope_band[a:b], base_band[a:b]), grading,
+            lambda v: np.add.reduceat(imul(v[:, cols], iadd(x * slope_nz, base_nz)), heads, axis=1),
+            _frobenius(iadd(x * slope_nz, base_nz)),
         )
-        out[start : start + per] = steady_states(base + x[:, None, None] * slope) if rho is None else rho
+        out[start : start + per] = steady_states(base + x[..., None] * slope) if rho is None else rho
     return out
 
 

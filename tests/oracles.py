@@ -1,7 +1,8 @@
 """Reference forms that the optimised code in ``clams`` must reproduce: the direct
 Kronecker-product and basis-matrix generator builders, the dense bordered steady-state
-solve, the per-value complex-matrix CSV writer, the per-pair peak weights, and the
-LSODA time integration that ``propagate`` replaced by the exact exponential."""
+solve and the same bordered solve in 40-digit arithmetic, the per-value complex-matrix
+CSV writer, the per-pair peak weights, and the LSODA time integration that
+``propagate`` replaced by the exact exponential."""
 from __future__ import annotations
 
 import warnings
@@ -116,6 +117,38 @@ def dense_bordered_steady_states(lio: np.ndarray) -> np.ndarray:
             )
         DensityMatrix(rho[i]).validate()
     return rho
+
+
+def mpmath_bordered_steady_state(lio: np.ndarray, digits: int = 40) -> np.ndarray:
+    """Steady state, shape (d, d), of one generator by the bordered system of
+    :func:`dense_bordered_steady_states` (row 0 replaced by the trace functional),
+    solved in ``digits``-digit mpmath arithmetic by Gaussian elimination with
+    partial pivoting on the nonzeros of each row, and rounded to double at the end.
+    The entries of L are taken exactly, so this is the solution of the same system
+    to about ``digits`` digits, whatever its conditioning up to 10^(digits - 17)."""
+    import mpmath
+
+    n = lio.shape[0]
+    d = isqrt(n)
+    with mpmath.workdps(digits):
+        rows = [{int(j): mpmath.mpc(complex(lio[i, j])) for j in np.flatnonzero(lio[i])}
+                for i in range(n)]
+        rows[0] = {j: mpmath.mpf(1) for j in range(0, n, d + 1)}
+        rhs = [mpmath.mpf(1)] + [mpmath.mpf(0)] * (n - 1)
+        for c in range(n):
+            p = max((r for r in range(c, n) if c in rows[r]), key=lambda r: abs(rows[r][c]))
+            rows[c], rows[p], rhs[c], rhs[p] = rows[p], rows[c], rhs[p], rhs[c]
+            for r in range(c + 1, n):
+                if c in rows[r]:
+                    f = rows[r].pop(c) / rows[c][c]
+                    for j, a in rows[c].items():
+                        if j != c:
+                            rows[r][j] = rows[r].get(j, 0) - f * a
+                    rhs[r] -= f * rhs[c]
+        x = [mpmath.mpf(0)] * n
+        for c in range(n - 1, -1, -1):
+            x[c] = (rhs[c] - sum(a * x[j] for j, a in rows[c].items() if j != c)) / rows[c][c]
+        return np.array([complex(v) for v in x]).reshape(d, d).T  # column stacking
 
 
 def per_value_matrix_csv(path, matrix: np.ndarray, digest: str) -> None:

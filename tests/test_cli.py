@@ -404,8 +404,14 @@ def test_rb85_rabi_from_config_file(tmp_path):
 # re-recorded when models of 10 or more states moved from one dense LU to block
 # elimination over coherence orders: it rounds differently, and every number in those
 # files stayed within 1e-13 relative of the dense solve's (at most 6.4e-14, the smallest
-# peak weight of "rb85-pi-branch").  Every other digest, the N = 21 generator dump's
-# included, is unchanged.
+# peak weight of "rb85-pi-branch").  Every solved file of the 13 "steady-*", "sweep-*"
+# and "rb85-*" cases was re-recorded again when every model with two or more coherence
+# orders beyond 0 moved to block elimination on the orders +q alone (the -q side is the
+# conjugate mirror): each weight and ratio moved by at most 1.4e-14 relative and each
+# entry of rho by at most 8.3e-16 of the largest (five imaginary parts of populations,
+# at most 1.2e-17, became exact zeros), except the far height ratios of the two
+# "sweep-rabi-*" cases, which moved by up to 3.2e-13 and 1.8e-12, toward a 40-digit
+# solve of the same systems.  The generator dumps and "rates-readme" are unchanged.
 _RB85_BOTH_RABI_KEYS = "rabi_fraction = 0.009\nrabi_mhz = 14.5\ngamma_mhz = 1.9e3\n"
 GOLDEN = {
     "steady-readme": (
@@ -413,8 +419,8 @@ GOLDEN = {
         None,
         "044db897e89bc3cf",
         {
-            "steady_peaks.csv": "031f5f7eb041c023be39b85b8b538703f1530ec6e07db4af6542f236e3e688ce",
-            "steady_rho.csv": "edb883b590a9d875aeeaf32e0b172ba9aa664f95fce981cd36ce041f19031d2e",
+            "steady_peaks.csv": "37d5c196227a014d1ee0e09975b552942836c3224e1710dbb8702c5ba35335a8",
+            "steady_rho.csv": "5a2e38ef67590cd2b09bfb8c8355f663ab25a8b7689e180d3ad4a319c9dedc4c",
         },
     ),
     "steady-defaults": (
@@ -422,8 +428,8 @@ GOLDEN = {
         None,
         "16f97a82ef75289b",
         {
-            "steady_peaks.csv": "d9a6bd96311e2a468d6f89ef3eeda8958429bbf9b2505c7dc4e8fff5e7196bd7",
-            "steady_rho.csv": "53fcf803e48a637586a09e3dae945279f94c1f8a3f361fa668f05ef467df949a",
+            "steady_peaks.csv": "a6ab5735cdad19b482678f775bea2bfe3be9d9882675f8e06c47c2ffbea351d4",
+            "steady_rho.csv": "e251277f0eb79f8179c043fb98f4128721ae3ead042cc89300828509c0fb7c4e",
         },
     ),
     # numbers in non-canonical form are hashed as written in the file
@@ -432,8 +438,8 @@ GOLDEN = {
         "n_levels = 5\nrabi_mhz = 15.20\ngamma_mhz = 1.9e3\ndetunings_mhz = 0.1, 0, 0.1, 0\n",
         "5a5e73a65bfd5069",
         {
-            "steady_peaks.csv": "4f1d6b43a27b78ca609ac5c37a959ac17dcfe02532316e0366ca8a8e563e9617",
-            "steady_rho.csv": "0a2b96b3b4afa69210b59ae82ca3599190e0ef7cfe03344a96f35aa800904e7e",
+            "steady_peaks.csv": "2337370b140ecf1a743d85183acf1b50612624f6449dfe58a426b272b022b09d",
+            "steady_rho.csv": "2c1f1713fe4ea380bf5134a7a7dfca26138173989cd910611c77e3f08a3da381",
         },
     ),
     "steady-effective-dump": (
@@ -443,9 +449,9 @@ GOLDEN = {
         {
             "steady_generator.csv":
                 "80a70cf8168638e09edae359011b6e55773a7b82d70f53e59756113e371a4632",
-            "steady_peaks.csv": "11399865e5ddc6c78e9451875f86990a9f93a66df8fe3082e4c3c00caac69c63",
-            "steady_peaks.json": "555734c2bb06c4097efd6285f344cac6849349048458b4b8324789fd4a689704",
-            "steady_rho.csv": "e254271995a02e59754e8d1309f7f9db118839b4ebb9721fb173fd2a0d54dc4c",
+            "steady_peaks.csv": "0c849f25ad9cb199f7092eb9b5e9a832cc430dcbdaa54cf9b189eae2233d0868",
+            "steady_peaks.json": "fddf4d565fc9c5db142da87ac6f4fee0426cd65496f012024f073121226e36d0",
+            "steady_rho.csv": "c55dedf80e33c54dfbea378d3a27b338109901da97e3abd85595bb4b7259ddfb",
         },
     ),
     # the full N = 21 chain's generator: 441 x 441, 99 % exact zeros
@@ -456,47 +462,47 @@ GOLDEN = {
         {
             "steady_generator.csv":
                 "1b7b73156cc11fafa218a57457ed27e513ce403b1b1672be5c782c8fed9ebbaf",
-            "steady_peaks.csv": "1c978c0c2e55b2cd1a6e535864a4058a0ae55a2608e39264b3780e2d6e696252",
-            "steady_rho.csv": "faefd1393585ddcb4da890fd38f5d19b628714b26e1fdb3dff522cfb6a543bf1",
+            "steady_peaks.csv": "81fd9f41376f981ee2b728f3c1beb653cac4e1946acab5eedf499109ea26c1aa",
+            "steady_rho.csv": "2e5352caa801be0cd407d84ed516f3d85de1a705e8a38ed8b449e1b854b75443",
         },
     ),
     "sweep-detuning-readme": (
         "sweep-detuning --n-levels 5 --start-mhz -2 --stop-mhz 2 --count 41",
         None,
         "f6bf4a0ab3f1d1d0",
-        {"sweep_detuning.csv": "bcadf1e85923b6d38db657020555783b524887d5b5131b30ccd4ea7cf887168e"},
+        {"sweep_detuning.csv": "c4c0c15ebde4b336713a703e6f249a8c171e54b4a9c5dda62dad4d752662c981"},
     ),
     "sweep-detuning-config": (
         "sweep-detuning",
         "start_mhz = -1\nstop_mhz = 1.0\ncount = 7\nspacing = linear\nn_levels = 7\n",
         "6864a6326f77e71f",
-        {"sweep_detuning.csv": "181a4d10413a4c3497b62493a04569d8f8acb3dc56ad90789215c0c5d96e5f59"},
+        {"sweep_detuning.csv": "ee6ceef373d6ca6b8cbec3e6ad6776b4765feea23ff9c5a4e8e21426b86064d2"},
     ),
     "sweep-rabi-readme": (
         "sweep-rabi --n-levels 7 --omega-min 1e-4 --omega-max 5e-2 --count 201 "
         "--gamma-prime-mhz 0.02",
         None,
         "e8dba1a8b202d6f9",
-        {"sweep_rabi.csv": "87174a6b104428178f408874bf8c8bac18f3eebfa69a991be99116c5bee98faf"},
+        {"sweep_rabi.csv": "b6abf8afa52ad5741b77886d1279e41ebbfe41b2ea73065984701b23d8fc41ed"},
     ),
     "sweep-rabi-defaults": (
         "sweep-rabi",
         None,
         "8ff0945a624553ad",
-        {"sweep_rabi.csv": "b3d80bb98eab19dec6eacdda60608ed56ca3e5deafc11ca0f009fc9b540a0ab5"},
+        {"sweep_rabi.csv": "97879b7f12b556960b27528ab17a4255c7279727c226a8d078db1d8bec4a8da6"},
     ),
     "rb85-readme": (
         "rb85 --with-truncated-13 --format both",
         None,
         "47019e97af788057",
         {
-            "rb85_peaks.csv": "f7e49db6cba375e90038b5dc7c0945c06ad27b5da23e9816ec4ee5706725d19f",
-            "rb85_peaks.json": "76c574f847bff53811fbf1797a0cbb3bfb328deb2532d166fc06be7cc44a7184",
-            "rb85_summary.json": "e3e55fe360c0dffe413545725ae4afced33fcc5d3278f4c8f07e93f067d0e13a",
+            "rb85_peaks.csv": "a89e20e2166fe72dbd353a733e897c776be78c85da0e1904434dde89d4a2e073",
+            "rb85_peaks.json": "6529d688624f6ae858edab22fc3ebddcd03955bf57330994d04d20cb0db19b6a",
+            "rb85_summary.json": "6fedb146686434bf6b600db2d9629d249955ca0e25bb9aac14d0349799ba3960",
             "rb85_truncated13_peaks.csv":
-                "30d08d97383c68e64e40955c98e63e2e26fbf6a166a2feefa381bb5450f39fe0",
+                "4e37b8176039ebd110f99eab5ac1ace71f5743db479bfed2b2f97e18b241246d",
             "rb85_truncated13_peaks.json":
-                "f062a42ec2d165bb828fce57c5704d36ffa19cf512f61a1768335cdc595ee6b2",
+                "fea6d7602f58cc007d376fa34578837fe868de73d4c295dad5081f1f1cc20293",
         },
     ),
     # a config rabi_mhz wins over a config rabi_fraction ...
@@ -505,7 +511,7 @@ GOLDEN = {
         _RB85_BOTH_RABI_KEYS,
         "048bd1b538f87027",
         {
-            "rb85_peaks.csv": "c4ecbbb22a2e53dcedd8f2ba0117c2c6929759c4203ff8378a61e8bb3aeeb9f1",
+            "rb85_peaks.csv": "987f665bc4526cf154fb5e3b9c8982c1a4e8816abc0c4c3132103f7f0bf8fabc",
             "rb85_summary.json": "9d9316bf9c84f34dfc3ed2ef461968d072951708e191a6f701db5f4630350f7a",
         },
     ),
@@ -515,8 +521,8 @@ GOLDEN = {
         _RB85_BOTH_RABI_KEYS,
         "080c37fbbd698e07",
         {
-            "rb85_peaks.csv": "45783dbd7efb8c2347d70ea2c3326ab3340075bc207d8727fbaa31ad74435c4a",
-            "rb85_summary.json": "cc1a454317fe0941febfb063ac1b17de0a555d2d38e0d6dd944b94925f1c74d1",
+            "rb85_peaks.csv": "7a2781a87b26fd2a490c85fa0e2ee4c4115ba96dc50551db42f6e7f2dcc7f316",
+            "rb85_summary.json": "1e002f749eb4b1a7b455bc6208479e2765fa2f62a134757b052e718574cb8756",
         },
     ),
     "rb85-pi-branch": (
@@ -524,7 +530,7 @@ GOLDEN = {
         None,
         "7d0120e330e21b60",
         {
-            "rb85_peaks.csv": "c7a92a65a464b2482f3d8e95fd365feceeb40501221dc0d42eb1b4d2c0841181",
+            "rb85_peaks.csv": "566dfcc47cc6937a1a7a1b4abd510c8ee4592c34e2d2f6673af8e7f15c840f84",
             "rb85_summary.json": "e4b04fa7095f633249a11d695789b78ff09f86761f4d0a537ef42f31493538eb",
         },
     ),

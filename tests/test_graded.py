@@ -1,5 +1,9 @@
 """Block elimination over coherence orders against the dense bordered solve it replaced
-for generators of GRADED_MIN_STATES or more states."""
+for generators with two or more coherence orders beyond 0, and against the same
+bordered solve in 40-digit arithmetic."""
+import re
+from math import isqrt
+
 import numpy as np
 import pytest
 
@@ -8,21 +12,19 @@ from clams import rb85
 from clams.effective import build_effective_generator
 from clams.level_system import SystemParams, ground_indices, raman_detunings
 from clams.liouvillian import (
-    GRADED_MIN_STATES,
     CouplingGraph,
     DegenerateSteadyStateError,
     SteadyStateError,
     _coherence_levels,
-    _pairs,
     affine_steady_states,
     build_generator,
     cascaded_lambda_graph,
     steady_states,
 )
-from clams.spectrum import peak_weights
+from clams.spectrum import peak_weights, weight_ratios
 from clams.units import mhz_to_angular
 from conftest import chain_params, random_graph
-from oracles import dense_bordered_steady_states
+from oracles import dense_bordered_steady_states, mpmath_bordered_steady_state
 
 GRADED_RTOL = 1e-12
 
@@ -33,14 +35,14 @@ def dense(stack):
 
 
 def no_dense_solve(solve, on_call=None):
-    """A spy on the block solve ``solve`` that fails when it is called with one level,
+    """A spy on the block solve ``solve`` that fails when it is called with one block,
     which is the dense LU, and otherwise hands ``on_call`` its arguments first."""
-    def spy(block, levels, matvec, fro, lio=None):
-        if len(levels) == 1:
+    def spy(block, grading, matvec, fro, lio=None):
+        if grading.far is None:
             raise AssertionError("the dense solve ran")
         if on_call is not None:
-            on_call(block, levels, fro)
-        return solve(block, levels, matvec, fro, lio)
+            on_call(grading, fro)
+        return solve(block, grading, matvec, fro, lio)
 
     return spy
 
@@ -106,13 +108,41 @@ def assert_close(got, want, ground):
     assert (np.abs(pg - pw) <= GRADED_RTOL * np.abs(pw)).all(), np.abs(pg / pw - 1).max()
 
 
-@pytest.mark.parametrize("n_levels", range(9, 22, 2))
+@pytest.mark.parametrize("n_levels", range(3, 22, 2))
 def test_chains_with_random_detunings_match_the_dense_solve(n_levels):
     rng = np.random.default_rng(n_levels)
     p = readme_chain(n_levels, tuple(mhz_to_angular(rng.uniform(-1.0, 1.0, n_levels - 1))))
     lio = build_generator(cascaded_lambda_graph(p)).matrix
-    got = graded(lio) if n_levels >= GRADED_MIN_STATES else steady_states(lio[None])[0]
-    assert_close(got, dense(lio)[0], ground_indices(n_levels))
+    assert_close(graded(lio), dense(lio)[0], ground_indices(n_levels))
+
+
+@pytest.mark.parametrize("n_levels", range(5, 22, 2))
+def test_reduced_models_match_the_dense_solve(n_levels):
+    """Reduced models of 3 or more ground states have two or more orders beyond 0."""
+    rng = np.random.default_rng(100 + n_levels)
+    p = readme_chain(n_levels, tuple(mhz_to_angular(rng.uniform(-1.0, 1.0, n_levels - 1))))
+    lio = build_effective_generator(n_levels, p.hopping_rate, p.gamma_prime, p.detunings).matrix
+    assert_close(graded(lio), dense(lio)[0], np.arange(p.n_ground))
+
+
+@pytest.mark.parametrize("rabi_over_gamma", [1e-4, 1.9e-4, 1e-2])
+@pytest.mark.parametrize("n_levels", [3, 5, 7, 9])
+def test_far_harmonics_match_the_40_digit_solve(n_levels, rabi_over_gamma):
+    """Every height ratio of a chain at the CLI's default rates, and the fundamental
+    weight of N = 3, within 1e-14 of the same bordered system solved in 40 digits.
+    The dense LU's normwise error leaves the far harmonics 3e-13 to 8e-13 off at
+    Omega/Gamma = 1.9e-4, where the weights span 30 decades at N = 9."""
+    pytest.importorskip("mpmath")
+    gamma = mhz_to_angular(rb85.DEFAULT_GAMMA_MHZ)
+    p = chain_params(n_levels, rabi_over_gamma * gamma, gamma,
+                     mhz_to_angular(rb85.DEFAULT_GAMMA_PRIME_MHZ),
+                     delta_omega_s=mhz_to_angular(rb85.DEFAULT_SPLITTING_MHZ))
+    lio = build_generator(cascaded_lambda_graph(p)).matrix
+    ground = np.ix_(ground_indices(n_levels), ground_indices(n_levels))
+    got = weight_ratios(peak_weights(steady_states(lio[None])[0][ground]))
+    want = weight_ratios(peak_weights(mpmath_bordered_steady_state(lio)[ground]))
+    checked = slice(None) if n_levels == 3 else slice(1, None)
+    assert np.abs(got[checked] / want[checked] - 1.0).max() <= 1e-14
 
 
 @pytest.mark.parametrize("model", ["readme", "pi-branch", "truncated-13"])
@@ -135,28 +165,92 @@ def test_tridiagonal_hamiltonians_with_arbitrary_decays_match_the_dense_solve():
 
 def test_two_component_graph_matches_the_dense_solve():
     lio = build_generator(tridiagonal_graph(np.random.default_rng(42), 12, split=5)).matrix
-    levels = _coherence_levels(lio)
-    assert len(levels) == 7  # the longer chain, 7 states, sets the outermost order 6
+    assert len(_coherence_levels(lio).rows) == 7  # the longer chain, 7 states, sets the outermost order 6
     assert_close(graded(lio), dense(lio)[0], np.arange(12))
 
 
 def test_single_block_inputs_keep_the_dense_bits():
+    """Generators with at most one coherence order beyond 0 keep the dense LU, bit for
+    bit: the 200 criterion-09 graphs, whose dense H joins every pair of states (each
+    component of the state graph is a clique), two of them side by side, reduced
+    models of 2 ground states, and undriven chains, whose states are all order 0."""
     rng = np.random.default_rng(2026)  # the draw sequence of criterion 09
-    gens = []
+    graphs = []
     for _ in range(200):
-        g = random_graph(rng)
-        rng.normal(size=(g.n_states,) * 2), rng.normal(size=(g.n_states,) * 2)
-        gens.append(build_generator(g).matrix)
+        graphs.append(random_graph(rng))
+        rng.normal(size=(graphs[-1].n_states,) * 2), rng.normal(size=(graphs[-1].n_states,) * 2)
+    gens = [build_generator(g).matrix for g in graphs]
+    a, b = graphs[0], graphs[1]
+    h = np.zeros((a.n_states + b.n_states,) * 2, dtype=complex)
+    h[: a.n_states, : a.n_states], h[a.n_states :, a.n_states :] = a.hamiltonian, b.hamiltonian
+    decays = a.population_decays + tuple((s + a.n_states, t + a.n_states, r)
+                                         for s, t, r in b.population_decays)
+    gens.append(build_generator(CouplingGraph(len(h), h, ((0, a.n_states, 1.0), *decays))).matrix)
     rng = np.random.default_rng(43)
-    for n in (3, 5, 7):
+    for n in (3, 5, 7, 13):
         p = readme_chain(n, tuple(mhz_to_angular(rng.uniform(-1.0, 1.0, n - 1))))
-        gens.append(build_generator(cascaded_lambda_graph(p)).matrix)
-    for n in range(3, 2 * GRADED_MIN_STATES - 2, 2):  # reduced models of up to 9 states
-        p = readme_chain(n, tuple(mhz_to_angular(rng.uniform(-1.0, 1.0, n - 1))))
-        gens.append(build_effective_generator(n, p.hopping_rate, p.gamma_prime, p.detunings).matrix)
+        if n == 3:
+            gens.append(build_effective_generator(n, p.hopping_rate, p.gamma_prime, p.detunings).matrix)
+        gens.append(build_generator(cascaded_lambda_graph(chain_params(
+            n, 0.0, p.gamma, p.gamma_prime, p.detunings))).matrix)
     for lio in gens:
         assert _coherence_levels(lio) is None
         assert np.array_equal(steady_states(lio[None]), dense(lio))
+
+
+def beyond_order_0(lio):
+    """(d, d) mask of the entries rho_ab of coherence order other than 0: those placed
+    after the orders 0 (as many as the rows of the last row block) by the grading."""
+    grading = _coherence_levels(lio)
+    d = isqrt(lio.shape[0])
+    return (grading.unsort >= grading.rows[-1][2]).reshape(d, d).T  # vec index i + j*d
+
+
+@pytest.mark.parametrize("model", ["chain", "rb85", "pi-branch", "reduced"])
+def test_graded_states_are_hermitian_beyond_order_0_bit_for_bit(model):
+    """The solution of order -q is written as the conjugate of that of +q: rho_ba is
+    conj(rho_ab) bit for bit wherever phi(a) != phi(b)."""
+    rng = np.random.default_rng(44)
+    p = readme_chain(13, tuple(mhz_to_angular(rng.uniform(-1.0, 1.0, 12))))
+    lio = {
+        "chain": lambda: build_generator(cascaded_lambda_graph(p)).matrix,
+        "rb85": rb85_generator,
+        "pi-branch": lambda: rb85_generator("pi", 3.0),
+        "reduced": lambda: build_effective_generator(13, p.hopping_rate, p.gamma_prime,
+                                                     p.detunings).matrix,
+    }[model]()
+    beyond, rho = beyond_order_0(lio), graded(lio)
+    assert beyond.any() and not beyond.all()
+    assert np.array_equal(rho.T[beyond], rho.conj()[beyond])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("change", [1e-14, 1e-9, 1e-3, 1.0])
+def test_generator_that_does_not_preserve_hermiticity_takes_the_dense_solve(change):
+    """One entry of order -q changed alone, by a relative ``change``, so that L does
+    not map Hermitian matrices to Hermitian ones: block elimination reads only side
+    +q and would return the mirror of a state of another L.  The grading check
+    rejects it, so the single and the affine solve give the dense solve's bits or
+    raise its error."""
+    base, slope, xs = detuning_family(13)
+    grading = _coherence_levels(base)
+    minus = np.flatnonzero(grading.unsort >= (base.shape[0] + grading.rows[-1][2]) // 2)
+    for entry in ((minus[0], minus[0]), (minus[-1], minus[-1]), (minus[3], minus[3])):
+        changed = base.copy()
+        changed[entry] += change * changed[entry]
+        assert _coherence_levels(changed) is None
+        xs_few = xs[::8]
+        for solve, args, stack in (
+            (steady_states, (changed[None],), changed[None]),
+            (affine_steady_states, (changed, slope, xs_few), changed + xs_few[:, None, None] * slope),
+        ):
+            try:
+                want = dense(stack)
+            except (SteadyStateError, ValueError) as exc:
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    solve(*args)
+            else:
+                assert np.array_equal(solve(*args), want)
 
 
 def detuning_family(n_levels=13):
@@ -173,15 +267,15 @@ def test_affine_chunks_give_the_same_bits(monkeypatch):
     base, slope, xs = detuning_family()
     chunks = []
 
-    def count(block, levels, fro):
-        chunks.append((len(fro), sum(block(q, r)[0].nbytes for q, r in _pairs(levels))))
+    def count(grading, fro):
+        chunks.append((len(fro), 16 * grading.band.size))
 
     monkeypatch.setattr(clams.liouvillian, "_graded_states",
                         no_dense_solve(clams.liouvillian._graded_states, count))
     monkeypatch.setattr(clams.liouvillian, "STACK_BYTES", 2**40)
     whole = affine_steady_states(base, slope, xs)
     assert [k for k, _ in chunks] == [41]
-    per_point = chunks[0][1]  # bytes of the blocks of one generator
+    per_point = chunks[0][1]  # bytes of the band of one generator
     monkeypatch.setattr(clams.liouvillian, "STACK_BYTES", 3 * per_point)
     chunks.clear()
     chunked = affine_steady_states(base, slope, xs)
@@ -201,13 +295,14 @@ def raised(solve, *args):
 def test_non_finite_member_of_a_graded_stack_raises_the_dense_error():
     base, slope, xs = detuning_family()
     stack = base + xs[:3, None, None] * slope
-    stack[1, 5, 5] = np.inf  # on the diagonal, so the stack still grades
+    stack[1, 5, 5] = stack[1, 65, 65] = np.inf  # on the diagonal at rho_50 and its mirror
+    # rho_05 (vec indices 5 and 65), so the stack still grades
     assert _coherence_levels(stack) is not None
     error = raised(dense, stack)
     assert "non-finite" in error[1]
     assert raised(steady_states, stack) == error
     base = base.copy()
-    base[5, 5] = np.inf
+    base[5, 5] = base[65, 65] = np.inf
     assert raised(affine_steady_states, base, slope, xs[:3]) == error
 
 
@@ -226,12 +321,12 @@ def test_first_failing_member_raises_the_dense_error(at):
     """A failing member first, in the middle or last of a stack and of a sweep: the
     stacked and the affine solve raise the error of the dense solve, member split
     included.  The non-finite member of the README 13-level family is one with inf on
-    the diagonal, which keeps the stack graded, or the point x = inf of the sweep; the
-    degenerate member of the 4-level family is its point x = 0.  With both of these
-    in one sweep, the first of them raises."""
+    the diagonal at rho_50 and rho_05, which keeps the stack graded, or the point
+    x = inf of the sweep; the degenerate member of the 4-level family is its point
+    x = 0.  With both of these in one sweep, the first of them raises."""
     base, slope, xs = detuning_family()
     stack = base + xs[:3, None, None] * slope
-    stack[at, 5, 5] = np.inf
+    stack[at, 5, 5] = stack[at, 65, 65] = np.inf
     assert _coherence_levels(stack) is not None
     error = raised(dense, stack)
     assert "non-finite" in error[1]

@@ -9,6 +9,7 @@ from clams.cli import main
 from clams.effective import build_effective_generator, effective_steady_state
 from clams.level_system import SystemParams, ground_indices, raman_detunings
 from clams.liouvillian import (
+    _coherence_levels,
     affine_steady_states,
     build_generator,
     cascaded_lambda_graph,
@@ -122,9 +123,9 @@ def test_undriven_sweep_is_a_configuration_error(tmp_path, capsys):
 
 
 def readme_families():
-    """(base, slope, xs) of one-block sweeps like the README commands: the N = 5 and
-    N = 7 chains against the two-photon detuning, and the reduced N = 7 and N = 13
-    models against the hopping rate on the grid of the README drive sweep."""
+    """(base, slope, xs) of sweeps like the README commands: the N = 5 and N = 7
+    chains against the two-photon detuning, and the reduced N = 7 and N = 13 models
+    against the hopping rate on the grid of the README drive sweep."""
     for n in (5, 7):
         p = default_params(n)
         base = build_generator(cascaded_lambda_graph(p)).matrix  # zero detuning
@@ -143,7 +144,8 @@ def readme_families():
 def test_affine_states_equal_the_stacked_solve(monkeypatch, per_chunk):
     # base + x * slope is a random graph whose Hamiltonian moves along a random
     # Hermitian direction, or a README sweep; solved chunk by chunk, it must give
-    # the bits of one solve of the whole stack and of the dense bordered solve
+    # the bits of one solve of the whole stack, and those of the dense bordered solve
+    # where that is one block (the random graphs), else its numbers within SWEEP_RTOL
     rng = np.random.default_rng(33)
     families = []
     for size in (1, 2, 3, 5, 7, 8, 10, 11):  # with 3 per chunk, most end in a partial one
@@ -157,4 +159,8 @@ def test_affine_states_equal_the_stacked_solve(monkeypatch, per_chunk):
         got = affine_steady_states(base, slope, xs)
         stack = base + xs[:, None, None] * slope
         assert np.array_equal(got, steady_states(stack))
-        assert np.array_equal(got, dense_bordered_steady_states(stack))
+        want = dense_bordered_steady_states(stack)
+        if _coherence_levels(base, slope) is None:
+            assert np.array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= SWEEP_RTOL * np.abs(want).max()
