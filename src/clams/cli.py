@@ -28,8 +28,9 @@ produce byte-identical files for one numpy/BLAS build and BLAS thread count.  Co
 matrices are dumped with real and imaginary parts interleaved column-wise
 (re[i,0], im[i,0], re[i,1], ...).  Exit codes: 0 success, 1 solver failure,
 2 configuration error, a command line that argparse rejects included; errors are
-also emitted as one-line JSON on stderr.  ``main`` may be called repeatedly in one
-process; the parser is built once.
+also emitted as one-line JSON on stderr.  A command writes its files, and creates
+``--out``, only once every model it solves is solved, so one that fails writes
+nothing.  ``main`` may be called repeatedly in one process; the parser is built once.
 
 Sweeps build the generators of each model from two pieces, L(x) = A + x B
 (x is the drive, the two-photon detuning, or the reduced model's hopping rate),
@@ -298,10 +299,9 @@ def _peakset_payload(peaks: spectrum.PeakSet, threshold: float) -> dict:
     }
 
 
-def _write_peaks(
-    out: Path, stem: str, peaks: spectrum.PeakSet, fmt: str, threshold: float, digest: str
-) -> None:
+def _peak_files(stem: str, peaks: spectrum.PeakSet, fmt: str, threshold: float) -> dict:
     """``<stem>_peaks.csv`` and/or ``<stem>_peaks.json``, as ``fmt`` says."""
+    files = {}
     if fmt in ("csv", "both"):
         fundamental = peaks.fundamental_weight
         rows = [
@@ -310,36 +310,29 @@ def _write_peaks(
             for p in peaks.peaks
         ]
         header = ["n", "frequency_mhz", "weight", "ratio_to_fundamental"]
-        write_csv(out / f"{stem}_peaks.csv", header, rows, digest)
+        files[f"{stem}_peaks.csv"] = (header, rows)
     if fmt in ("json", "both"):
-        write_json(out / f"{stem}_peaks.json", _peakset_payload(peaks, threshold))
+        files[f"{stem}_peaks.json"] = _peakset_payload(peaks, threshold)
+    return files
 
 
 def _fit_payload(fit: spectrum.LogLinearFit) -> dict:
     return {"slope": fit.slope, "intercept": fit.intercept, "r_squared": fit.r_squared}
 
 
-def _out_dir(s: dict[str, str | None]) -> Path:
-    out = Path(s["out"])
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory: {exc}") from None
-    return out
-
-
 # ---------------------------------------------------------------------------
 # subcommands: each takes the parsed ``args``, for its switches, and ``s``, the
-# text of its settings from ``_settings``
+# text of its settings from ``_settings``.  Each but selftest returns the settings
+# that the config hash covers and its output files, by name: a table (header, rows),
+# a complex matrix or a JSON payload, whose key ``config_hash``, if it has one,
+# ``main`` sets to the hash
 # ---------------------------------------------------------------------------
 
 
-def cmd_steady(args, s) -> int:
+def cmd_steady(args, s):
     params, used = _system(s)
     threshold = _as_float(s["threshold"], "threshold")
     used.update(threshold=_fmt(threshold), effective=str(args.effective))
-    digest = config_digest(used)
-    out = _out_dir(s)
 
     if args.effective:
         gen = effective.reduce(params)
@@ -347,11 +340,9 @@ def cmd_steady(args, s) -> int:
         peaks = spectrum.coherence_peaks(rho, params.delta_omega_s)
     else:
         gen, rho, peaks = _chain_peaks(cascaded_lambda_graph(params), params.delta_omega_s)
-    if args.dump_generator:
-        write_complex_matrix_csv(out / "steady_generator.csv", gen.matrix, digest)
-    write_complex_matrix_csv(out / "steady_rho.csv", rho.matrix, digest)
-    _write_peaks(out, "steady", peaks, s["format"], threshold, digest)
-    return 0
+    files = {"steady_generator.csv": gen.matrix} if args.dump_generator else {}
+    files["steady_rho.csv"] = rho.matrix
+    return used, files | _peak_files("steady", peaks, s["format"], threshold)
 
 
 def _chain_peaks(graph: CouplingGraph, delta_omega_s: float):
@@ -385,7 +376,7 @@ def _sweep_rows(params: SystemParams, chain_at, xs, reduced_at, js) -> list[list
         base = build(0.0)
         rho = affine_steady_states(base, build(1.0) - base, points)
         models.append(spectrum.weight_ratios(spectrum.peak_weights(rho[:, gidx][:, :, gidx])))
-    return np.stack(models, axis=-1).reshape(len(models[0]), -1).tolist()
+    return np.stack(models, axis=-1).reshape(len(models[0]), 2 * (params.n_ground - 1)).tolist()
 
 
 def _sweep_header(params: SystemParams) -> list[str]:
@@ -393,13 +384,11 @@ def _sweep_header(params: SystemParams) -> list[str]:
     return [f"{name}_{model}" for name in names for model in ("full", "eff")]
 
 
-def cmd_sweep_detuning(args, s) -> int:
+def cmd_sweep_detuning(args, s):
     params, used = _system(s)
     if None in (s["start_mhz"], s["stop_mhz"], s["count"]):
         raise ConfigError("sweep-detuning needs --start-mhz, --stop-mhz, and --count")
     grid = _make_grid(s, "start_mhz", "stop_mhz", used)
-    digest = config_digest(used)
-    out = _out_dir(s)
 
     def at(delta: float) -> SystemParams:
         return replace(params, detunings=raman_detunings(params.n_levels, delta))
@@ -411,16 +400,12 @@ def cmd_sweep_detuning(args, s) -> int:
         lambda x: _reduced_generator(at(x), params.hopping_rate), deltas,
     )
     rows = [[delta_mhz, *row] for delta_mhz, row in zip(grid, rows)]
-    header = ["delta_mhz", *_sweep_header(params)]
-    write_csv(out / "sweep_detuning.csv", header, rows, digest)
-    return 0
+    return used, {"sweep_detuning.csv": (["delta_mhz", *_sweep_header(params)], rows)}
 
 
-def cmd_sweep_rabi(args, s) -> int:
+def cmd_sweep_rabi(args, s):
     params, used = _system(s)
     grid = _make_grid(s, "omega_min", "omega_max", used)
-    digest = config_digest(used)
-    out = _out_dir(s)
 
     rabis = grid * params.gamma
     driven = rabis[rabis != 0.0]
@@ -438,11 +423,10 @@ def cmd_sweep_rabi(args, s) -> int:
             jrel = rabi**2 / params.gamma / params.gamma_prime
             rows.append([frac, jrel, *next(solved)[2:], "ok"])
     header = ["omega_over_gamma", "j_hop_over_gamma_prime", *_sweep_header(params)[2:], "flag"]
-    write_csv(out / "sweep_rabi.csv", header, rows, digest)
-    return 0
+    return used, {"sweep_rabi.csv": (header, rows)}
 
 
-def cmd_rb85(args, s) -> int:
+def cmd_rb85(args, s):
     mhz: dict[str, float] = {}
     for key in ("gamma_mhz", "gamma_prime_mhz", "splitting_mhz", "excited_splitting_mhz",
                 "delta_omega_s_mhz", "line_detuning_mhz"):
@@ -457,8 +441,6 @@ def cmd_rb85(args, s) -> int:
     threshold = _as_float(s["threshold"], "threshold")
     used = {key: _fmt(value) for key, value in mhz.items()}
     used.update(offset_branch=s["offset_branch"], threshold=_fmt(threshold))
-    digest = config_digest(used)
-    out = _out_dir(s)
 
     gamma, gamma_prime, splitting, excited_splitting, dws, line_detuning, rabi = (
         mhz_to_angular(value) for value in mhz.values()
@@ -476,11 +458,10 @@ def cmd_rb85(args, s) -> int:
     )
     rho = steady_state(build_generator(graph))
     peaks = spectrum.coherence_peaks(rb85.ground_block(rho), dws, labels=rb85.GROUND_M)
-
-    _write_peaks(out, "rb85", peaks, s["format"], threshold, digest)
+    files = _peak_files("rb85", peaks, s["format"], threshold)
 
     summary: dict = {
-        "config_hash": digest,
+        "config_hash": None,
         "j_hop_khz": 1e3 * angular_to_mhz(rabi**2 / gamma),
         "visible_peaks": len(spectrum.visible_peaks(peaks, threshold)),
         "threshold": threshold,
@@ -500,7 +481,7 @@ def cmd_rb85(args, s) -> int:
             delta_omega_s=dws,
         )
         _, _, peaks13 = _chain_peaks(rb85.build_truncated_13(params13), dws)
-        _write_peaks(out, "rb85_truncated13", peaks13, s["format"], threshold, digest)
+        files |= _peak_files("rb85_truncated13", peaks13, s["format"], threshold)
         if peaks13.fundamental_weight > 0 and peaks.fundamental_weight > 0:
             fit13 = spectrum.loglinear_fit(peaks13)
             summary["truncated13_fit"] = _fit_payload(fit13)
@@ -509,14 +490,11 @@ def cmd_rb85(args, s) -> int:
                 if summary["full_model_fit"]["slope"] < fit13.slope
                 else "13-level chain falls faster than the full model"
             )
-    write_json(out / "rb85_summary.json", summary)
-    return 0
+    return used, files | {"rb85_summary.json": summary}
 
 
-def cmd_rates(args, s) -> int:
+def cmd_rates(args, s):
     params, used = _system(s)
-    digest = config_digest(used)
-    out = _out_dir(s)
     resonant_params = replace(params, detunings=(0.0,) * (params.n_levels - 1))
     rows = []
     detuned_input = any(d != 0.0 for d in params.detunings)
@@ -538,13 +516,8 @@ def cmd_rates(args, s) -> int:
                 mode,
             ]
         )
-    write_csv(
-        out / "rates.csv",
-        ["n", "order", "amplitude", "ratio", "resonance_frequency_mhz", "resonant", "mode"],
-        rows,
-        digest,
-    )
-    return 0
+    header = ["n", "order", "amplitude", "ratio", "resonance_frequency_mhz", "resonant", "mode"]
+    return used, {"rates.csv": (header, rows)}
 
 
 def cmd_selftest(args, s) -> int:
@@ -676,13 +649,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; every output file is written here, once it has all been computed."""
     try:
         args = build_parser().parse_args(argv)
         cfg = parse_config_file(args.config) if args.config else {}
-        return args.func(args, _settings(args, cfg))
-    except (ValueError, SteadyStateError, PropagationError) as exc:  # ConfigError is a ValueError
+        s = _settings(args, cfg)
+        if args.command == "selftest":
+            return cmd_selftest(args, s)
+        used, files = args.func(args, s)
+        digest, out = config_digest(used), Path(s["out"])
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory: {exc}") from None
+        for name, data in files.items():
+            if isinstance(data, tuple):
+                write_csv(out / name, *data, digest)
+            elif isinstance(data, np.ndarray):
+                write_complex_matrix_csv(out / name, data, digest)
+            else:
+                write_json(out / name, data | {"config_hash": digest} if "config_hash" in data else data)
+        return 0
+    # ConfigError is a ValueError; an OverflowError is a setting too large for a float power
+    except (ValueError, OverflowError, SteadyStateError, PropagationError) as exc:
         print(json.dumps({"error": str(exc), "type": type(exc).__name__}), file=sys.stderr)
-        return 2 if isinstance(exc, ValueError) else 1
+        return 1 if isinstance(exc, (SteadyStateError, PropagationError)) else 2
 
 
 if __name__ == "__main__":

@@ -460,10 +460,10 @@ def affine_steady_states(base: np.ndarray, slope: np.ndarray, xs) -> np.ndarray:
     out = np.empty((xs.size, *(isqrt(n),) * 2), dtype=complex)
     for start in range(0, xs.size, per):
         x = xs[start : start + per, None]
+        lnz = iadd(x * slope_nz, base_nz)
         rho = _graded_states(  # the band and the nonzeros of each L: the bits of base + x * slope
             lambda a, b: iadd(x * slope_band[a:b], base_band[a:b]), grading,
-            lambda v: np.add.reduceat(imul(v[:, cols], iadd(x * slope_nz, base_nz)), heads, axis=1),
-            _frobenius(iadd(x * slope_nz, base_nz)),
+            lambda v: np.add.reduceat(imul(v[:, cols], lnz), heads, axis=1), _frobenius(lnz),
         )
         out[start : start + per] = steady_states(base + x[..., None] * slope) if rho is None else rho
     return out

@@ -4,9 +4,10 @@ import json
 import numpy as np
 import pytest
 
+from clams import cli, liouvillian
 from clams.cli import _PARAMS, ConfigError, main, parse_config_file, write_complex_matrix_csv
 from clams.effective import reduce
-from clams.liouvillian import build_generator, cascaded_lambda_graph, steady_states
+from clams.liouvillian import SteadyStateError, build_generator, cascaded_lambda_graph, steady_states
 from clams.units import mhz_to_angular
 from conftest import chain_params, rb85_graph, run_python
 from oracles import per_value_matrix_csv
@@ -296,6 +297,17 @@ def test_sweep_rabi_flags_zero_drive(tmp_path):
     assert rows[0][header.index("flag")] == "zero-fundamental"
     assert rows[0][header.index("h21_full")] == "nan"
     assert all(r[header.index("flag")] == "ok" for r in rows[1:])
+
+
+def test_sweep_rabi_with_no_driven_point_flags_every_row(tmp_path):
+    code = run_cli(
+        "sweep-rabi", "--n-levels", "5", "--spacing", "linear", "--omega-min", "0",
+        "--omega-max", "0", "--count", "2", "--out", str(tmp_path),
+    )
+    assert code == 0
+    header, rows = read_csv(tmp_path / "sweep_rabi.csv")
+    assert len(rows) == 2 and all(len(row) == len(header) for row in rows)
+    assert all(row[header.index("flag")] == "zero-fundamental" for row in rows)
 
 
 def test_sweep_rabi_log_rejects_zero_endpoint(tmp_path, capsys):
@@ -700,6 +712,50 @@ def test_out_naming_a_file_exits_2(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip())
     assert err["type"] == "ConfigError" and "taken" in err["error"]
     assert taken.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["steady", "--n-levels", "3", "--effective", "--rabi-mhz", "1e300"],
+    ["rates", "--n-levels", "3", "--rabi-mhz", "1e300"],
+    ["rates", "--n-levels", "3", "--detunings-mhz", "1e300,0"],
+], ids=["steady-effective", "rates-rabi", "rates-detuning"])
+@pytest.mark.filterwarnings("ignore:rabi/gamma")  # the reduced model's strong-drive warning
+def test_overflowing_setting_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert json.loads(line)["type"] == "OverflowError"
+    assert not out.exists()
+
+
+def test_residual_failure_exits_1_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(liouvillian, "RESIDUAL_RTOL", 0.0)
+    out = tmp_path / "out"
+    argv = ["--n-levels", "5", "--rabi-mhz", "15.2", "--gamma-mhz", "1900", "--gamma-prime-mhz", "0.2"]
+    assert run_cli("steady", *argv, "--out", str(out)) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    err = json.loads(line)
+    assert err["type"] == "SteadyStateError" and "exceeds" in err["error"]
+    assert not out.exists()
+
+
+def test_failing_second_model_writes_nothing(tmp_path, capsys, monkeypatch):
+    # the full rb85 model solves; the 13-level chain after it fails
+    solve = cli.steady_state
+
+    def fail_at_13(gen):
+        if gen.n_states == 13:
+            raise SteadyStateError("13-level chain failed")
+        return solve(gen)
+
+    monkeypatch.setattr(cli, "steady_state", fail_at_13)
+    out = tmp_path / "out"
+    assert run_cli("rb85", "--with-truncated-13", "--format", "both", "--out", str(out)) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {"error": "13-level chain failed", "type": "SteadyStateError"}
+    assert not out.exists()
 
 
 def test_unwritable_output_file_exits_2(tmp_path, capsys):

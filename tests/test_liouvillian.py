@@ -1,9 +1,11 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from clams import liouvillian
 from clams.effective import closed_form_coherences
 from clams.liouvillian import (
     CouplingGraph,
@@ -181,6 +183,40 @@ def test_affine_family_reports_the_null_dim_of_its_disconnected_member():
     with pytest.raises(DegenerateSteadyStateError) as err:
         affine_steady_states(base.matrix, slope.matrix, [0.5, 2.0, 0.0, 1.0])
     assert err.value.null_dim == 2
+
+
+def test_residual_over_the_bound_is_a_steady_state_error(monkeypatch):
+    # the README steady chain; with no residual allowed, its unique null vector fails
+    monkeypatch.setattr(liouvillian, "RESIDUAL_RTOL", 0.0)
+    params = chain_params(5, mhz_to_angular(15.2), mhz_to_angular(1900.0), mhz_to_angular(0.2))
+
+    def at(rabi):
+        return build_generator(cascaded_lambda_graph(replace(params, rabi=rabi))).matrix
+
+    base = at(0.0)
+    for solve in (lambda: steady_state(GeneratorMatrix(5, at(params.rabi))),
+                  lambda: affine_steady_states(base, at(1.0) - base, [params.rabi])):
+        with pytest.raises(SteadyStateError, match="steady-state residual .* exceeds") as err:
+            solve()
+        assert type(err.value) is SteadyStateError
+
+
+def ring_blocks_with_hamiltonian():
+    # two disconnected two-level blocks with a Hamiltonian: the LU is only nearly
+    # singular, so the solve returns a state and the residual check reaches the diagnosis
+    h = np.kron(np.eye(2), hermitian_random(np.random.default_rng(0), 2))
+    chans = ((1, 0, 1.0), (0, 1, 0.5), (3, 2, 1.0), (2, 3, 0.5))
+    return build_generator(CouplingGraph(4, h, chans)).matrix
+
+
+@pytest.mark.parametrize("lio, null_dim", [(ring_blocks_with_hamiltonian(), 2),
+                                           (np.zeros((4, 4), dtype=complex), 4)],
+                         ids=["two-blocks", "zero"])
+def test_diagnosis_reports_the_null_dim(monkeypatch, lio, null_dim):
+    monkeypatch.setattr(liouvillian, "RESIDUAL_RTOL", 0.0)
+    with pytest.raises(DegenerateSteadyStateError) as err:
+        steady_states(lio[None])
+    assert err.value.null_dim == null_dim
 
 
 def test_steady_states_leaves_the_stack_unchanged():
