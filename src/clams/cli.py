@@ -46,7 +46,9 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -234,20 +236,21 @@ def _fmt(value) -> str:
 
 
 def _write_text(path: Path, text: str) -> None:
-    """Every output file is written here; a path that cannot be written is a configuration error."""
+    """Every output file is written here; a path that cannot be written is a configuration error.
+    A file is overwritten from byte 0 and cut to length, not truncated first (ext4 writes back
+    a file truncated to zero at close); a failed write leaves the new head on the old tail."""
     try:
-        path.write_bytes(text.encode())
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+        with open(fd, "wb") as f:
+            f.write(text.encode())
+            f.truncate()
     except OSError as exc:
         raise ConfigError(f"cannot write output file: {exc}") from None
 
 
-def _write_lines(path: Path, header: list[str], lines, digest: str) -> None:
-    """The CSV layout: provenance comment, header row, ``lines`` (the matrix writer's too)."""
-    _write_text(path, "\n".join([f"# config-hash: {digest}", ",".join(header), *lines]) + "\n")
-
-
 def write_csv(path: Path, header: list[str], rows: list[list], digest: str) -> None:
-    _write_lines(path, header, (",".join(_fmt(v) for v in row) for row in rows), digest)
+    lines = (",".join(_fmt(v) for v in row) for row in rows)
+    _write_text(path, "\n".join([f"# config-hash: {digest}", ",".join(header), *lines]) + "\n")
 
 
 def write_json(path: Path, payload) -> None:
@@ -649,31 +652,38 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; every output file is written here, once it has all been computed."""
-    try:
-        args = build_parser().parse_args(argv)
-        cfg = parse_config_file(args.config) if args.config else {}
-        s = _settings(args, cfg)
-        if args.command == "selftest":
-            return cmd_selftest(args, s)
-        used, files = args.func(args, s)
-        digest, out = config_digest(used), Path(s["out"])
+    """Run one subcommand; every output file is written here, once it has all been computed.
+    Warnings pass the caller's filters and print as JSON lines, or in the error line if it fails."""
+    error = {}
+    with warnings.catch_warnings(record=True) as caught:
         try:
-            out.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"cannot create output directory: {exc}") from None
-        for name, data in files.items():
-            if isinstance(data, tuple):
-                write_csv(out / name, *data, digest)
-            elif isinstance(data, np.ndarray):
-                write_complex_matrix_csv(out / name, data, digest)
-            else:
-                write_json(out / name, data | {"config_hash": digest} if "config_hash" in data else data)
-        return 0
-    # ConfigError is a ValueError; an OverflowError is a setting too large for a float power
-    except (ValueError, OverflowError, SteadyStateError, PropagationError) as exc:
-        print(json.dumps({"error": str(exc), "type": type(exc).__name__}), file=sys.stderr)
-        return 1 if isinstance(exc, (SteadyStateError, PropagationError)) else 2
+            args = build_parser().parse_args(argv)
+            cfg = parse_config_file(args.config) if args.config else {}
+            s = _settings(args, cfg)
+            if args.command == "selftest":
+                return cmd_selftest(args, s)
+            used, files = args.func(args, s)
+            digest, out = config_digest(used), Path(s["out"])
+            try:
+                out.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"cannot create output directory: {exc}") from None
+            for name, data in files.items():
+                if isinstance(data, tuple):
+                    write_csv(out / name, *data, digest)
+                elif isinstance(data, np.ndarray):
+                    write_complex_matrix_csv(out / name, data, digest)
+                else:
+                    write_json(out / name, data | {"config_hash": digest} if "config_hash" in data else data)
+            return 0
+        # ConfigError is a ValueError; an OverflowError is a setting too large for a float power
+        except (ValueError, OverflowError, SteadyStateError, PropagationError) as exc:
+            error = {"error": str(exc), "type": type(exc).__name__}
+            return 1 if isinstance(exc, (SteadyStateError, PropagationError)) else 2
+        finally:
+            warned = [{"warning": str(w.message), "type": w.category.__name__} for w in caught]
+            for line in ([error | {"warnings": warned} if warned else error] if error else warned):
+                print(json.dumps(line), file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -422,7 +422,12 @@ def _checked(v: np.ndarray, matvec, fro: np.ndarray, lio: np.ndarray | None = No
     ok = finite & (residual <= RESIDUAL_RTOL)
     ok &= np.abs(rho - rho_h).max(axis=(1, 2)) <= HERMITICITY_ATOL
     ok &= np.abs(v[:, :: d + 1].sum(axis=1) - 1.0) <= TRACE_ATOL
-    ok &= np.linalg.eigvalsh(0.5 * (rho + rho_h)).min(axis=1) >= EIGENVALUE_FLOOR
+    herm = 0.5 * (rho + rho_h)
+    try:  # herm - (floor / 2) I all positive definite: every lambda_min clears the (negative) floor
+        if not np.isfinite(np.linalg.cholesky(herm - EIGENVALUE_FLOOR / 2 * np.eye(d))).all():
+            raise np.linalg.LinAlgError  # a factor of NaN or inf certifies nothing
+    except np.linalg.LinAlgError:
+        ok &= np.linalg.eigvalsh(herm).min(axis=1) >= EIGENVALUE_FLOOR
     if lio is None and not ok.all():
         return None
     for i in np.flatnonzero(~ok):

@@ -769,6 +769,75 @@ def test_unwritable_output_file_exits_2(tmp_path, capsys):
     assert err["error"].startswith("cannot write output file") and "steady_rho.csv" in err["error"]
 
 
+def test_warnings_are_one_json_line_each(tmp_path, capsys):
+    argv = ["steady", "--n-levels", "3", "--effective", "--rabi-mhz", "200", "--out", str(tmp_path)]
+    for _ in range(2):  # recorded again by a second call in the same process
+        assert run_cli(*argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert json.loads(line) == {
+            "warning": "rabi/gamma = 0.105 > 0.05; the reduced description degrades at strong driving",
+            "type": "UserWarning",
+        }
+
+
+def test_warnings_join_the_one_line_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["steady", "--n-levels", "3", "--effective", "--rabi-mhz", "1e300", "--out", str(out)]
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    err = json.loads(line)
+    assert err["type"] == "OverflowError"
+    (warning,) = err["warnings"]
+    assert warning["type"] == "UserWarning"
+    assert warning["warning"].startswith("rabi/gamma = 5.26e+296 > 0.05")
+    assert not out.exists()
+
+
+# A longer and a shorter run of each command, by the size of the files they write.
+REWRITES = {
+    "steady": (["steady", "--n-levels", "21", "--dump-generator", "--format", "both"],
+               ["steady", "--n-levels", "3", "--dump-generator", "--format", "both"]),
+    "rb85": (["rb85", "--with-truncated-13", "--format", "both"],
+             ["rb85", "--with-truncated-13", "--format", "both", "--rabi-fraction", "0"]),
+    "sweep-rabi": (["sweep-rabi", "--count", "201"], ["sweep-rabi", "--count", "5"]),
+}
+
+
+def _written(out):
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("name", REWRITES)
+def test_junk_under_every_output_name_is_overwritten(tmp_path, name):
+    argv = REWRITES[name][0]
+    assert run_cli(*argv, "--out", str(tmp_path / "fresh")) == 0
+    fresh = _written(tmp_path / "fresh")
+    reused = tmp_path / "reused"
+    reused.mkdir()
+    for file_name in fresh:
+        (reused / file_name).write_bytes(b"junk\n" * (2 * 2**20 // 5))  # 2 MB
+    assert run_cli(*argv, "--out", str(reused)) == 0
+    assert _written(reused) == fresh
+
+
+@pytest.mark.parametrize("name", REWRITES)
+def test_shorter_run_over_a_longer_one_leaves_no_tail(tmp_path, name):
+    longer, shorter = REWRITES[name]
+    assert run_cli(*shorter, "--out", str(tmp_path / "fresh")) == 0
+    fresh = _written(tmp_path / "fresh")
+    reused = tmp_path / "reused"
+    assert run_cli(*longer, "--out", str(reused)) == 0
+    old = _written(reused)
+    assert run_cli(*shorter, "--out", str(reused)) == 0
+    assert all(len(fresh[file_name]) < len(old[file_name]) for file_name in fresh)
+    got = _written(reused)
+    assert {file_name: got[file_name] for file_name in fresh} == fresh
+
+
 # Every setting of a subcommand, written as str() of its parsed value, so that its text
 # and therefore the config hash do not depend on whether a flag or the file gave it.
 _CHAIN = {"n_levels": "5", "rabi_mhz": "15.3", "gamma_mhz": "1850.0",

@@ -429,6 +429,67 @@ def test_density_matrix_validate_rejects_bad_states():
         DensityMatrix(np.diag([1.2, -0.2]).astype(complex)).validate()
 
 
+# lambda_min on both sides of EIGENVALUE_FLOOR = -1e-10 and of the Cholesky shift -5e-11
+LAMBDA_MINS = (-1e-9, -1.0001e-10, -0.9999e-10, -6e-11, -4e-11, 0.0, 1e-3)
+
+
+def state_with_lambda_min(rng, d, lam_min):
+    """An exactly Hermitian, unit-trace d x d state with lowest eigenvalue ``lam_min``."""
+    u = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+    rest = rng.uniform(0.5, 1.0, d - 1)
+    lam = np.append(lam_min, (1.0 - lam_min) * rest / rest.sum())
+    m = (u * lam) @ u.conj().T
+    return 0.5 * (m + m.conj().T)
+
+
+def check_positivity(states, with_lio):
+    """``_checked`` on ``states`` with a zero residual, and what the eigvalsh oracle expects."""
+    k, d, _ = states.shape
+    expect = np.linalg.eigvalsh(states).min(axis=1) >= liouvillian.EIGENVALUE_FLOOR
+    v = states.transpose(0, 2, 1).reshape(k, d * d).copy()  # column stacking
+    lio = np.zeros((k, d * d, d * d), dtype=complex) if with_lio else None
+    args = (v, np.zeros_like, np.ones(k), lio)
+    if expect.all():
+        np.testing.assert_array_equal(liouvillian._checked(*args), states)
+    elif with_lio:
+        with pytest.raises(ValueError, match="eigenvalue"):
+            liouvillian._checked(*args)
+    else:
+        assert liouvillian._checked(*args) is None
+    return expect
+
+
+@pytest.mark.parametrize("with_lio", [False, True], ids=["no-lio", "lio"])
+@pytest.mark.parametrize("d", [3, 7])
+def test_positivity_decision_matches_eigvalsh(d, with_lio):
+    rng = np.random.default_rng(d)
+    states = np.stack([state_with_lambda_min(rng, d, lam) for lam in LAMBDA_MINS])
+    decided = np.concatenate([check_positivity(rho[None], with_lio) for rho in states])
+    np.testing.assert_array_equal(decided, np.array(LAMBDA_MINS) >= -1e-10)
+    check_positivity(states, with_lio)  # mixed stacks, in both orders
+    check_positivity(states[::-1], with_lio)
+    check_positivity(states[decided], with_lio)  # all pass; some fail the Cholesky
+
+
+def test_positivity_of_clear_states_needs_no_eigenvalues(monkeypatch):
+    rng = np.random.default_rng(0)
+    states = np.stack([state_with_lambda_min(rng, 5, lam) for lam in (-4e-11, 0.0, 1e-3)])
+
+    def no_eigvalsh(*args, **kwargs):
+        raise AssertionError("the Cholesky factor certifies these states")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+    v = states.transpose(0, 2, 1).reshape(3, 25).copy()
+    np.testing.assert_array_equal(liouvillian._checked(v, np.zeros_like, np.ones(3)), states)
+
+
+def test_positivity_of_an_overflowing_state_is_not_certified():
+    # finite entries whose Hermitian part overflows: a factor of NaN, not a LinAlgError
+    rho = np.array([[0.5, 1e308], [1e308, 0.5]], dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert liouvillian._checked(rho.T.reshape(1, 4).copy(), np.zeros_like, np.ones(1)) is None
+
+
 def test_generator_matrix_dim():
     gen = build_generator(pure_decay_graph())
     assert gen.dim == 4
