@@ -37,7 +37,9 @@ Sweeps build the generators of each model from two pieces, L(x) = A + x B
 and solve them batched, in chunks of points, by block elimination over
 coherence orders: models with two or more orders beyond 0 take only the blocks
 of the orders 0 and +q next to the diagonal of each L (the orders -q are their
-conjugate mirror), and any other model is one block, one dense LU each.  The
+conjugate mirror), and any other model is one block, one dense LU each.  Each
+point is checked by its residual ||L v|| / (||L||_F ||v||), of graded models from
+the rows of the orders 0 and +q alone (the rows -q are their conjugates).  The
 peak weights of all points are taken at once.  ``--parallel`` is ignored.
 """
 from __future__ import annotations
@@ -249,7 +251,9 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def write_csv(path: Path, header: list[str], rows: list[list], digest: str) -> None:
-    lines = (",".join(_fmt(v) for v in row) for row in rows)
+    """Each line is one ``%`` of a format built from its values' types by ``_fmt``'s rule."""
+    lines = ((",".join([_FLOAT_FORMAT if isinstance(v, (float, np.floating)) else "%s" for v in row])
+              % tuple(row)) for row in rows)
     _write_text(path, "\n".join([f"# config-hash: {digest}", ",".join(header), *lines]) + "\n")
 
 
@@ -676,8 +680,9 @@ def main(argv=None) -> int:
                 else:
                     write_json(out / name, data | {"config_hash": digest} if "config_hash" in data else data)
             return 0
-        # ConfigError is a ValueError; an OverflowError is a setting too large for a float power
-        except (ValueError, OverflowError, SteadyStateError, PropagationError) as exc:
+        # ConfigError is a ValueError; an OverflowError is a setting too large for a float power;
+        # a Warning is one that the caller's filters turn into an error
+        except (ValueError, OverflowError, Warning, SteadyStateError, PropagationError) as exc:
             error = {"error": str(exc), "type": type(exc).__name__}
             return 1 if isinstance(exc, (SteadyStateError, PropagationError)) else 2
         finally:

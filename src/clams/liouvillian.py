@@ -143,7 +143,7 @@ class DensityMatrix:
         if abs(np.trace(m) - 1.0) > trace_atol:
             raise ValueError(f"trace {np.trace(m)} deviates from 1 beyond tolerance")
         lam_min = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min())
-        if lam_min < eig_floor:
+        if not (lam_min >= eig_floor):  # a NaN lambda_min fails
             raise ValueError(f"minimum eigenvalue {lam_min:.3e} below floor {eig_floor:.0e}")
         return self
 
@@ -256,14 +256,14 @@ def steady_states(stack: np.ndarray) -> np.ndarray:
     return rho
 
 
-_Grading = namedtuple("_Grading", "far band mirrored rows trace mirror unsort")
+_Grading = namedtuple("_Grading", "far band mirrored rows trace mirror unsort order")
 
 
 @lru_cache(maxsize=None)
 def _one_block(n: int) -> _Grading:
     """The grading of generators of order n as one block: each L whole, in vec order."""
     return _Grading(None, slice(None), None, [(0, n * n, n, n, 0, n)], slice(0, n, isqrt(n) + 1),
-                    None, None)
+                    None, None, None)
 
 
 def _bfs_levels(nbrs: list[list[int]], root: int) -> list[int]:
@@ -309,7 +309,7 @@ def _grading(adjacency: bytes, d: int) -> _Grading | None:
     columns, first column of order q, first of q+1); ``mirrored`` their (P a, P b);
     ``trace`` the order-0 places of the populations; ``mirror`` (P a, P b) in the
     flat order-0 block; ``unsort`` the places of the vec indices in [0, +1.., +top,
-    -1.., -top]."""
+    -1.., -top]; ``order`` the coherence order of each vec index."""
     adj = np.frombuffer(adjacency, dtype=bool).reshape(d, d) | np.eye(d, dtype=bool)
     if (adj @ adj == adj).all():
         return None
@@ -346,7 +346,7 @@ def _grading(adjacency: bytes, d: int) -> _Grading | None:
                     swap[band // n] * n + swap[band % n], rows,
                     zero.searchsorted(np.arange(0, n, d + 1)),
                     (mirror[:, None] * zero.size + mirror).ravel(),
-                    np.argsort(np.concatenate((idx, swap[idx[sizes[0] :]]))))
+                    np.argsort(np.concatenate((idx, swap[idx[sizes[0] :]]))), order)
 
 
 def _graded_states(block, grading: _Grading, matvec, fro: np.ndarray, lio: np.ndarray | None = None):
@@ -448,8 +448,11 @@ def affine_steady_states(base: np.ndarray, slope: np.ndarray, xs) -> np.ndarray:
     The method of :func:`steady_state` over the coherence orders that
     ``(base != 0) | (slope != 0)`` grades L into, else over one block, in chunks of
     at most ``STACK_BYTES`` of blocks.  Each block is built as x * slope_block +
-    base_block, which has the bits of the dense entries, the residual L v is taken
-    from the nonzeros of L, and a chunk that fails is re-solved by
+    base_block, which has the bits of the dense entries.  The residual L v is taken
+    from the nonzeros of L, graded in the rows of the orders 0 and, weighted by
+    sqrt 2, +q alone: the rows -q are their conjugates but for the rounding of v_0,
+    which the hermiticity check bounds.  ||L||_F^2 = ||A||^2 + 2 x Re<A, B> + x^2
+    ||B||^2 (A = base, B = slope).  A chunk that fails is re-solved by
     :func:`steady_states`, which raises the typed error.  So the memory of a sweep
     does not grow with its points.
     """
@@ -458,9 +461,11 @@ def affine_steady_states(base: np.ndarray, slope: np.ndarray, xs) -> np.ndarray:
     n = base.shape[0]
     grading = _coherence_levels(base, slope) or _one_block(n)
     slope_band, base_band = slope.ravel()[grading.band], base.ravel()[grading.band]
-    nonzero = np.flatnonzero((base != 0) | (slope != 0))
-    slope_nz, base_nz = slope.ravel()[nonzero], base.ravel()[nonzero]
+    weight = np.sqrt(np.ones(n) if grading.order is None else np.sign(grading.order) + 1.0)  # per row
+    nonzero = np.flatnonzero(((base != 0) | (slope != 0)) & (weight[:, None] > 0))
+    slope_nz, base_nz = (m.ravel()[nonzero] * weight[nonzero // n] for m in (slope, base))
     cols, heads = nonzero % n, np.flatnonzero(np.diff(nonzero // n, prepend=-1))  # row starts
+    aa, ab, bb = (np.vdot(p, q).real for p, q in ((base, base), (base, slope), (slope, slope)))
     per = max(1, min(xs.size, STACK_BYTES // (16 * slope_band.size)))
     out = np.empty((xs.size, *(isqrt(n),) * 2), dtype=complex)
     for start in range(0, xs.size, per):
@@ -468,7 +473,8 @@ def affine_steady_states(base: np.ndarray, slope: np.ndarray, xs) -> np.ndarray:
         lnz = iadd(x * slope_nz, base_nz)
         rho = _graded_states(  # the band and the nonzeros of each L: the bits of base + x * slope
             lambda a, b: iadd(x * slope_band[a:b], base_band[a:b]), grading,
-            lambda v: np.add.reduceat(imul(v[:, cols], lnz), heads, axis=1), _frobenius(lnz),
+            lambda v: np.add.reduceat(imul(v[:, cols], lnz), heads, axis=1),
+            np.sqrt(np.maximum(aa + x[:, 0] * (2.0 * ab + x[:, 0] * bb), 0.0)),
         )
         out[start : start + per] = steady_states(base + x[..., None] * slope) if rho is None else rho
     return out

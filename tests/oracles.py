@@ -1,8 +1,8 @@
 """Reference forms that the optimised code in ``clams`` must reproduce: the direct
 Kronecker-product and basis-matrix generator builders, the dense bordered steady-state
-solve and the same bordered solve in 40-digit arithmetic, the per-value complex-matrix
-CSV writer, the per-pair peak weights, and the LSODA time integration that
-``propagate`` replaced by the exact exponential."""
+solve and the same bordered solve in 40-digit arithmetic, the per-value table and
+complex-matrix CSV writers, the per-pair peak weights, and the LSODA time integration
+that ``propagate`` replaced by the exact exponential."""
 from __future__ import annotations
 
 import warnings
@@ -149,6 +149,13 @@ def mpmath_bordered_steady_state(lio: np.ndarray, digits: int = 40) -> np.ndarra
         for c in range(n - 1, -1, -1):
             x[c] = (rhs[c] - sum(a * x[j] for j, a in rows[c].items() if j != c)) / rows[c][c]
         return np.array([complex(v) for v in x]).reshape(d, d).T  # column stacking
+
+
+def per_value_csv(path, header: list[str], rows: list[list], digest: str) -> None:
+    """Table CSV written by formatting every value with the table rule ``_fmt``."""
+    lines = [f"# config-hash: {digest}", ",".join(header)]
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    path.write_bytes(("\n".join(lines) + "\n").encode())
 
 
 def per_value_matrix_csv(path, matrix: np.ndarray, digest: str) -> None:

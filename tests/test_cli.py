@@ -1,16 +1,24 @@
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from clams import cli, liouvillian
-from clams.cli import _PARAMS, ConfigError, main, parse_config_file, write_complex_matrix_csv
+from clams.cli import (
+    _PARAMS,
+    ConfigError,
+    main,
+    parse_config_file,
+    write_complex_matrix_csv,
+    write_csv,
+)
 from clams.effective import reduce
 from clams.liouvillian import SteadyStateError, build_generator, cascaded_lambda_graph, steady_states
 from clams.units import mhz_to_angular
 from conftest import chain_params, rb85_graph, run_python
-from oracles import per_value_matrix_csv
+from oracles import per_value_csv, per_value_matrix_csv
 
 
 def run_cli(*argv):
@@ -161,6 +169,19 @@ def test_matrix_csv_matches_per_value_oracle(tmp_path, build):
     matrix = build()
     write_complex_matrix_csv(tmp_path / "got.csv", matrix, "0123456789abcdef")
     per_value_matrix_csv(tmp_path / "want.csv", matrix, "0123456789abcdef")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_table_csv_matches_the_per_value_writer(tmp_path):
+    # each row is one % of a format built from its values' types: %.17g for float and
+    # np.floating, %s for everything else, the rule of _fmt
+    values = [7, True, False, np.int64(-3), np.float32(0.1), np.float64(1 / 3), 0.0, -0.0,
+              float("nan"), float("inf"), -float("inf"), 5e-324, np.float64(-5e-324), 1e300,
+              "zero-fundamental", "100%", None]
+    rows = [values, values[::-1], values[3:] + values[:3], [0.5] * 4, [np.float32(2.5), 1], []]
+    header = ["a", "b", "c"]
+    write_csv(tmp_path / "got.csv", header, rows, "0123456789abcdef")
+    per_value_csv(tmp_path / "want.csv", header, rows, "0123456789abcdef")
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
@@ -794,6 +815,23 @@ def test_warnings_join_the_one_line_error(tmp_path, capsys):
     (warning,) = err["warnings"]
     assert warning["type"] == "UserWarning"
     assert warning["warning"].startswith("rabi/gamma = 5.26e+296 > 0.05")
+    assert not out.exists()
+
+
+def test_warning_that_the_callers_filter_raises_exits_2(tmp_path, capsys):
+    # python -W error: the reduced model's strong-drive warning is an exception
+    out = tmp_path / "out"
+    argv = ["steady", "--n-levels", "3", "--effective", "--rabi-mhz", "200", "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert json.loads(line) == {
+        "error": "rabi/gamma = 0.105 > 0.05; the reduced description degrades at strong driving",
+        "type": "UserWarning",
+    }
     assert not out.exists()
 
 

@@ -490,6 +490,18 @@ def test_positivity_of_an_overflowing_state_is_not_certified():
         assert liouvillian._checked(rho.T.reshape(1, 4).copy(), np.zeros_like, np.ones(1)) is None
 
 
+def test_nan_lambda_min_is_rejected():
+    # the same state: its Hermitian part overflows and eigvalsh gives lambda_min = NaN,
+    # which is not at or above the floor, so validate raises and _checked given L does too
+    rho = np.array([[0.5, 1e308], [1e308, 0.5]], dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="eigenvalue nan"):
+            DensityMatrix(rho).validate()
+        with pytest.raises(ValueError, match="eigenvalue nan"):
+            liouvillian._checked(rho.T.reshape(1, 4).copy(), np.zeros_like, np.ones(1),
+                                 np.zeros((1, 4, 4), dtype=complex))
+
+
 def test_generator_matrix_dim():
     gen = build_generator(pure_decay_graph())
     assert gen.dim == 4

@@ -1,5 +1,7 @@
 """Batched sweeps against per-point steady states."""
+import warnings
 from dataclasses import replace
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ from clams.cli import main
 from clams.effective import build_effective_generator, effective_steady_state
 from clams.level_system import SystemParams, ground_indices, raman_detunings
 from clams.liouvillian import (
+    RESIDUAL_RTOL,
+    SteadyStateError,
     _coherence_levels,
     affine_steady_states,
     build_generator,
@@ -164,3 +168,141 @@ def test_affine_states_equal_the_stacked_solve(monkeypatch, per_chunk):
             assert np.array_equal(got, want)
         else:
             assert np.abs(got - want).max() <= SWEEP_RTOL * np.abs(want).max()
+
+
+def chain_families():
+    """(base, slope, xs) of the full chain of the README sweeps, as the CLI builds it:
+    sweep-detuning at N = 5 and N = 13 over 41 points, sweep-rabi at N = 7 over 201."""
+    for n in (5, 13):
+        p = default_params(n)
+        base = build_generator(cascaded_lambda_graph(p)).matrix  # zero detuning
+        moved = replace(p, detunings=raman_detunings(n, 1.0))
+        slope = build_generator(cascaded_lambda_graph(moved)).matrix - base
+        yield base, slope, mhz_to_angular(np.linspace(-2.0, 2.0, 41))
+    p = default_params(7, gamma_prime_mhz=0.02)
+    base = build_generator(cascaded_lambda_graph(replace(p, rabi=0.0))).matrix
+    slope = build_generator(cascaded_lambda_graph(replace(p, rabi=1.0))).matrix - base
+    yield base, slope, np.logspace(-4.0, np.log10(5e-2), 201) * p.gamma
+
+
+def checked_calls(monkeypatch, corrupt=None):
+    """The (v, matvec, fro) of every check of a solution, v as it came, in a list that
+    fills as the solves run; ``corrupt(v, matvec, fro)``, if given, may change v in place
+    before its check."""
+    calls, check = [], clams.liouvillian._checked
+
+    def spy(v, matvec, fro, lio=None):
+        calls.append((v.copy(), matvec, fro.copy()))
+        if corrupt is not None:
+            corrupt(v, matvec, fro)
+        return check(v, matvec, fro, lio)
+
+    monkeypatch.setattr(clams.liouvillian, "_checked", spy)
+    return calls
+
+
+def mirrored(v, a, delta):
+    """v (k, d^2) plus delta at vec index a and conj(delta) at its mirror P a."""
+    d = isqrt(v.shape[1])
+    out = v.copy()
+    out[:, a] += delta
+    out[:, a % d * d + a // d] += np.conj(delta)
+    return out
+
+
+def dense_norms(stack, w):
+    """||L w|| and ||L||_F of each member, from the dense L."""
+    return (np.linalg.norm(np.einsum("kij,kj->ki", stack, w), axis=1),
+            np.linalg.norm(stack, axis=(1, 2)))
+
+
+@pytest.mark.parametrize("family", range(5), ids=["chain5", "chain13", "rabi7", "reduced7",
+                                                  "reduced13"])
+def test_graded_residual_from_the_plus_q_rows_equals_the_dense_one(monkeypatch, family):
+    # v perturbed at its largest entry of an order +q and at its mirror, at its largest
+    # order-0 entry and at the mirror of that, or both: the residual of the rows of orders
+    # 0 and +q, weighted, is the dense ||L v||, and ||L||_F the dense one, per point
+    base, slope, xs = [*chain_families(), *list(readme_families())[2:]][family]
+    grading = _coherence_levels(base, slope)
+    assert grading is not None
+    calls = checked_calls(monkeypatch)
+    affine_steady_states(base, slope, xs)
+    done = 0
+    for v, matvec, fro in calls:
+        stack = base + xs[done : done + len(v), None, None] * slope
+        done += len(v)
+        big = np.abs(v).max(axis=0)
+        at = {q: np.flatnonzero(grading.order == q)[big[grading.order == q].argmax()]
+              for q in (0, 1, int(grading.order.max()))}
+        delta = 1e-3 * (1.0 + 0.5j) * big.max()
+        for w in (mirrored(v, at[1], delta), mirrored(v, at[max(at)], delta),
+                  mirrored(v, at[0], delta), mirrored(mirrored(v, at[0], delta), at[1], delta)):
+            want, want_fro = dense_norms(stack, w)
+            assert np.abs(np.linalg.norm(matvec(w), axis=1) / want - 1.0).max() <= 1e-10
+            assert np.abs(fro / want_fro - 1.0).max() <= 1e-10
+    assert done == len(xs)
+
+
+@pytest.mark.parametrize("checks_corrupted", [1, None], ids=["first", "every"])
+def test_corrupted_plus_q_solution_fails_the_graded_check(monkeypatch, checks_corrupted):
+    # a +q entry of the solution and its mirror moved by the same small amount: the state
+    # stays Hermitian with unit trace, so only the residual of the rows 0 and +q sees it.
+    # Corrupted once, the chunk is re-solved; every time, the solve raises
+    base, slope, xs = next(chain_families())
+    clean = affine_steady_states(base, slope, xs)
+    grading = _coherence_levels(base, slope)
+    plus1 = np.flatnonzero(grading.order == 1)[0]
+
+    def corrupt(v, matvec, fro):
+        if checks_corrupted is None or len(calls) <= checks_corrupted:
+            v[:] = mirrored(v, plus1, 1e-3j)
+            residual = np.linalg.norm(matvec(v), axis=1) / (fro * np.linalg.norm(v, axis=1))
+            assert (residual > RESIDUAL_RTOL).all()
+
+    calls = checked_calls(monkeypatch, corrupt)
+    if checks_corrupted is None:
+        with pytest.raises(SteadyStateError, match="residual"):
+            affine_steady_states(base, slope, xs)
+    else:
+        assert np.array_equal(affine_steady_states(base, slope, xs), clean)
+        assert len(calls) == 2  # the graded chunk's check, then the re-solve's
+
+
+def test_one_block_family_checks_every_row(monkeypatch):
+    rng = np.random.default_rng(5)
+    graph = random_graph(rng, d=5)
+    h1 = hermitian_random(rng, graph.n_states)
+    base, slope = build_generator(graph).matrix, hamiltonian_superoperator(h1, h1)
+    xs = rng.uniform(-2.0, 2.0, size=7)
+    assert _coherence_levels(base, slope) is None
+    calls = checked_calls(monkeypatch)
+    affine_steady_states(base, slope, xs)
+    ((v, matvec, fro),) = calls
+    stack = base + xs[:, None, None] * slope
+    w = rng.normal(size=v.shape) + 1j * rng.normal(size=v.shape)
+    got = matvec(w)
+    assert got.shape == v.shape  # one entry per row of L
+    want = np.einsum("kij,kj->ki", stack, w)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert np.abs(fro / dense_norms(stack, w)[1] - 1.0).max() <= 1e-13
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-detuning", "--n-levels", "5", "--start-mhz", "-2", "--stop-mhz", "2", "--count", "41"],
+    ["sweep-detuning", "--n-levels", "13", "--start-mhz", "-2", "--stop-mhz", "2", "--count", "41"],
+    ["sweep-rabi", "--n-levels", "7", "--omega-min", "1e-4", "--omega-max", "5e-2", "--count", "201",
+     "--gamma-prime-mhz", "0.02", "--parallel", "2"],
+    ["sweep-rabi", "--n-levels", "7", "--spacing", "linear", "--omega-min", "0", "--omega-max", "0",
+     "--count", "3"],
+], ids=["detuning5", "detuning13", "rabi7", "rabi7-undriven"])
+def test_sweeps_raise_no_warning(tmp_path, capsys, argv):
+    # the benchmark's sweep shapes, an all-undriven grid, and, in the detuning sweeps, the
+    # point x = 0 of both families: no RuntimeWarning (invalid value, overflow) from the
+    # norms of L, the row weights or the peak weights, which this filter makes an error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    _, rows = read_rows(tmp_path / f"{argv[0].replace('-', '_')}.csv")
+    if argv[0] == "sweep-detuning":
+        assert rows[20][0] == "0"
