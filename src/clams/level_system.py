@@ -23,14 +23,11 @@ import numpy as np
 __all__ = [
     "SystemParams",
     "parity",
-    "is_ground",
-    "is_excited",
     "ground_indices",
     "rotating_diagonal",
     "build_rotating_hamiltonian",
     "rotating_phase",
     "raman_detunings",
-    "detunings_from_energies",
 ]
 
 
@@ -95,14 +92,6 @@ def parity(m: int) -> str:
     return "ground" if m % 2 == 1 else "excited"
 
 
-def is_ground(m: int) -> bool:
-    return parity(m) == "ground"
-
-
-def is_excited(m: int) -> bool:
-    return parity(m) == "excited"
-
-
 def ground_indices(n_levels: int) -> np.ndarray:
     """0-based array indices of the ground states (levels 1, 3, ..., N)."""
     return np.arange(0, n_levels, 2)
@@ -163,18 +152,3 @@ def raman_detunings(n_levels: int, delta: float) -> tuple[float, ...]:
     """
     return tuple(delta if k % 2 == 0 else 0.0 for k in range(n_levels - 1))
 
-
-def detunings_from_energies(level_energies, omega_s: float, delta_omega_s: float) -> tuple[float, ...]:
-    """Per-transition detunings from bare level energies and the two tone frequencies.
-
-    detunings[k] = (transition energy of k -> k+1, signed upward) - (tone frequency),
-    with the odd-k tone at omega_s + delta_omega_s and the even-k tone at omega_s.
-    """
-    e = np.asarray(level_energies, dtype=float)
-    if e.ndim != 1 or e.size < 3:
-        raise ValueError("need at least 3 level energies")
-    out = []
-    for k in range(1, e.size):  # transition k -> k+1, 1-based
-        tone = omega_s + delta_omega_s if k % 2 == 1 else omega_s
-        out.append((-1.0) ** k * (e[k - 1] - e[k]) - tone)
-    return tuple(out)

@@ -408,8 +408,10 @@ def _checked(v: np.ndarray, matvec, fro: np.ndarray, lio: np.ndarray | None = No
     against each L itself: the residual ||L v|| / (||L||_F ||v||) (time-unit free,
     and 0 for L = 0, which every vector solves) against ``RESIDUAL_RTOL``, then
     hermiticity, unit trace and the eigenvalue floor.  ``matvec(v)`` is L v and
-    ``fro`` ||L||_F, per member.  Given the stack ``lio`` of L, the first member
-    that fails raises its typed error; without it, any failure returns None."""
+    ``fro`` ||L||_F, per member; a member whose ||L||_F overflows fails.  Given the
+    stack ``lio`` of L, the first member that fails raises its typed error (an
+    OverflowError if the entries of L are finite but ||L||_F overflows); without
+    it, any failure returns None."""
     k, n = v.shape
     d = isqrt(n)
     finite = np.isfinite(v).all(axis=1)
@@ -417,6 +419,7 @@ def _checked(v: np.ndarray, matvec, fro: np.ndarray, lio: np.ndarray | None = No
     scale = fro * _frobenius(v)
     residual = _frobenius(matvec(v))
     np.divide(residual, scale, out=residual, where=scale > 0)
+    residual[~np.isfinite(fro)] = np.nan  # x / inf would read 0: it fails instead
     rho = v.reshape(k, d, d).transpose(0, 2, 1)  # column stacking
     rho_h = v.reshape(k, d, d).conj()
     ok = finite & (residual <= RESIDUAL_RTOL)
@@ -431,6 +434,9 @@ def _checked(v: np.ndarray, matvec, fro: np.ndarray, lio: np.ndarray | None = No
     if lio is None and not ok.all():
         return None
     for i in np.flatnonzero(~ok):
+        if not isfinite(fro[i]) and np.isfinite(lio[i]).all():
+            raise OverflowError("generator scale ||L||_F overflows a float "
+                                f"(largest |entry| {np.abs(lio[i]).max():.3g})")
         if not (finite[i] and residual[i] <= RESIDUAL_RTOL):  # true for a NaN residual too
             null_dim = _null_dimension(lio[i])
             if null_dim != 1 or not finite[i]:

@@ -43,9 +43,7 @@ class RateResult:
     resonant: bool
 
 
-def transition_amplitude(
-    params: SystemParams, n: int, level_energies=None, mode: str = "auto"
-) -> RateResult:
+def transition_amplitude(params: SystemParams, n: int, mode: str = "auto") -> RateResult:
     """Rate amplitude of the 2n-photon transition from level 1 to level 1+2n.
 
     ``mode`` selects the evaluation route: ``"general"`` is the product over
@@ -54,9 +52,8 @@ def transition_amplitude(
     zero detunings), and ``"auto"`` picks the general route exactly when some
     relevant detuning is nonzero.
 
-    ``level_energies`` (bare energies, optional) refines the on-shell check:
-    the transition is resonant when the energy gained equals n * delta_omega_s.
-    Without them the check uses the rotating-frame energy of the final level.
+    The transition is on shell (``resonant``) when the rotating-frame energy of
+    the final level vanishes, within ``RESONANCE_RTOL`` of delta_omega_s.
     """
     n_max = (params.n_levels - 1) // 2
     if not 1 <= n <= n_max:
@@ -86,20 +83,11 @@ def transition_amplitude(
             2.0 * np.pi * params.hopping_rate ** (2 * n) / params.gamma_prime ** (2 * n - 2)
         )
 
-    tol = RESONANCE_RTOL * params.delta_omega_s
-    if level_energies is not None:
-        e = np.asarray(level_energies, dtype=float)
-        if e.size != params.n_levels:
-            raise ValueError("level_energies must have one entry per level")
-        mismatch = abs((e[2 * n] - e[0]) - n * params.delta_omega_s)
-    else:
-        # rotating-frame energy of the final level is the off-shell mismatch
-        mismatch = abs(diag[2 * n])
     return RateResult(
         order=2 * n,
         amplitude=float(amplitude),
         resonance_frequency=n * params.delta_omega_s,
-        resonant=bool(mismatch <= tol),
+        resonant=bool(abs(diag[2 * n]) <= RESONANCE_RTOL * params.delta_omega_s),
     )
 
 

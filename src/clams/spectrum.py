@@ -1,14 +1,17 @@
 """Coherence power spectrum of the ground manifold: delta-peak weights and ratios.
 
-At steady state the two-time correlator of a ground-pair lowering operator
-factorizes into |rho[l, l+n]|^2, so the spectrum is a comb of delta peaks at
-harmonics of the tone difference delta_omega_s.  The n-th peak collects every
-ground pair n steps apart:
+The spectrum of a ground-pair coherence is the Fourier transform of its two-time
+correlator <s+(t + tau) s-(t)>, s- = |l><l+n|.  By the quantum regression theorem
+that correlator relaxes, as tau -> infinity, to the product of the steady-state
+means, |rho[l, l+n]|^2; this limit is the coherent part of the spectrum, a comb
+of delta peaks at harmonics of the tone difference delta_omega_s.  The n-th peak
+collects every ground pair n steps apart:
 
     weight(n) = sum_l |rho[l, l+n]|^2,    frequency = n * delta_omega_s.
 
-Peaks are first-class data here; Lorentzian broadening exists only for plot
-emission and never enters the ratio computations.
+These weights are the coherent part only.  The incoherent part, the decaying
+remainder of the correlator with total weight p_{l+n} - |rho[l, l+n]|^2 per pair,
+is not computed.
 """
 from __future__ import annotations
 
@@ -28,7 +31,6 @@ __all__ = [
     "height_ratios",
     "weight_ratios",
     "loglinear_fit",
-    "broadened_spectrum",
     "visible_peaks",
     "DEFAULT_DISPLAY_THRESHOLD",
 ]
@@ -156,21 +158,15 @@ class LogLinearFit:
     n_points: int
 
 
-def loglinear_fit(obj) -> LogLinearFit:
+def loglinear_fit(peaks: PeakSet) -> LogLinearFit:
     """Least-squares fit of ln(weight_n) against the harmonic index n.
 
-    Accepts a :class:`PeakSet` or :class:`HeightRatios`; uses every harmonic
-    with strictly positive weight and requires at least three of them.
+    Takes a :class:`PeakSet`; uses every harmonic with strictly positive weight
+    and requires at least three of them.
     """
-    if isinstance(obj, PeakSet):
-        pairs = [(p.n, p.weight) for p in obj.peaks]
-    elif isinstance(obj, HeightRatios):
-        pairs = [(1, obj.fundamental_weight)] + [
-            (n, r * obj.fundamental_weight) for n, r in obj.ratios
-        ]
-    else:
-        raise TypeError("expected PeakSet or HeightRatios")
-    usable = [(n, w) for n, w in pairs if w > 0.0]
+    if not isinstance(peaks, PeakSet):
+        raise TypeError("expected a PeakSet")
+    usable = [(p.n, p.weight) for p in peaks.peaks if p.weight > 0.0]
     if len(usable) < 3:
         raise ValueError(f"need at least 3 nonzero peaks to fit, have {len(usable)}")
     ns = np.array([n for n, _ in usable], dtype=float)
@@ -183,25 +179,6 @@ def loglinear_fit(obj) -> LogLinearFit:
     return LogLinearFit(
         slope=float(slope), intercept=float(intercept), r_squared=r_squared, n_points=len(usable)
     )
-
-
-def broadened_spectrum(peaks: PeakSet, linewidth: float, grid) -> np.ndarray:
-    """Sum of weight-scaled unit-area Lorentzians on a frequency grid (plot emission only).
-
-    ``linewidth`` is the FWHM; each peak contributes
-    weight * (linewidth/2/pi) / ((omega - omega_peak)**2 + (linewidth/2)**2),
-    so an isolated peak's maximum is weight / (pi * linewidth / 2).
-    """
-    if linewidth <= 0:
-        raise ValueError("linewidth must be positive")
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("frequency grid is empty")
-    half = linewidth / 2.0
-    curve = np.zeros_like(grid)
-    for p in peaks.peaks:
-        curve += p.weight * (half / np.pi) / ((grid - p.frequency) ** 2 + half**2)
-    return curve
 
 
 def visible_peaks(peaks: PeakSet, rel_threshold: float = DEFAULT_DISPLAY_THRESHOLD) -> tuple[Peak, ...]:

@@ -306,6 +306,21 @@ def test_non_finite_member_of_a_graded_stack_raises_the_dense_error():
     assert raised(affine_steady_states, base, slope, xs[:3]) == error
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow in the norms
+def test_overflowing_norm_raises_on_every_path():
+    """Finite entries whose ||L||_F overflows: a single solve, a stack and a sweep all
+    raise OverflowError, where finite / inf made the residual 0 and passed any state."""
+    def chain(rabi):
+        return build_generator(cascaded_lambda_graph(chain_params(5, rabi, 1.0, 0.1))).matrix
+
+    base, ok = chain(0.0), chain(1.0)
+    for solve, args in ((steady_states, (chain(1e160)[None],)),
+                        (steady_states, (np.stack([ok, chain(1e160)]),)),
+                        (affine_steady_states, (base, ok - base, [1.0, 1e160]))):
+        with pytest.raises(OverflowError, match="overflows a float"):
+            solve(*args)
+
+
 def disconnected_family():
     """base: two disconnected 2-level blocks (null space of dimension 2); slope:
     decays that join them, so only the member at x = 0 is degenerate."""

@@ -4,10 +4,7 @@ import pytest
 from clams.level_system import (
     SystemParams,
     build_rotating_hamiltonian,
-    detunings_from_energies,
     ground_indices,
-    is_excited,
-    is_ground,
     parity,
     raman_detunings,
     rotating_phase,
@@ -54,7 +51,7 @@ def test_hamiltonian_exactly_hermitian():
 def test_parity_convention():
     assert parity(1) == "ground"
     assert parity(2) == "excited"
-    assert is_ground(7) and is_excited(12)
+    assert parity(7) == "ground" and parity(12) == "excited"
     with pytest.raises(ValueError):
         parity(0)
 
@@ -138,16 +135,6 @@ def test_detunings_length_checked():
 
 def test_raman_pattern():
     assert raman_detunings(7, 0.3) == (0.3, 0.0, 0.3, 0.0, 0.3, 0.0)
-
-
-def test_detunings_from_energies():
-    # splitting 1 between ground states, optical gap 100; tones at 99 and 100
-    energies = [0.0, 100.0, 1.0, 101.0, 2.0]
-    dets = detunings_from_energies(energies, omega_s=99.0, delta_omega_s=1.0)
-    assert dets == pytest.approx((0.0, 0.0, 0.0, 0.0), abs=1e-12)
-    # shifting both tones down detunes every transition the same way
-    dets = detunings_from_energies(energies, omega_s=98.5, delta_omega_s=1.0)
-    assert dets == pytest.approx((0.5, 0.5, 0.5, 0.5), abs=1e-12)
 
 
 def test_unit_conversions():

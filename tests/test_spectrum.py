@@ -3,7 +3,6 @@ import pytest
 
 from clams.spectrum import (
     PeakSet,
-    broadened_spectrum,
     coherence_peaks,
     height_ratios,
     loglinear_fit,
@@ -184,53 +183,6 @@ def test_loglinear_fit_needs_three_points():
         loglinear_fit(coherence_peaks(rho, 1.0))
     with pytest.raises(TypeError):
         loglinear_fit([1.0, 2.0])
-
-
-def test_loglinear_fit_accepts_height_ratios():
-    rho = effective_ground_state(7, 0.1, 1.0)
-    peaks = coherence_peaks(rho, 1.0)
-    fit_peaks = loglinear_fit(peaks)
-    fit_ratios = loglinear_fit(height_ratios(peaks))
-    assert fit_peaks.slope == pytest.approx(fit_ratios.slope, rel=1e-12)
-
-
-def test_broadened_single_peak_center_value():
-    rho = effective_ground_state(3, 0.4, 1.0)
-    peaks = coherence_peaks(rho, 5.0)
-    w = peaks.peaks[0].weight
-    linewidth = 0.2
-    curve = broadened_spectrum(peaks, linewidth, np.array([5.0]))
-    assert curve[0] == pytest.approx(w / (np.pi * linewidth / 2.0), rel=1e-12)
-
-
-def test_broadened_zero_weights_and_errors():
-    peaks = coherence_peaks(np.eye(3) / 3.0, 1.0)
-    grid = np.linspace(0, 3, 50)
-    assert np.all(broadened_spectrum(peaks, 0.1, grid) == 0.0)
-    with pytest.raises(ValueError, match="linewidth"):
-        broadened_spectrum(peaks, 0.0, grid)
-    with pytest.raises(ValueError, match="empty"):
-        broadened_spectrum(peaks, 0.1, np.array([]))
-
-
-def test_broadened_distant_peaks_nearly_isolated():
-    # comparable weights, 10 linewidths apart: mutual contamination is
-    # bounded by (w_other/w) * (linewidth/2)^2 / separation^2 < 1%
-    from clams.spectrum import Peak
-
-    linewidth = 0.1
-    peaks = PeakSet(
-        delta_omega_s=1.0,
-        peaks=(
-            Peak(n=1, frequency=1.0, weight=0.6, contributors=((1, 0.6),)),
-            Peak(n=2, frequency=2.0, weight=0.4, contributors=((1, 0.4),)),
-        ),
-    )
-    grid = np.array([1.0, 2.0])
-    curve = broadened_spectrum(peaks, linewidth, grid)
-    for value, p in zip(curve, peaks.peaks):
-        isolated = p.weight / (np.pi * linewidth / 2.0)
-        assert abs(value - isolated) < 0.01 * isolated
 
 
 def test_visible_peaks_threshold():
