@@ -618,7 +618,8 @@ def main(argv=None) -> int:
             error = {"error": str(exc), "type": type(exc).__name__}
             return 1 if isinstance(exc, (SteadyStateError, PropagationError)) else 2
         finally:
-            warned = [{"warning": str(w.message), "type": w.category.__name__} for w in caught]
+            seen = dict.fromkeys((str(w.message), w.category.__name__) for w in caught)
+            warned = [{"warning": message, "type": kind} for message, kind in seen]
             for line in ([error | {"warnings": warned} if warned else error] if error else warned):
                 print(json.dumps(line), file=sys.stderr)
 

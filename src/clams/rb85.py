@@ -9,17 +9,20 @@ structure realized in the Zeeman basis.
 State ordering of the returned graph: ground m_F = -3..+3 at indices 0..6,
 excited m_F = -4..+4 at indices 7..15.
 
-Drive couplings carry the Clebsch-Gordan amplitude of their transition (the
-reduced dipole strength is absorbed into the Rabi frequency); spontaneous decay
-from each excited state branches over the electric-dipole-allowed ground states
-(Delta m_F = 0, +-1) with squared Clebsch-Gordan weights, which sum to one per
-excited state.  Ground-manifold relaxation connects neighbouring m_F at
+Every coupling is a dipole transition F=3 -> F'=4, whose squared Clebsch-Gordan
+weight w has a closed form (`cg_weight`).  A drive of Rabi coupling Omega
+couples its pair with amplitude Omega*sqrt(w): under the Condon-Shortley
+convention every coefficient of a j -> j+1 coupling is >= 0, so sqrt(w) is the
+coefficient itself (the reduced dipole strength is absorbed into Omega).
+Spontaneous decay from each excited state branches over the electric-dipole-
+allowed ground states (Delta m_F = 0, +-1) at rates Gamma*w, which sum to Gamma
+per excited state.  Ground-manifold relaxation connects neighbouring m_F at
 gamma_prime per channel, the Zeeman-basis analog of the generic chain model.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, sqrt
+from math import sqrt
 
 import numpy as np
 
@@ -36,7 +39,6 @@ __all__ = [
     "EXCITED_M",
     "ZeemanManifold",
     "DriveField",
-    "cg_coefficient",
     "cg_weight",
     "build_full_model",
     "build_truncated_13",
@@ -76,10 +78,6 @@ class ZeemanManifold:
         if self.f not in (F_GROUND, F_EXCITED):
             raise ValueError(f"f must be {F_GROUND} (ground) or {F_EXCITED} (excited)")
 
-    @property
-    def m_values(self) -> tuple[int, ...]:
-        return tuple(range(-self.f, self.f + 1))
-
 
 @dataclass(frozen=True)
 class DriveField:
@@ -102,59 +100,26 @@ class DriveField:
         return _POLARIZATION_Q[self.polarization]
 
 
-def cg_coefficient(j1: int, m1: int, j2: int, m2: int, j3: int, m3: int) -> float:
-    """Clebsch-Gordan coefficient <j1 m1; j2 m2 | j3 m3> for integer angular momenta.
-
-    Evaluated from the standard finite-sum formula; no table lookups.
-    """
-    for j, m in ((j1, m1), (j2, m2), (j3, m3)):
-        if j < 0 or abs(m) > j:
-            raise ValueError(f"invalid quantum numbers j={j}, m={m}")
-    if m3 != m1 + m2 or not (abs(j1 - j2) <= j3 <= j1 + j2):
-        return 0.0
-    pref = (
-        (2 * j3 + 1)
-        * factorial(j3 + j1 - j2)
-        * factorial(j3 - j1 + j2)
-        * factorial(j1 + j2 - j3)
-        / factorial(j1 + j2 + j3 + 1)
-    )
-    pref *= (
-        factorial(j3 + m3)
-        * factorial(j3 - m3)
-        * factorial(j1 - m1)
-        * factorial(j1 + m1)
-        * factorial(j2 - m2)
-        * factorial(j2 + m2)
-    )
-    total = 0.0
-    for k in range(j1 + j2 - j3 + 1):
-        denoms = (
-            k,
-            j1 + j2 - j3 - k,
-            j1 - m1 - k,
-            j2 + m2 - k,
-            j3 - j2 + m1 + k,
-            j3 - j1 - m2 + k,
-        )
-        if min(denoms) < 0:
-            continue
-        term = 1.0
-        for dnm in denoms:
-            term *= factorial(dnm)
-        total += (-1.0) ** k / term
-    return sqrt(pref) * total
-
-
 def cg_weight(f_g: int, m_g: int, q: int, f_e: int, m_e: int) -> float:
-    """Squared coupling weight |<f_g m_g; 1 q | f_e m_e>|**2 of one optical transition.
+    """Squared coupling weight |<f_g m_g; 1 q | f_e m_e>|**2 of one dipole transition f -> f+1.
 
     Zero unless m_e = m_g + q; the weights out of each excited state sum to one
-    over its allowed ground targets.
+    over its allowed ground targets.  Closed form of the j -> j+1 coefficients
+    (Edmonds, Angular Momentum in Quantum Mechanics, Table 2), one exact integer
+    division, so each weight is the correctly rounded rational.
     """
     if q not in (-1, 0, 1):
         raise ValueError(f"polarization index q must be -1, 0, or +1, got {q}")
-    return cg_coefficient(f_g, m_g, 1, q, f_e, m_e) ** 2
+    if f_e != f_g + 1:
+        raise ValueError(f"only dipole transitions f -> f+1 are supported, got {f_g} -> {f_e}")
+    if abs(m_g) > f_g or abs(m_e) > f_e:
+        raise ValueError(f"invalid quantum numbers f={f_g}, m={m_g} -> f'={f_e}, m'={m_e}")
+    if m_e != m_g + q:
+        return 0.0
+    n = f_g
+    if q == 0:
+        return (n - m_g + 1) * (n + m_g + 1) / ((2 * n + 1) * (n + 1))
+    return (n + q * m_g + 1) * (n + q * m_g + 2) / ((2 * n + 1) * (2 * n + 2))
 
 
 def _ground_index(m: int) -> int:
@@ -216,7 +181,7 @@ def build_full_model(
             m_e = m_g + drive.q
             if abs(m_e) > F_EXCITED:
                 continue
-            amp = drive.rabi * cg_coefficient(F_GROUND, m_g, 1, drive.q, F_EXCITED, m_e)
+            amp = drive.rabi * sqrt(cg_weight(F_GROUND, m_g, drive.q, F_EXCITED, m_e))
             h[_excited_index(m_e), _ground_index(m_g)] += amp
             h[_ground_index(m_g), _excited_index(m_e)] += amp
 

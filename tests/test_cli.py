@@ -440,6 +440,12 @@ def test_rb85_rabi_from_config_file(tmp_path):
 # at most 1.2e-17, became exact zeros), except the far height ratios of the two
 # "sweep-rabi-*" cases, which moved by up to 3.2e-13 and 1.8e-12, toward a 40-digit
 # solve of the same systems.  The generator dumps and "rates-readme" are unchanged.
+# The rb85_peaks.* and rb85_summary.json files of the four "rb85-*" cases were
+# re-recorded when the Rb-85 couplings moved from a general Clebsch-Gordan sum to the
+# closed-form F=3 -> F'=4 dipole weights, each correctly rounded: every number in them
+# moved by at most 1.0e-14 relative (9.98e-15, the smallest pair weight of the
+# fundamental in rb85_peaks.json of "rb85-readme"; every peak weight by at most
+# 3.0e-15).  The rb85_truncated13_* files and every config hash are unchanged.
 _RB85_BOTH_RABI_KEYS = "rabi_fraction = 0.009\nrabi_mhz = 14.5\ngamma_mhz = 1.9e3\n"
 GOLDEN = {
     "steady-readme": (
@@ -524,9 +530,9 @@ GOLDEN = {
         None,
         "47019e97af788057",
         {
-            "rb85_peaks.csv": "a89e20e2166fe72dbd353a733e897c776be78c85da0e1904434dde89d4a2e073",
-            "rb85_peaks.json": "6529d688624f6ae858edab22fc3ebddcd03955bf57330994d04d20cb0db19b6a",
-            "rb85_summary.json": "6fedb146686434bf6b600db2d9629d249955ca0e25bb9aac14d0349799ba3960",
+            "rb85_peaks.csv": "a0495f6889bbdf8f2e2107a929237c7402b1bff5acf7494eab065a08fa51b65f",
+            "rb85_peaks.json": "a63f917641156b89aa609c141faca8d9e1e7be57c3d98526622565bd22538dc9",
+            "rb85_summary.json": "3b45b224209cefc6d40a508a6aea9fe704823fcff0a611c5e051e30f4a16b872",
             "rb85_truncated13_peaks.csv":
                 "4e37b8176039ebd110f99eab5ac1ace71f5743db479bfed2b2f97e18b241246d",
             "rb85_truncated13_peaks.json":
@@ -539,8 +545,8 @@ GOLDEN = {
         _RB85_BOTH_RABI_KEYS,
         "048bd1b538f87027",
         {
-            "rb85_peaks.csv": "987f665bc4526cf154fb5e3b9c8982c1a4e8816abc0c4c3132103f7f0bf8fabc",
-            "rb85_summary.json": "9d9316bf9c84f34dfc3ed2ef461968d072951708e191a6f701db5f4630350f7a",
+            "rb85_peaks.csv": "dc9fed89379594d4bba36e01c0d45a908f2807edfb264c3724c1e61bbf203a9a",
+            "rb85_summary.json": "b11d7d78cce673b0bb73021306445b3f3d7c9dbcda25b328f0c891d4afc6eebe",
         },
     ),
     # ... and a --rabi-fraction flag wins over both
@@ -549,8 +555,8 @@ GOLDEN = {
         _RB85_BOTH_RABI_KEYS,
         "080c37fbbd698e07",
         {
-            "rb85_peaks.csv": "7a2781a87b26fd2a490c85fa0e2ee4c4115ba96dc50551db42f6e7f2dcc7f316",
-            "rb85_summary.json": "1e002f749eb4b1a7b455bc6208479e2765fa2f62a134757b052e718574cb8756",
+            "rb85_peaks.csv": "41be45f1d707353a74b2f9f30a3a7c501eba5ea86b08f6b956f4737150540dc7",
+            "rb85_summary.json": "33f9e3d73ec17b3fbad564359d13c74373d989eeff48f16834be01be5996a570",
         },
     ),
     "rb85-pi-branch": (
@@ -558,8 +564,8 @@ GOLDEN = {
         None,
         "7d0120e330e21b60",
         {
-            "rb85_peaks.csv": "566dfcc47cc6937a1a7a1b4abd510c8ee4592c34e2d2f6673af8e7f15c840f84",
-            "rb85_summary.json": "e4b04fa7095f633249a11d695789b78ff09f86761f4d0a537ef42f31493538eb",
+            "rb85_peaks.csv": "d71c156963e7da1ade64afe13cc4264ef684ebaf7c6b50a26aa6ba1fcf11901f",
+            "rb85_summary.json": "36811d55fd0b81ed1bc1bc14a3847cab8f88f63e37250d2b394cacb9b0c93a09",
         },
     ),
     "rates-readme": (
@@ -820,6 +826,16 @@ def test_warnings_join_the_one_line_error(tmp_path, capsys):
     assert warning["type"] == "UserWarning"
     assert warning["warning"].startswith("rabi/gamma = 5.26e+296 > 0.05")
     assert not out.exists()
+
+
+def test_each_warning_appears_once_in_the_error(tmp_path, capsys):
+    # the graded attempt and the one-block re-solve both multiply by the overflowing L
+    argv = ["steady", "--n-levels", "3", "--rabi-mhz", "1e160", "--out", str(tmp_path / "out")]
+    assert run_cli(*argv) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    pairs = [(w["warning"], w["type"]) for w in json.loads(line)["warnings"]]
+    assert ("overflow encountered in matmul", "RuntimeWarning") in pairs
+    assert len(pairs) == len(set(pairs)), pairs
 
 
 def test_warning_that_the_callers_filter_raises_exits_2(tmp_path, capsys):

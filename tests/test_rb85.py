@@ -16,7 +16,6 @@ from clams.rb85 import (
     ZeemanManifold,
     build_full_model,
     build_truncated_13,
-    cg_coefficient,
     cg_weight,
     ground_block,
 )
@@ -71,9 +70,29 @@ def test_branching_completeness():
 
 def test_cg_invalid_quantum_numbers():
     with pytest.raises(ValueError):
-        cg_coefficient(3, 4, 1, 0, 4, 4)
+        cg_weight(F_GROUND, 4, 0, F_EXCITED, 4)
     with pytest.raises(ValueError):
         cg_weight(F_GROUND, 0, 2, F_EXCITED, 2)
+    with pytest.raises(ValueError, match="only dipole transitions f -> f[+]1"):
+        cg_weight(F_GROUND, 0, 0, F_GROUND, 0)
+
+
+def test_dipole_weights_match_the_exact_clebsch_gordan_coefficients():
+    """Every allowed F=3 -> F'=4 weight is the correctly rounded square of sympy's exact
+    coefficient, and every drive amplitude is within 1 ulp of Omega times the coefficient."""
+    cg = pytest.importorskip("sympy.physics.quantum.cg").CG
+    exact = {(m_g, q): cg(F_GROUND, m_g, 1, q, F_EXCITED, m_g + q).doit()
+             for m_g in GROUND_M for q in (-1, 0, 1)}
+    assert len(exact) == 21
+    for (m_g, q), c in exact.items():
+        assert cg_weight(F_GROUND, m_g, q, F_EXCITED, m_g + q) == float(c**2), (m_g, q)
+    graph, _ = default_model()
+    rabi = DEFAULT_RABI_FRACTION * mhz_to_angular(DEFAULT_GAMMA_MHZ)
+    for m_g in GROUND_M:
+        for q in (0, 1):  # the pi and sigma+ drives
+            amp = graph.hamiltonian[N_GROUND + m_g + q + F_EXCITED, m_g + F_GROUND]
+            want = rabi * float(exact[m_g, q])
+            assert amp.imag == 0.0 and abs(amp.real - want) <= np.spacing(want), (m_g, q)
 
 
 def test_graph_respects_selection_rules():
@@ -218,7 +237,5 @@ def test_ground_block_shape_and_error():
 
 
 def test_zeeman_manifold_m_values():
-    assert ZeemanManifold(F_GROUND, 1.0).m_values == tuple(range(-3, 4))
-    assert ZeemanManifold(F_EXCITED, -1.0).m_values == tuple(range(-4, 5))
     with pytest.raises(ValueError):
         ZeemanManifold(2, 1.0)
