@@ -38,7 +38,9 @@ of the orders 0 and +q next to the diagonal of each L (the orders -q are their
 conjugate mirror), and any other model is one block, one dense LU each.  Each
 point is checked by its residual ||L v|| / (||L||_F ||v||), of graded models from
 the rows of the orders 0 and +q alone (the rows -q are their conjugates).  The
-peak weights of all points are taken at once.  ``--parallel`` is ignored.
+peak weights of all points are taken at once.  A point whose fundamental weight
+is 0 (undriven, or so weakly driven that it underflows) has NaN ratios, and
+``sweep-rabi`` flags its row ``zero-fundamental``.  ``--parallel`` is ignored.
 """
 from __future__ import annotations
 
@@ -381,7 +383,8 @@ def _reduced_generator(params: SystemParams, j_hop: float) -> np.ndarray:
 
 def _sweep_rows(params: SystemParams, chain_at, xs, reduced_at, js) -> list[list[float]]:
     """Rows [w1_full, w1_eff, h21_full, h21_eff, ...] at the points ``xs`` of the
-    full chain ``chain_at(x)`` and ``js`` of the reduced model ``reduced_at(j)``.
+    full chain ``chain_at(x)`` and ``js`` of the reduced model ``reduced_at(j)``, a
+    model's ratios NaN where its w1 is 0.
     Each generator family is solved as base + x * slope, so it must be affine
     in its argument, as it is in the drive, the detunings and the hopping rate."""
     models = []
@@ -426,20 +429,14 @@ def cmd_sweep_rabi(args, s):
     grid = _make_grid(s, "omega_min", "omega_max", used)
 
     rabis = grid * params.gamma
-    driven = rabis[rabis != 0.0]
-    solved = iter(_sweep_rows(
+    rows = _sweep_rows(
         params,
-        lambda x: _chain_generator(replace(params, rabi=x)), driven,
-        lambda j: _reduced_generator(params, j), driven**2 / params.gamma,
-    ))
-    rows = []
-    for frac, rabi in zip(grid, rabis):
-        if rabi == 0.0:
-            nans = [float("nan")] * (2 * params.n_ground - 4)
-            rows.append([frac, 0.0, *nans, "zero-fundamental"])
-        else:
-            jrel = rabi**2 / params.gamma / params.gamma_prime
-            rows.append([frac, jrel, *next(solved)[2:], "ok"])
+        lambda x: _chain_generator(replace(params, rabi=x)), rabis,
+        lambda j: _reduced_generator(params, j), rabis**2 / params.gamma,
+    )
+    rows = [[frac, rabi**2 / params.gamma / params.gamma_prime, *row[2:],
+             "zero-fundamental" if 0.0 in row[:2] else "ok"]
+            for frac, rabi, row in zip(grid, rabis, rows)]
     header = ["omega_over_gamma", "j_hop_over_gamma_prime", *_sweep_header(params)[2:], "flag"]
     return used, {"sweep_rabi.csv": (header, rows)}
 

@@ -22,7 +22,6 @@ import numpy as np
 
 __all__ = [
     "SystemParams",
-    "parity",
     "ground_indices",
     "rotating_diagonal",
     "build_rotating_hamiltonian",
@@ -83,13 +82,6 @@ class SystemParams:
     @property
     def n_ground(self) -> int:
         return (self.n_levels + 1) // 2
-
-
-def parity(m: int) -> str:
-    """'ground' for odd level labels, 'excited' for even ones."""
-    if m < 1:
-        raise ValueError(f"level label must be >= 1, got {m}")
-    return "ground" if m % 2 == 1 else "excited"
 
 
 def ground_indices(n_levels: int) -> np.ndarray:

@@ -120,10 +120,6 @@ class GeneratorMatrix:
     n_states: int
     matrix: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.n_states**2
-
 
 @dataclass(frozen=True)
 class DensityMatrix:

@@ -10,9 +10,12 @@ where diag_m is the rotating-frame energy of intermediate level m and gamma_m
 is gamma for excited (even m) and gamma_prime for ground (odd m) intermediates.
 At resonant driving every diag_m vanishes and the amplitude collapses to
 
-    2*pi * j_hop**(2n) / gamma_prime**(2n-2),        j_hop = rabi**2 / gamma,
+    2*pi * j_hop**2 * (j_hop / gamma_prime)**(2n-2),        j_hop = rabi**2 / gamma,
 
-so consecutive orders are suppressed by (j_hop / gamma_prime)**2.
+so consecutive orders are suppressed by (j_hop / gamma_prime)**2.  It is
+evaluated in this form, the two-photon amplitude times :func:`rate_ratio`, so
+that no power of j_hop or gamma_prime alone leaves the float range when the
+amplitude itself does not.
 
 Delta functions are represented as (amplitude, resonance_frequency) pairs plus
 an on-shell boolean; no numerical broadening happens here.  The general
@@ -48,7 +51,7 @@ def transition_amplitude(params: SystemParams, n: int, mode: str = "auto") -> Ra
 
     ``mode`` selects the evaluation route: ``"general"`` is the product over
     intermediate-level denominators (supported for n <= 3), ``"resonant"`` the
-    closed form 2*pi * j_hop**(2n) / gamma_prime**(2n-2) (any order, requires
+    closed form 2*pi * j_hop**2 * rate_ratio(params, n) (any order, requires
     zero detunings), and ``"auto"`` picks the general route exactly when some
     relevant detuning is nonzero.
 
@@ -79,9 +82,9 @@ def transition_amplitude(params: SystemParams, n: int, mode: str = "auto") -> Ra
     else:
         if detuned:
             raise ValueError("resonant mode requires zero detunings on the transition path")
-        amplitude = (
-            2.0 * np.pi * params.hopping_rate ** (2 * n) / params.gamma_prime ** (2 * n - 2)
-        )
+        amplitude = 2.0 * np.pi * params.hopping_rate**2 * rate_ratio(params, n)
+    if np.isinf(amplitude):  # a float product or quotient overflows silently; a power raises
+        raise OverflowError("the rate amplitude is out of float range")
 
     return RateResult(
         order=2 * n,

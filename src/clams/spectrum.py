@@ -131,23 +131,23 @@ def peak_weights(rho_ground) -> np.ndarray:
 
 
 def height_ratios(peaks: PeakSet) -> HeightRatios:
-    """Weights of harmonics n >= 2 relative to the fundamental."""
+    """Weights of harmonics n >= 2 relative to the fundamental: one row of :func:`weight_ratios`."""
     fundamental = peaks.fundamental_weight
     if fundamental <= 0.0:
         raise ValueError(_UNDRIVEN)
-    ratios = tuple(
-        (p.n, p.weight / fundamental) for p in sorted(peaks.peaks, key=lambda p: p.n) if p.n >= 2
-    )
-    return HeightRatios(fundamental_weight=fundamental, ratios=ratios)
+    higher = [p for p in sorted(peaks.peaks, key=lambda p: p.n) if p.n >= 2]
+    row = weight_ratios(np.array([fundamental, *(p.weight for p in higher)]))
+    return HeightRatios(fundamental, tuple(zip([p.n for p in higher], row[1:].tolist())))
 
 
 def weight_ratios(weights: np.ndarray) -> np.ndarray:
-    """Rows [weight(1), H_21, H_31, ...] of stacked :func:`peak_weights`, with the
-    numbers and the error of :func:`height_ratios`."""
+    """Rows [weight(1), H_21, H_31, ...] of stacked :func:`peak_weights`.  A row whose
+    fundamental weight is 0 (undriven, or so weakly driven that it underflows) has NaN
+    ratios; no row raises or warns."""
     fundamental = weights[..., :1]
-    if (fundamental <= 0.0).any():
-        raise ValueError(_UNDRIVEN)
-    return np.concatenate([fundamental, weights[..., 1:] / fundamental], axis=-1)
+    with np.errstate(all="ignore"):
+        ratios = np.where(fundamental > 0.0, weights[..., 1:] / fundamental, np.nan)
+    return np.concatenate([fundamental, ratios], axis=-1)
 
 
 @dataclass(frozen=True)

@@ -375,6 +375,18 @@ def test_rates_detuned_marks_high_orders(tmp_path):
     assert all(m == "resonant-only" for m in modes[3:])
 
 
+def test_rates_of_a_large_gamma_prime_underflow_to_zero(tmp_path):
+    # the amplitude is 2*pi * j_hop**2 * (j_hop/gamma_prime)**(2n-2): the ratio underflows
+    # to 0 where gamma_prime**4 alone would overflow
+    assert run_cli("rates", "--n-levels", "7", "--gamma-prime-mhz", "1e80",
+                   "--out", str(tmp_path)) == 0
+    header, rows = read_csv(tmp_path / "rates.csv")
+    amplitudes = [float(r[header.index("amplitude")]) for r in rows]
+    assert amplitudes[0] == pytest.approx(2 * np.pi * mhz_to_angular(15.2**2 / 1900.0) ** 2,
+                                          rel=1e-14)
+    assert 0.0 < amplitudes[1] < 1e-160 and amplitudes[2] == 0.0
+
+
 def test_rb85_peaks_at_harmonics(tmp_path):
     code = run_cli("rb85", "--out", str(tmp_path), "--format", "both")
     assert code == 0
@@ -446,6 +458,10 @@ def test_rb85_rabi_from_config_file(tmp_path):
 # moved by at most 1.0e-14 relative (9.98e-15, the smallest pair weight of the
 # fundamental in rb85_peaks.json of "rb85-readme"; every peak weight by at most
 # 3.0e-15).  The rb85_truncated13_* files and every config hash are unchanged.
+# rates.csv of "rates-readme" was re-recorded when the resonant amplitude became
+# 2*pi * j_hop**2 * rate_ratio instead of 2*pi * j_hop**(2n) / gamma_prime**(2n-2): the
+# amplitudes of n = 3..6 moved by at most 4.4e-16 relative (n = 6), and both forms are
+# within 2.3e-16 of a 40-digit evaluation; every other column is unchanged.
 _RB85_BOTH_RABI_KEYS = "rabi_fraction = 0.009\nrabi_mhz = 14.5\ngamma_mhz = 1.9e3\n"
 GOLDEN = {
     "steady-readme": (
@@ -572,7 +588,7 @@ GOLDEN = {
         "rates --n-levels 13",
         None,
         "8a23821b3d493bd7",
-        {"rates.csv": "8734c6f1e4b50d9b7edd10faaa2beac5c0badb93cd3a930cb8c855215bc2fb29"},
+        {"rates.csv": "2867b0e788f1e09275022f26524335b91f82a714478a3deb4c6fe22be431317f"},
     ),
 }
 
@@ -740,13 +756,17 @@ def test_out_naming_a_file_exits_2(tmp_path, capsys):
     (["steady", "--n-levels", "3", "--effective", "--rabi-mhz", "1e300"], "rabi_mhz"),
     (["rates", "--n-levels", "3", "--rabi-mhz", "1e300"], "rabi_mhz"),
     (["rates", "--n-levels", "3", "--detunings-mhz", "1e300,0"], "detunings_mhz"),
-    # gamma_prime**4 underflows to 0, the divisor of the order-6 rate
+    # (j_hop / gamma_prime)**4, the ratio of the order-6 rate, overflows
     (["rates", "--n-levels", "7", "--gamma-prime-mhz", "1e-200"], "gamma_prime_mhz"),
+    # every power is in range, but 2*pi * j_hop**2 * (j_hop/gamma_prime)**2 is not
+    (["rates", "--n-levels", "5", "--rabi-mhz", "1e77", "--gamma-prime-mhz", "1e140"],
+     "gamma_prime_mhz"),
     # ||L||_F overflows: the residual check fails (finite / inf would pass any vector)
     # and the error names the generator's scale, not a degenerate null space
     (["steady", "--n-levels", "3", "--rabi-mhz", "1e160"], "||L||_F overflows"),
     (["steady", "--n-levels", "3", "--rabi-mhz", "1e200"], "||L||_F overflows"),
-], ids=["steady-effective", "rates-rabi", "rates-detuning", "rates-gamma-prime", "steady-norm-1e160",
+], ids=["steady-effective", "rates-rabi", "rates-detuning", "rates-gamma-prime",
+        "rates-amplitude", "steady-norm-1e160",
         "steady-norm-1e200"])
 @pytest.mark.filterwarnings("ignore:rabi/gamma")  # the reduced model's strong-drive warning
 def test_overflowing_setting_exits_2(tmp_path, capsys, argv, named):

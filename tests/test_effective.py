@@ -92,7 +92,7 @@ def test_zero_drive_leaves_pure_ground_relaxation():
 def test_effective_generator_is_a_generator_matrix():
     gen = build_effective_generator(7, 0.4, 0.2, raman_detunings(7, 0.3))
     assert isinstance(gen, GeneratorMatrix) and isinstance(gen, EffectiveGenerator)
-    assert gen.n_states == 4 and gen.dim == gen.matrix.shape[0] == 16
+    assert gen.n_states == 4 and gen.matrix.shape == (16, 16)
     assert np.array_equal(steady_state(gen).matrix, effective_steady_state(gen).matrix)
 
 

@@ -5,7 +5,6 @@ from clams.level_system import (
     SystemParams,
     build_rotating_hamiltonian,
     ground_indices,
-    parity,
     raman_detunings,
     rotating_phase,
 )
@@ -46,14 +45,6 @@ def test_hamiltonian_exactly_hermitian():
         )
         h = build_rotating_hamiltonian(p)
         assert np.array_equal(h, h.conj().T)
-
-
-def test_parity_convention():
-    assert parity(1) == "ground"
-    assert parity(2) == "excited"
-    assert parity(7) == "ground" and parity(12) == "excited"
-    with pytest.raises(ValueError):
-        parity(0)
 
 
 def test_ground_indices():

@@ -502,12 +502,6 @@ def test_nan_lambda_min_is_rejected():
                                  np.zeros((1, 4, 4), dtype=complex))
 
 
-def test_generator_matrix_dim():
-    gen = build_generator(pure_decay_graph())
-    assert gen.dim == 4
-    assert gen.matrix.shape == (4, 4)
-
-
 def test_vec_roundtrip_column_stacking():
     m = np.arange(9, dtype=complex).reshape(3, 3)
     rho = DensityMatrix(m)

@@ -119,11 +119,48 @@ def test_partial_last_chunk_gives_same_rows(tmp_path, monkeypatch):
     assert (tmp_path / "chunked" / "sweep_rabi.csv").read_bytes() == one
 
 
-def test_undriven_sweep_is_a_configuration_error(tmp_path, capsys):
+def run_warning_free(argv, out):
+    """Rows of the one CSV that ``argv`` writes to ``out``; a warning would fail the command."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--out", str(out)]) == 0
+    return read_rows(out / f"{argv[0].replace('-', '_')}.csv")
+
+
+def test_undriven_detuning_sweep_writes_nan_ratios(tmp_path):
     argv = ["sweep-detuning", "--n-levels", "5", "--rabi-mhz", "0", "--start-mhz", "-1",
-            "--stop-mhz", "1", "--count", "5", "--out", str(tmp_path)]
-    assert main(argv) == 2
-    assert "undriven" in capsys.readouterr().err
+            "--stop-mhz", "1", "--count", "5"]
+    header, rows = run_warning_free(argv, tmp_path)
+    assert header == ["delta_mhz", "w1_full", "w1_eff", "h21_full", "h21_eff"]
+    assert [row[1:] for row in rows] == [["0", "0", "nan", "nan"]] * 5
+
+
+def test_underflowing_fundamental_is_flagged(tmp_path):
+    # every point is driven, but below about 1e-50 of gamma the fundamental weight
+    # underflows to 0: those points are flagged, and the others solve as usual
+    argv = ["sweep-rabi", "--n-levels", "5", "--omega-min", "1e-200", "--omega-max", "1e-2",
+            "--count", "5"]
+    _, rows = run_warning_free(argv, tmp_path)
+    assert [row[-1] for row in rows] == ["zero-fundamental"] * 3 + ["ok"] * 2
+    assert all(row[2:4] == ["nan", "nan"] for row in rows[:3])
+    assert float(rows[2][1]) > 0.0 and float(rows[4][2]) > 0.0
+
+
+def test_zero_start_grid_gives_the_same_bytes_in_any_chunking(tmp_path, monkeypatch):
+    # the undriven first point is solved with the others, one point per chunk, three, or
+    # all 41 in one, and its row is flagged with NaN ratios
+    argv = ["sweep-rabi", "--n-levels", "7", "--omega-min", "0", "--omega-max", "0.05",
+            "--count", "41", "--spacing", "linear"]
+    outputs = []
+    for per_chunk in (None, 3, 1):
+        if per_chunk is not None:
+            monkeypatch.setattr(clams.liouvillian, "STACK_BYTES", per_chunk * 16 * 49**2)
+        run_warning_free(argv, tmp_path / str(per_chunk))
+        outputs.append((tmp_path / str(per_chunk) / "sweep_rabi.csv").read_bytes())
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    _, rows = read_rows(tmp_path / "None" / "sweep_rabi.csv")
+    assert rows[0] == ["0", "0", *["nan"] * 4, "zero-fundamental"]
+    assert all(row[-1] == "ok" for row in rows[1:])
 
 
 def readme_families():
@@ -298,11 +335,8 @@ def test_one_block_family_checks_every_row(monkeypatch):
 def test_sweeps_raise_no_warning(tmp_path, capsys, argv):
     # the benchmark's sweep shapes, an all-undriven grid, and, in the detuning sweeps, the
     # point x = 0 of both families: no RuntimeWarning (invalid value, overflow) from the
-    # norms of L, the row weights or the peak weights, which this filter makes an error
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main([*argv, "--out", str(tmp_path)]) == 0
+    # norms of L, the row weights or the peak weights, which run_warning_free makes an error
+    _, rows = run_warning_free(argv, tmp_path)
     assert capsys.readouterr().err == ""
-    _, rows = read_rows(tmp_path / f"{argv[0].replace('-', '_')}.csv")
     if argv[0] == "sweep-detuning":
         assert rows[20][0] == "0"
