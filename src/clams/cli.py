@@ -227,6 +227,14 @@ def _overflow_of(keys: str):
         raise OverflowError(f"a float power is out of range: change {keys}") from None
 
 
+def _hopping_rate(params: SystemParams) -> float:
+    """j_hop = rabi**2 / gamma; an OverflowError that names both settings if it is not finite."""
+    with _overflow_of("rabi_mhz or gamma_mhz"):
+        if not np.isfinite(j_hop := params.hopping_rate):
+            raise OverflowError
+    return j_hop
+
+
 def config_digest(used: dict[str, str]) -> str:
     blob = "\n".join(f"{k}={v}" for k, v in sorted(used.items()))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
@@ -352,8 +360,11 @@ def cmd_steady(args, s):
     used.update(threshold=_fmt(threshold), effective=str(args.effective))
 
     if args.effective:
-        with _overflow_of("rabi_mhz"):  # rabi**2 / gamma
-            gen = effective.reduce(params)
+        try:
+            gen = effective.reduce(params)  # warns at strong drive, then forms rabi**2 / gamma
+        except (OverflowError, ValueError):
+            _hopping_rate(params)  # raises naming the settings if that is what overflowed
+            raise
         rho = effective.effective_steady_state(gen)
         peaks = spectrum.coherence_peaks(rho, params.delta_omega_s)
     else:
@@ -392,8 +403,9 @@ def _sweep_rows(params: SystemParams, chain_at, xs, reduced_at, js) -> list[list
         (chain_at, xs, ground_indices(params.n_levels)),
         (reduced_at, js, np.arange(params.n_ground)),
     ):
-        base = build(0.0)
-        rho = affine_steady_states(base, build(1.0) - base, points)
+        base, slope = build(0.0), build(1.0)
+        slope -= base  # in place: two generators alive, not three
+        rho = affine_steady_states(base, slope, points)
         models.append(spectrum.weight_ratios(spectrum.peak_weights(rho[:, gidx][:, :, gidx])))
     return np.stack(models, axis=-1).reshape(len(models[0]), 2 * (params.n_ground - 1)).tolist()
 
@@ -413,8 +425,7 @@ def cmd_sweep_detuning(args, s):
         return replace(params, detunings=raman_detunings(params.n_levels, delta))
 
     deltas = [mhz_to_angular(v) for v in grid]
-    with _overflow_of("rabi_mhz"):
-        j_hop = params.hopping_rate
+    j_hop = _hopping_rate(params)
     rows = _sweep_rows(
         params,
         lambda x: _chain_generator(at(x)), deltas,
@@ -513,12 +524,11 @@ def cmd_rates(args, s):
     resonant_params = replace(params, detunings=(0.0,) * (params.n_levels - 1))
     rows = []
     detuned_input = any(d != 0.0 for d in params.detunings)
-    with _overflow_of("rabi_mhz"):
-        params.hopping_rate  # rabi**2 / gamma, which the rates raise to higher powers
+    _hopping_rate(params)  # which the rates raise to higher powers
     for n in range(1, params.n_ground):
         detuned = detuned_input and n <= MAX_DETUNED_ORDER
-        with _overflow_of("rabi_mhz, gamma_prime_mhz or detunings_mhz" if detuned
-                          else "rabi_mhz or gamma_prime_mhz"):
+        with _overflow_of("rabi_mhz, gamma_mhz, gamma_prime_mhz or detunings_mhz" if detuned
+                          else "rabi_mhz, gamma_mhz or gamma_prime_mhz"):
             res = transition_amplitude(params if detuned else resonant_params, n)
             ratio = rate_ratio(params, n)
         mode = "detuned" if detuned else "resonant-only" if detuned_input else "resonant"

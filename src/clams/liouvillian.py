@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, frexp, inf, isfinite, isqrt
 from operator import iadd, imul
+from threading import local
 
 import numpy as np
 
@@ -53,9 +54,10 @@ _PADE_13 = [factorial(26 - k) * factorial(13) / (factorial(26) * factorial(13 - 
 _THETA_13 = 5.371920351148152
 
 # A sweep builds and solves its points in chunks of at most this many bytes of
-# the blocks it eliminates (one block: the whole generator); the solves work on
-# one member at a time.
+# the blocks it eliminates (one block: the whole generator), or of the nonzeros its
+# residual check gathers; the solves work on one member at a time.
 STACK_BYTES = 2 * 1024**2
+_gathers = local()  # .buf: each thread's gather of the residual check, kept between sweeps
 
 
 class SteadyStateError(RuntimeError):
@@ -456,7 +458,10 @@ def affine_steady_states(base: np.ndarray, slope: np.ndarray, xs) -> np.ndarray:
     which the hermiticity check bounds.  ||L||_F^2 = ||A||^2 + 2 x Re<A, B> + x^2
     ||B||^2 (A = base, B = slope).  A chunk that fails is re-solved by
     :func:`steady_states`, which raises the typed error.  So the memory of a sweep
-    does not grow with its points.
+    does not grow with its points.  The check gathers v at the nonzeros' columns into
+    a buffer that each thread keeps between sweeps and grows only when a chunk needs
+    more, so a sweep does not fault in fresh heap pages for it; it holds at most
+    ``STACK_BYTES``, or one point's nonzeros if they take more.
     """
     xs = np.asarray(xs, dtype=float)
     base, slope = np.asarray(base, dtype=complex), np.asarray(slope, dtype=complex)
@@ -468,18 +473,26 @@ def affine_steady_states(base: np.ndarray, slope: np.ndarray, xs) -> np.ndarray:
     slope_nz, base_nz = (m.ravel()[nonzero] * weight[nonzero // n] for m in (slope, base))
     cols, heads = nonzero % n, np.flatnonzero(np.diff(nonzero // n, prepend=-1))  # row starts
     aa, ab, bb = (np.vdot(p, q).real for p, q in ((base, base), (base, slope), (slope, slope)))
-    per = max(1, min(xs.size, STACK_BYTES // (16 * slope_band.size)))
+    per = max(1, min(xs.size, STACK_BYTES // (16 * max(slope_band.size, cols.size))))
     out = np.empty((xs.size, *(isqrt(n),) * 2), dtype=complex)
     for start in range(0, xs.size, per):
         x = xs[start : start + per, None]
         lnz = iadd(x * slope_nz, base_nz)
         rho = _graded_states(  # the band and the nonzeros of each L: the bits of base + x * slope
             lambda a, b: iadd(x * slope_band[a:b], base_band[a:b]), grading,
-            lambda v: np.add.reduceat(imul(v[:, cols], lnz), heads, axis=1),
+            lambda v: np.add.reduceat(imul(_gather(v, cols), lnz), heads, axis=1),
             np.sqrt(np.maximum(aa + x[:, 0] * (2.0 * ab + x[:, 0] * bb), 0.0)),
         )
         out[start : start + per] = steady_states(base + x[..., None] * slope) if rho is None else rho
     return out
+
+
+def _gather(v: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """v[:, cols] (cols in range) in this thread's buffer, grown when it is too small.  With
+    mode="raise" rather than "clip", np.take would gather into a hidden temporary and copy it."""
+    if getattr(_gathers, "buf", np.empty(0)).size < (size := len(v) * cols.size):
+        _gathers.buf = np.empty(size, dtype=complex)
+    return np.take(v, cols, 1, _gathers.buf[:size].reshape(len(v), cols.size), "clip")
 
 
 def _norm1(m: np.ndarray) -> float:

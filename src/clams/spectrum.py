@@ -39,8 +39,6 @@ __all__ = [
 # purely a display cutoff, relative to the fundamental peak.
 DEFAULT_DISPLAY_THRESHOLD = 1e-6
 
-_UNDRIVEN = "fundamental peak weight is zero (undriven system)"
-
 
 @dataclass(frozen=True)
 class Peak:
@@ -134,7 +132,7 @@ def height_ratios(peaks: PeakSet) -> HeightRatios:
     """Weights of harmonics n >= 2 relative to the fundamental: one row of :func:`weight_ratios`."""
     fundamental = peaks.fundamental_weight
     if fundamental <= 0.0:
-        raise ValueError(_UNDRIVEN)
+        raise ValueError("fundamental peak weight is zero (undriven system)")
     higher = [p for p in sorted(peaks.peaks, key=lambda p: p.n) if p.n >= 2]
     row = weight_ratios(np.array([fundamental, *(p.weight for p in higher)]))
     return HeightRatios(fundamental, tuple(zip([p.n for p in higher], row[1:].tolist())))

@@ -765,9 +765,17 @@ def test_out_naming_a_file_exits_2(tmp_path, capsys):
     # and the error names the generator's scale, not a degenerate null space
     (["steady", "--n-levels", "3", "--rabi-mhz", "1e160"], "||L||_F overflows"),
     (["steady", "--n-levels", "3", "--rabi-mhz", "1e200"], "||L||_F overflows"),
+    # j_hop = rabi**2 / gamma is a finite power over a tiny gamma, which overflows silently
+    (["sweep-detuning", "--n-levels", "5", "--rabi-mhz", "1e10", "--gamma-mhz", "1e-300",
+      "--start-mhz", "-1", "--stop-mhz", "1", "--count", "3"], "gamma_mhz"),
+    (["steady", "--n-levels", "3", "--effective", "--rabi-mhz", "1e10", "--gamma-mhz", "1e-300"],
+     "gamma_mhz"),
+    # j_hop is finite, but a tiny gamma makes the amplitude overflow
+    (["rates", "--n-levels", "3", "--rabi-mhz", "1e70", "--gamma-mhz", "1e-20",
+      "--detunings-mhz", "1e-30,0"], "gamma_mhz"),
 ], ids=["steady-effective", "rates-rabi", "rates-detuning", "rates-gamma-prime",
         "rates-amplitude", "steady-norm-1e160",
-        "steady-norm-1e200"])
+        "steady-norm-1e200", "sweep-detuning-j-hop", "steady-effective-j-hop", "rates-gamma"])
 @pytest.mark.filterwarnings("ignore:rabi/gamma")  # the reduced model's strong-drive warning
 def test_overflowing_setting_exits_2(tmp_path, capsys, argv, named):
     out = tmp_path / "out"

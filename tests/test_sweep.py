@@ -1,4 +1,6 @@
 """Batched sweeps against per-point steady states."""
+import threading
+import tracemalloc
 import warnings
 from dataclasses import replace
 from math import isqrt
@@ -305,12 +307,18 @@ def test_corrupted_plus_q_solution_fails_the_graded_check(monkeypatch, checks_co
         assert len(calls) == 2  # the graded chunk's check, then the re-solve's
 
 
-def test_one_block_family_checks_every_row(monkeypatch):
+def one_block_family():
+    """(base, slope, xs) of a random 5-state graph whose Hamiltonian moves along a random
+    Hermitian direction: a family of one block."""
     rng = np.random.default_rng(5)
     graph = random_graph(rng, d=5)
     h1 = hermitian_random(rng, graph.n_states)
-    base, slope = build_generator(graph).matrix, hamiltonian_superoperator(h1, h1)
-    xs = rng.uniform(-2.0, 2.0, size=7)
+    return build_generator(graph).matrix, hamiltonian_superoperator(h1, h1), rng.uniform(-2, 2, 7)
+
+
+def test_one_block_family_checks_every_row(monkeypatch):
+    base, slope, xs = one_block_family()
+    rng = np.random.default_rng(6)
     assert _coherence_levels(base, slope) is None
     calls = checked_calls(monkeypatch)
     affine_steady_states(base, slope, xs)
@@ -322,6 +330,117 @@ def test_one_block_family_checks_every_row(monkeypatch):
     want = np.einsum("kij,kj->ki", stack, w)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
     assert np.abs(fro / dense_norms(stack, w)[1] - 1.0).max() <= 1e-13
+
+
+def in_new_thread(solve):
+    """``solve()`` run in a thread of its own, which starts without a gather buffer."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(solve()))
+    thread.start()
+    thread.join()
+    (result,) = out
+    return result
+
+
+def recording_checks(monkeypatch, times=1):
+    """Make every check form its L v ``times`` times first.  Returns ``run(solve)``, which
+    gives ``solve()`` and the L v of the checks it ran, in the thread that runs it."""
+    check, seen = clams.liouvillian._checked, threading.local()
+
+    def spy(v, matvec, fro, lio=None):
+        seen.products.extend(matvec(v) for _ in range(times))
+        return check(v, matvec, fro, lio)
+
+    def run(solve):
+        seen.products = []
+        return solve(), seen.products
+
+    monkeypatch.setattr(clams.liouvillian, "_checked", spy)
+    return run
+
+
+def assert_same_solves(got, want):
+    """The states and the L v of every check of two ``run`` results have the same bits.
+    The states alone would not show a bad gather: a check that fails is re-solved."""
+    assert np.array_equal(got[0], want[0])
+    assert len(got[1]) == len(want[1]) and all(map(np.array_equal, got[1], want[1]))
+
+
+@pytest.mark.parametrize("chunked", [False, True], ids=["whole", "chunked"])
+@pytest.mark.parametrize("family", ["detuning13", "one-block"])
+def test_reused_gather_buffer_leaves_no_trace(monkeypatch, family, chunked):
+    # the family solved first in its thread, then after a family whose gather is larger
+    # (the README N = 7 Rabi sweep) and after one whose gather is smaller (two points of
+    # the N = 5 detuning sweep), in a thread each: the same bits, however much of the
+    # buffer the other family left behind
+    (base5, slope5, xs5), detuning13, rabi7 = chain_families()
+    base, slope, xs = detuning13 if family == "detuning13" else one_block_family()
+    grading = _coherence_levels(base, slope)
+    assert (grading is None) == (family == "one-block")
+    run = recording_checks(monkeypatch)
+
+    def solve():
+        with monkeypatch.context() as patch:
+            if chunked:  # 3 points per chunk: 3 bands (one block: 3 generators)
+                band = base.size if grading is None else grading.band.size
+                patch.setattr(clams.liouvillian, "STACK_BYTES", 3 * 16 * band)
+            return affine_steady_states(base, slope, xs)
+
+    first = in_new_thread(lambda: run(solve))
+    for before in (rabi7, (base5, slope5, xs5[:2])):
+        got = in_new_thread(lambda: (run(lambda: affine_steady_states(*before)), run(solve))[1])
+        assert_same_solves(got, first)
+
+
+def test_threads_keep_their_own_gather_buffers(monkeypatch):
+    # two threads solve the README N = 13 detuning and N = 7 Rabi families 8 times each,
+    # every check forming L v 30 times to widen the window in which the other thread
+    # runs: the bits of the serial solves, as L v would not have if one thread gathered
+    # into the buffer from which the other was multiplying and summing
+    run = recording_checks(monkeypatch, times=30)
+    solves = [lambda f=family: [affine_steady_states(*f) for _ in range(8)]
+              for family in list(chain_families())[1:]]
+    serial = [run(solve) for solve in solves]
+    results = [None, None]
+    threads = [threading.Thread(target=lambda i=i: results.__setitem__(i, run(solves[i])))
+               for i in (0, 1)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    for got, want in zip(results, serial):
+        assert_same_solves(got, want)
+
+
+def test_second_sweep_allocates_no_gather(monkeypatch):
+    # the README N = 7 Rabi family, 201 points in one chunk: after the first call, a
+    # second one traces a peak lower by at least the gather of the residual check
+    # (points x nonzeros of its rows, complex), which it reuses, and L v of the check
+    # allocates less than that gather: no hidden temporary of np.take either
+    base, slope, xs = list(chain_families())[2]
+    plus = (np.sign(_coherence_levels(base, slope).order) >= 0)[:, None]
+    gather_bytes = xs.size * np.count_nonzero(((base != 0) | (slope != 0)) & plus) * 16
+    calls = checked_calls(monkeypatch)
+
+    def peak(run):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - before
+
+    def peaks():
+        first, second = (peak(lambda: affine_steady_states(base, slope, xs)) for _ in "12")
+        ((v, matvec, _),) = calls[-1:]
+        return first, second, peak(lambda: matvec(v))
+
+    tracemalloc.start()
+    try:
+        first, second, product = in_new_thread(peaks)
+    finally:
+        tracemalloc.stop()
+    assert len(calls) == 2  # one chunk per call, no re-solve
+    assert first - second >= gather_bytes
+    assert product < gather_bytes
 
 
 @pytest.mark.parametrize("argv", [
