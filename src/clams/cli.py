@@ -5,7 +5,7 @@ Subcommands
 steady          one steady state (full chain or reduced model) and its peak set
 sweep-detuning  height ratios against the two-photon detuning, full vs reduced
 sweep-rabi      height ratios against drive strength on a log grid
-rb85            the 16-state Zeeman model, optionally the 13-level chain
+rb85            the 16-state Zeeman model of the sigma+/pi drive, optionally the 13-level chain
 rates           multi-photon transition-rate table
 
 Configuration files are flat ``key = value`` text ('#' starts a comment);
@@ -41,6 +41,10 @@ the rows of the orders 0 and +q alone (the rows -q are their conjugates).  The
 peak weights of all points are taken at once.  A point whose fundamental weight
 is 0 (undriven, or so weakly driven that it underflows) has NaN ratios, and
 ``sweep-rabi`` flags its row ``zero-fundamental``.  ``--parallel`` is ignored.
+
+``rb85`` fits the log-linear law to a model only when its fundamental and two more
+of its peaks are nonzero; its summary's ``flag`` reads ``zero-fundamental`` or,
+when a weak drive leaves fewer nonzero peaks, ``too-few-peaks``.
 """
 from __future__ import annotations
 
@@ -471,20 +475,18 @@ def cmd_rb85(args, s):
     gamma, gamma_prime, splitting, excited_splitting, dws, line_detuning, rabi = (
         mhz_to_angular(value) for value in mhz.values()
     )
-    drives = tuple(
-        rb85.DriveField(branch, rabi, line_detuning, dws if branch == s["offset_branch"] else 0.0)
-        for branch in ("sigma+", "pi")
-    )
     graph = rb85.build_full_model(
-        rb85.ZeemanManifold(rb85.F_GROUND, splitting),
-        rb85.ZeemanManifold(rb85.F_EXCITED, excited_splitting),
-        drives,
-        gamma,
-        gamma_prime,
+        rabi, gamma, gamma_prime, splitting=splitting, excited_splitting=excited_splitting,
+        delta_omega_s=dws, line_detuning=line_detuning, offset_branch=s["offset_branch"],
     )
     rho = steady_state(build_generator(graph))
     peaks = spectrum.coherence_peaks(rb85.ground_block(rho), dws, labels=rb85.GROUND_M)
     files = _peak_files("rb85", peaks, s["format"], threshold)
+    models = {"full_model": peaks}
+    if args.with_truncated_13:
+        params13 = SystemParams(13, rabi, gamma, gamma_prime, (0.0,) * 12, dws)
+        _, _, models["truncated13"] = _chain_peaks(cascaded_lambda_graph(params13), dws)
+        files |= _peak_files("rb85_truncated13", models["truncated13"], s["format"], threshold)
 
     summary: dict = {
         "config_hash": None,
@@ -492,30 +494,18 @@ def cmd_rb85(args, s):
         "visible_peaks": len(spectrum.visible_peaks(peaks, threshold)),
         "threshold": threshold,
     }
-    if peaks.fundamental_weight > 0:
-        summary["full_model_fit"] = _fit_payload(spectrum.loglinear_fit(peaks))
-    else:
-        summary["flag"] = "zero-fundamental"
-
-    if args.with_truncated_13:
-        params13 = SystemParams(
-            n_levels=13,
-            rabi=rabi,
-            gamma=gamma,
-            gamma_prime=gamma_prime,
-            detunings=(0.0,) * 12,
-            delta_omega_s=dws,
+    for name, found in models.items():
+        # a fit needs the fundamental and two more nonzero peaks
+        if found.fundamental_weight > 0 and sum(p.weight > 0 for p in found.peaks) >= 3:
+            summary[f"{name}_fit"] = _fit_payload(spectrum.loglinear_fit(found))
+        elif summary.get("flag") != "zero-fundamental":
+            summary["flag"] = "zero-fundamental" if found.fundamental_weight == 0 else "too-few-peaks"
+    if "truncated13_fit" in summary and "full_model_fit" in summary:
+        summary["slope_comparison"] = (
+            "full model falls faster than the 13-level chain"
+            if summary["full_model_fit"]["slope"] < summary["truncated13_fit"]["slope"]
+            else "13-level chain falls faster than the full model"
         )
-        _, _, peaks13 = _chain_peaks(rb85.build_truncated_13(params13), dws)
-        files |= _peak_files("rb85_truncated13", peaks13, s["format"], threshold)
-        if peaks13.fundamental_weight > 0 and peaks.fundamental_weight > 0:
-            fit13 = spectrum.loglinear_fit(peaks13)
-            summary["truncated13_fit"] = _fit_payload(fit13)
-            summary["slope_comparison"] = (
-                "full model falls faster than the 13-level chain"
-                if summary["full_model_fit"]["slope"] < fit13.slope
-                else "13-level chain falls faster than the full model"
-            )
     return used, files | {"rb85_summary.json": summary}
 
 

@@ -25,7 +25,6 @@ __all__ = [
     "ground_indices",
     "rotating_diagonal",
     "build_rotating_hamiltonian",
-    "rotating_phase",
     "raman_detunings",
 ]
 
@@ -110,28 +109,6 @@ def build_rotating_hamiltonian(params: SystemParams) -> np.ndarray:
         h[m, m + 1] = params.rabi
         h[m + 1, m] = params.rabi
     return h
-
-
-def rotating_phase(m: int, m_prime: int, params: SystemParams, omega_s: float = 0.0) -> float:
-    """Angular frequency at which the lab-frame coherence (m, m') rotates.
-
-    Equals the difference of the frame-generator phases of the two levels.  For
-    a ground pair (l, l + 2n) it is n * delta_omega_s independent of omega_s;
-    mixed-parity pairs pick up the absolute tone frequency, so ``omega_s`` must
-    be supplied for those to be meaningful.  Antisymmetric under m <-> m'.
-    """
-    n = params.n_levels
-    if not (1 <= m <= n and 1 <= m_prime <= n):
-        raise ValueError(f"level labels must be in 1..{n}, got ({m}, {m_prime})")
-
-    def partial(mm: int) -> float:
-        s = 0.0
-        for k in range(1, mm):
-            tone = omega_s + params.delta_omega_s if k % 2 == 1 else omega_s
-            s += (-1.0) ** k * tone
-        return s
-
-    return partial(m) - partial(m_prime)
 
 
 def raman_detunings(n_levels: int, delta: float) -> tuple[float, ...]:

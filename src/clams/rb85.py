@@ -1,10 +1,12 @@
 """Driven Rb-85 D2 model: F=3 ground and F'=4 excited Zeeman manifolds (16 states).
 
-Two phase-coherent fields, one sigma+ polarized and one pi polarized and offset
-from each other by delta_omega_s, drive the F=3 -> F'=4 transitions.  Each pair
-of neighbouring ground Zeeman states then shares a common excited state
-(g(m) --sigma+--> e(m+1) <--pi-- g(m+1)), which is the cascaded-Lambda
-structure realized in the Zeeman basis.
+The one drive protocol: two phase-coherent tones, one sigma+ and one pi
+polarized, of one Rabi coupling and one detuning from the line, one of them
+delta_omega_s higher, drive the F=3 -> F'=4 transitions; `build_full_model`
+takes these scalars.  Each pair of neighbouring ground Zeeman states then shares
+a common excited state (g(m) --sigma+--> e(m+1) <--pi-- g(m+1)), which is the
+cascaded-Lambda structure realized in the Zeeman basis.  The generic chain it is
+compared with is :func:`clams.liouvillian.cascaded_lambda_graph` at 13 levels.
 
 State ordering of the returned graph: ground m_F = -3..+3 at indices 0..6,
 excited m_F = -4..+4 at indices 7..15.
@@ -21,13 +23,11 @@ gamma_prime per channel, the Zeeman-basis analog of the generic chain model.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import sqrt
 
 import numpy as np
 
-from .level_system import SystemParams
-from .liouvillian import CouplingGraph, cascaded_lambda_graph
+from .liouvillian import CouplingGraph
 
 __all__ = [
     "F_GROUND",
@@ -37,11 +37,8 @@ __all__ = [
     "N_STATES",
     "GROUND_M",
     "EXCITED_M",
-    "ZeemanManifold",
-    "DriveField",
     "cg_weight",
     "build_full_model",
-    "build_truncated_13",
     "ground_block",
     "DEFAULT_GAMMA_MHZ",
     "DEFAULT_GAMMA_PRIME_MHZ",
@@ -63,41 +60,6 @@ DEFAULT_GAMMA_MHZ = 1900.0
 DEFAULT_GAMMA_PRIME_MHZ = 0.2
 DEFAULT_SPLITTING_MHZ = 2.34
 DEFAULT_RABI_FRACTION = 8e-3
-
-_POLARIZATION_Q = {"sigma-": -1, "pi": 0, "sigma+": +1}
-
-
-@dataclass(frozen=True)
-class ZeemanManifold:
-    """One hyperfine level: total angular momentum F and Zeeman splitting per m_F step."""
-
-    f: int
-    splitting: float
-
-    def __post_init__(self) -> None:
-        if self.f not in (F_GROUND, F_EXCITED):
-            raise ValueError(f"f must be {F_GROUND} (ground) or {F_EXCITED} (excited)")
-
-
-@dataclass(frozen=True)
-class DriveField:
-    """One Raman tone: polarization, Rabi coupling, detuning from the line,
-    and its frequency offset relative to the shared base frequency."""
-
-    polarization: str
-    rabi: float
-    detuning: float = 0.0
-    frequency_offset: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.polarization not in _POLARIZATION_Q:
-            raise ValueError(f"unknown polarization {self.polarization!r}")
-        if self.rabi < 0:
-            raise ValueError("rabi must be >= 0")
-
-    @property
-    def q(self) -> int:
-        return _POLARIZATION_Q[self.polarization]
 
 
 def cg_weight(f_g: int, m_g: int, q: int, f_e: int, m_e: int) -> float:
@@ -131,59 +93,52 @@ def _excited_index(m: int) -> int:
 
 
 def build_full_model(
-    ground: ZeemanManifold,
-    excited: ZeemanManifold,
-    drives: tuple[DriveField, DriveField],
+    rabi: float,
     gamma: float,
     gamma_prime: float,
+    *,
+    splitting: float,
+    excited_splitting: float,
+    delta_omega_s: float,
+    line_detuning: float = 0.0,
+    offset_branch: str = "sigma+",
 ) -> CouplingGraph:
     """Coupling graph of the full 16-state driven system in the rotating frame.
 
-    The two drives must be one sigma+ and one pi field, and exactly one of them
-    must carry a nonzero ``frequency_offset`` (the tone difference
-    delta_omega_s).  The rotating frame advances the phase of ground state m by
-    m times the tone difference, making the Hamiltonian time independent:
+    Both tones drive with Rabi coupling ``rabi`` and sit ``line_detuning`` off the
+    line; the ``offset_branch`` tone ("sigma+" or "pi") is delta_omega_s higher.
+    The rotating frame advances the phase of ground state m by m times the tone
+    difference, making the Hamiltonian time independent:
 
-        H[g(m), g(m)] = m * (ground.splitting - d_rel)
-        H[e(m), e(m)] = (pi-line detuning) + m * (excited.splitting - d_rel)
+        H[g(m), g(m)] = m * (splitting - d_rel)
+        H[e(m), e(m)] = (pi-line detuning) + m * (excited_splitting - d_rel)
 
     with d_rel the signed sigma-minus-pi frequency difference.  All resonances
     of the multi-photon ladder line up when the splittings equal d_rel and the
     line detuning vanishes.
     """
+    if rabi < 0:
+        raise ValueError("rabi must be >= 0")
     if gamma <= 0 or gamma_prime <= 0:
         raise ValueError("gamma and gamma_prime must be positive")
-    if ground.f != F_GROUND or excited.f != F_EXCITED:
-        raise ValueError(f"expected F={F_GROUND} ground and F'={F_EXCITED} excited manifolds")
-    by_pol = {d.polarization: d for d in drives}
-    if len(by_pol) != 2:
-        raise ValueError("the two drives must have distinct polarizations")
-    if set(by_pol) != {"sigma+", "pi"}:
-        raise ValueError("this driving protocol needs one sigma+ and one pi field")
-    sig, pi = by_pol["sigma+"], by_pol["pi"]
-    offsets = sorted((abs(sig.frequency_offset), abs(pi.frequency_offset)))
-    if offsets[0] != 0.0 or offsets[1] == 0.0:
-        raise ValueError(
-            "exactly one drive must carry the tone offset delta_omega_s "
-            f"(got offsets {sig.frequency_offset}, {pi.frequency_offset})"
-        )
-
-    d_rel = (sig.frequency_offset - sig.detuning) - (pi.frequency_offset - pi.detuning)
-    line_detuning = pi.detuning - pi.frequency_offset
+    if offset_branch not in ("sigma+", "pi"):
+        raise ValueError(f"offset_branch must be 'sigma+' or 'pi', got {offset_branch!r}")
+    if delta_omega_s == 0.0:
+        raise ValueError("the tone offset delta_omega_s must be nonzero")
+    sig_offset, pi_offset = (delta_omega_s, 0.0) if offset_branch == "sigma+" else (0.0, delta_omega_s)
+    d_rel = (sig_offset - line_detuning) - (pi_offset - line_detuning)
+    pi_line = line_detuning - pi_offset
 
     h = np.zeros((N_STATES, N_STATES), dtype=complex)
     for m in GROUND_M:
-        h[_ground_index(m), _ground_index(m)] = m * (ground.splitting - d_rel)
+        h[_ground_index(m), _ground_index(m)] = m * (splitting - d_rel)
     for m in EXCITED_M:
-        h[_excited_index(m), _excited_index(m)] = line_detuning + m * (excited.splitting - d_rel)
-    for drive in (sig, pi):
+        h[_excited_index(m), _excited_index(m)] = pi_line + m * (excited_splitting - d_rel)
+    for q in (1, 0):  # the sigma+ and pi drives
         for m_g in GROUND_M:
-            m_e = m_g + drive.q
-            if abs(m_e) > F_EXCITED:
-                continue
-            amp = drive.rabi * sqrt(cg_weight(F_GROUND, m_g, drive.q, F_EXCITED, m_e))
-            h[_excited_index(m_e), _ground_index(m_g)] += amp
-            h[_ground_index(m_g), _excited_index(m_e)] += amp
+            amp = rabi * sqrt(cg_weight(F_GROUND, m_g, q, F_EXCITED, m_g + q))
+            h[_excited_index(m_g + q), _ground_index(m_g)] += amp
+            h[_ground_index(m_g), _excited_index(m_g + q)] += amp
 
     chans: list[tuple[int, int, float]] = []
     for m_e in EXCITED_M:
@@ -200,14 +155,6 @@ def build_full_model(
                 chans.append((_ground_index(m), _ground_index(m_t), gamma_prime))
 
     return CouplingGraph(n_states=N_STATES, hamiltonian=h, population_decays=tuple(chans))
-
-
-def build_truncated_13(params: SystemParams) -> CouplingGraph:
-    """13-level cascaded-Lambda comparison chain: 7 ground + 6 excited states,
-    uniform Rabi couplings, and the adjacent two-channel decay model."""
-    if params.n_levels != 13:
-        raise ValueError(f"the truncated comparison chain has 13 levels, got {params.n_levels}")
-    return cascaded_lambda_graph(params)
 
 
 def ground_block(rho) -> np.ndarray:

@@ -17,10 +17,6 @@ from clams.rb85 import (
     DEFAULT_GAMMA_PRIME_MHZ,
     DEFAULT_RABI_FRACTION,
     DEFAULT_SPLITTING_MHZ,
-    F_EXCITED,
-    F_GROUND,
-    DriveField,
-    ZeemanManifold,
     build_full_model,
 )
 from clams.spectrum import coherence_peaks, height_ratios
@@ -89,13 +85,8 @@ def rb85_graph() -> CouplingGraph:
     gamma = mhz_to_angular(DEFAULT_GAMMA_MHZ)
     rabi = DEFAULT_RABI_FRACTION * gamma
     dws = mhz_to_angular(DEFAULT_SPLITTING_MHZ)
-    return build_full_model(
-        ZeemanManifold(F_GROUND, dws),
-        ZeemanManifold(F_EXCITED, dws),
-        (DriveField("sigma+", rabi, 0.1, dws), DriveField("pi", rabi, 0.1, 0.0)),
-        gamma,
-        mhz_to_angular(DEFAULT_GAMMA_PRIME_MHZ),
-    )
+    return build_full_model(rabi, gamma, mhz_to_angular(DEFAULT_GAMMA_PRIME_MHZ), splitting=dws,
+                            excited_splitting=dws, delta_omega_s=dws, line_detuning=0.1)
 
 
 # The BLAS/OpenMP thread variables that bench/run.py pins to one thread.  LAPACK's LU

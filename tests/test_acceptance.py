@@ -34,10 +34,7 @@ from clams.rb85 import (
     F_EXCITED,
     F_GROUND,
     GROUND_M,
-    DriveField,
-    ZeemanManifold,
     build_full_model,
-    build_truncated_13,
     cg_weight,
     ground_block,
 )
@@ -220,10 +217,8 @@ def test_criterion_07_transition_rate_consistency():
 def test_criterion_08_rb85_theory_points():
     t0 = time.perf_counter()
     rabi = DEFAULT_RABI_FRACTION * GAMMA
-    drives = (DriveField("sigma+", rabi, 0.0, DWS), DriveField("pi", rabi, 0.0, 0.0))
-    graph = build_full_model(
-        ZeemanManifold(F_GROUND, DWS), ZeemanManifold(F_EXCITED, DWS), drives, GAMMA, GAMMA_PRIME
-    )
+    graph = build_full_model(rabi, GAMMA, GAMMA_PRIME, splitting=DWS, excited_splitting=DWS,
+                             delta_omega_s=DWS)
     rho = steady_state(build_generator(graph))
     peaks = coherence_peaks(ground_block(rho), DWS, labels=GROUND_M)
     weights = np.array([p.weight for p in peaks.peaks])
@@ -232,7 +227,7 @@ def test_criterion_08_rb85_theory_points():
     n_visible = len(visible_peaks(peaks, DEFAULT_DISPLAY_THRESHOLD))
 
     params13 = chain_params(13, rabi, GAMMA, GAMMA_PRIME, delta_omega_s=DWS)
-    rho13 = steady_state(build_generator(build_truncated_13(params13)))
+    rho13 = steady_state(build_generator(cascaded_lambda_graph(params13)))
     gidx = ground_indices(13)
     fit13 = loglinear_fit(coherence_peaks(rho13.matrix[np.ix_(gidx, gidx)], DWS))
     elapsed = time.perf_counter() - t0

@@ -409,6 +409,26 @@ def test_rb85_zero_drive_flagged(tmp_path):
     assert summary["visible_peaks"] == 0
 
 
+@pytest.mark.parametrize("argv", [["--rabi-fraction", "1e-40", "--with-truncated-13"],
+                                  ["--rabi-fraction", "1e-60", "--with-truncated-13"],
+                                  ["--rabi-fraction", "1e-40"]],
+                         ids=["two-peaks", "one-peak", "full-model-only"])
+def test_rb85_too_few_peaks_flagged(tmp_path, argv):
+    """A drive so weak that fewer than 3 peaks are nonzero, the fundamental not among
+    the lost, writes every file without a fit and flags the summary."""
+    assert run_cli("rb85", *argv, "--format", "both", "--out", str(tmp_path)) == 0
+    stems = ["rb85", "rb85_truncated13"][:1 + ("--with-truncated-13" in argv)]
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+        [f"{stem}_peaks.{ext}" for stem in stems for ext in ("csv", "json")]
+        + ["rb85_summary.json"])
+    for stem in stems:
+        weights = [p["weight"] for p in json.loads((tmp_path / f"{stem}_peaks.json").read_text())["peaks"]]
+        assert weights[0] > 0 and sum(w > 0 for w in weights) < 3
+    summary = json.loads((tmp_path / "rb85_summary.json").read_text())
+    assert summary["flag"] == "too-few-peaks"
+    assert not {"full_model_fit", "truncated13_fit", "slope_comparison"} & set(summary)
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n_levels = 7\nrabi_mhz = 1.0\ngamma_mhz = 1000\n")

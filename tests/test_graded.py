@@ -65,14 +65,10 @@ def rb85_generator(offset_branch="sigma+", line_detuning_mhz=0.0):
     gamma = mhz_to_angular(rb85.DEFAULT_GAMMA_MHZ)
     dws = mhz_to_angular(rb85.DEFAULT_SPLITTING_MHZ)
     rabi = rb85.DEFAULT_RABI_FRACTION * gamma
-    drives = tuple(
-        rb85.DriveField(branch, rabi, mhz_to_angular(line_detuning_mhz),
-                        dws if branch == offset_branch else 0.0)
-        for branch in ("sigma+", "pi")
-    )
-    graph = rb85.build_full_model(rb85.ZeemanManifold(rb85.F_GROUND, dws),
-                                  rb85.ZeemanManifold(rb85.F_EXCITED, dws), drives, gamma,
-                                  mhz_to_angular(rb85.DEFAULT_GAMMA_PRIME_MHZ))
+    graph = rb85.build_full_model(rabi, gamma, mhz_to_angular(rb85.DEFAULT_GAMMA_PRIME_MHZ),
+                                  splitting=dws, excited_splitting=dws, delta_omega_s=dws,
+                                  line_detuning=mhz_to_angular(line_detuning_mhz),
+                                  offset_branch=offset_branch)
     return build_generator(graph).matrix
 
 
@@ -81,7 +77,7 @@ def truncated13_generator():
     params = SystemParams(13, rb85.DEFAULT_RABI_FRACTION * gamma, gamma,
                           mhz_to_angular(rb85.DEFAULT_GAMMA_PRIME_MHZ), (0.0,) * 12,
                           mhz_to_angular(rb85.DEFAULT_SPLITTING_MHZ))
-    return build_generator(rb85.build_truncated_13(params)).matrix
+    return build_generator(cascaded_lambda_graph(params)).matrix
 
 
 def tridiagonal_graph(rng, d, split=None) -> CouplingGraph:

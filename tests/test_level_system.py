@@ -6,7 +6,6 @@ from clams.level_system import (
     build_rotating_hamiltonian,
     ground_indices,
     raman_detunings,
-    rotating_phase,
 )
 from clams.units import TWO_PI, angular_to_mhz, mhz_to_angular
 from conftest import chain_params
@@ -49,37 +48,6 @@ def test_hamiltonian_exactly_hermitian():
 
 def test_ground_indices():
     assert list(ground_indices(7)) == [0, 2, 4, 6]
-
-
-def test_rotating_phase_examples():
-    p = chain_params(7, rabi=1.0, gamma=1.0, gamma_prime=0.1, delta_omega_s=2.5)
-    assert rotating_phase(1, 1, p) == 0.0
-    assert rotating_phase(1, 3, p) == pytest.approx(2.5, abs=0)
-    assert rotating_phase(1, 7, p) == pytest.approx(3 * 2.5, abs=0)
-
-
-def test_rotating_phase_antisymmetric():
-    rng = np.random.default_rng(11)
-    p = chain_params(9, rabi=1.0, gamma=1.0, gamma_prime=0.1, delta_omega_s=0.37)
-    for _ in range(50):
-        m, mp = rng.integers(1, 10, size=2)
-        omega_s = float(rng.normal(scale=100.0))
-        assert rotating_phase(int(m), int(mp), p, omega_s) == pytest.approx(
-            -rotating_phase(int(mp), int(m), p, omega_s), rel=1e-14, abs=1e-12
-        )
-
-
-def test_rotating_phase_ground_pairs():
-    rng = np.random.default_rng(13)
-    for _ in range(30):
-        n = int(rng.choice([5, 7, 9, 11, 13]))
-        dws = float(rng.uniform(0.1, 10.0))
-        p = chain_params(n, rabi=0.5, gamma=1.0, gamma_prime=0.1, delta_omega_s=dws)
-        omega_s = float(rng.normal(scale=50.0))
-        for l in range(1, n + 1, 2):
-            for k in range(1, (n - l) // 2 + 1):
-                got = rotating_phase(l, l + 2 * k, p, omega_s)
-                assert got == pytest.approx(k * dws, rel=1e-12)
 
 
 def test_hopping_rate_definition():
@@ -132,10 +100,3 @@ def test_unit_conversions():
     assert mhz_to_angular(1.0) == pytest.approx(TWO_PI)
     assert angular_to_mhz(mhz_to_angular(2.34)) == pytest.approx(2.34, rel=1e-15)
 
-
-def test_rotating_phase_rejects_out_of_range():
-    p = chain_params(5, rabi=1.0, gamma=1.0, gamma_prime=0.1)
-    with pytest.raises(ValueError, match="1..5"):
-        rotating_phase(0, 3, p)
-    with pytest.raises(ValueError, match="1..5"):
-        rotating_phase(1, 6, p)

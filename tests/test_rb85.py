@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
-from clams.level_system import SystemParams
+from clams.cli import main
+from clams.level_system import SystemParams, ground_indices
 from clams.liouvillian import build_generator, cascaded_lambda_graph, steady_state
 from clams.rb85 import (
     DEFAULT_GAMMA_MHZ,
@@ -12,10 +15,7 @@ from clams.rb85 import (
     GROUND_M,
     N_GROUND,
     N_STATES,
-    DriveField,
-    ZeemanManifold,
     build_full_model,
-    build_truncated_13,
     cg_weight,
     ground_block,
 )
@@ -30,18 +30,9 @@ def default_model(rabi_fraction=DEFAULT_RABI_FRACTION, line_detuning=0.0, offset
     dws = mhz_to_angular(2.34)
     if splitting is None:
         splitting = dws
-    rabi = rabi_fraction * gamma
-    drives = (
-        DriveField("sigma+", rabi, line_detuning, dws if offset_on == "sigma+" else 0.0),
-        DriveField("pi", rabi, line_detuning, dws if offset_on == "pi" else 0.0),
-    )
-    graph = build_full_model(
-        ZeemanManifold(F_GROUND, splitting),
-        ZeemanManifold(F_EXCITED, splitting),
-        drives,
-        gamma,
-        gamma_prime,
-    )
+    graph = build_full_model(rabi_fraction * gamma, gamma, gamma_prime, splitting=splitting,
+                             excited_splitting=splitting, delta_omega_s=dws,
+                             line_detuning=line_detuning, offset_branch=offset_on)
     return graph, dws
 
 
@@ -151,17 +142,9 @@ def test_offset_branch_swap_is_equivalent_at_resonance():
     graph_a, _ = default_model()
     gamma = mhz_to_angular(DEFAULT_GAMMA_MHZ)
     rabi = DEFAULT_RABI_FRACTION * gamma
-    drives_b = (
-        DriveField("sigma+", rabi, dws, 0.0),
-        DriveField("pi", rabi, dws, dws),
-    )
-    graph_b = build_full_model(
-        ZeemanManifold(F_GROUND, -dws),
-        ZeemanManifold(F_EXCITED, -dws),
-        drives_b,
-        gamma,
-        mhz_to_angular(0.2),
-    )
+    graph_b = build_full_model(rabi, gamma, mhz_to_angular(0.2), splitting=-dws,
+                               excited_splitting=-dws, delta_omega_s=dws, line_detuning=dws,
+                               offset_branch="pi")
     assert np.allclose(graph_a.hamiltonian, graph_b.hamiltonian, atol=1e-12)
     rho_a = steady_state(build_generator(graph_a))
     rho_b = steady_state(build_generator(graph_b))
@@ -174,44 +157,33 @@ def test_offset_branch_swap_is_equivalent_at_resonance():
 def test_drive_validation():
     gamma = mhz_to_angular(DEFAULT_GAMMA_MHZ)
     dws = mhz_to_angular(2.34)
-    g3 = ZeemanManifold(F_GROUND, dws)
-    e4 = ZeemanManifold(F_EXCITED, dws)
-    with pytest.raises(ValueError, match="distinct"):
-        build_full_model(g3, e4, (DriveField("pi", 1.0), DriveField("pi", 1.0, 0, dws)), gamma, 1.0)
-    with pytest.raises(ValueError, match="sigma\\+ and"):
-        build_full_model(
-            g3, e4, (DriveField("sigma-", 1.0, 0, dws), DriveField("pi", 1.0)), gamma, 1.0
-        )
-    with pytest.raises(ValueError, match="offset"):
-        build_full_model(g3, e4, (DriveField("sigma+", 1.0), DriveField("pi", 1.0)), gamma, 1.0)
-    with pytest.raises(ValueError, match="offset"):
-        build_full_model(
-            g3, e4,
-            (DriveField("sigma+", 1.0, 0, dws), DriveField("pi", 1.0, 0, -dws)),
-            gamma, 1.0,
-        )
-    with pytest.raises(ValueError, match="polarization"):
-        DriveField("sigma", 1.0)
+    manifolds = dict(splitting=dws, excited_splitting=dws)
+    with pytest.raises(ValueError, match="offset_branch"):
+        build_full_model(1.0, gamma, 1.0, **manifolds, delta_omega_s=dws, offset_branch="sigma-")
+    with pytest.raises(ValueError, match="delta_omega_s"):
+        build_full_model(1.0, gamma, 1.0, **manifolds, delta_omega_s=0.0)
+    with pytest.raises(ValueError, match="rabi"):
+        build_full_model(-1.0, gamma, 1.0, **manifolds, delta_omega_s=dws)
+    with pytest.raises(ValueError, match="gamma"):
+        build_full_model(1.0, gamma, 0.0, **manifolds, delta_omega_s=dws)
 
 
-def test_truncated_13_matches_generic_chain():
-    gamma = mhz_to_angular(DEFAULT_GAMMA_MHZ)
-    params = SystemParams(
-        n_levels=13,
-        rabi=DEFAULT_RABI_FRACTION * gamma,
-        gamma=gamma,
-        gamma_prime=mhz_to_angular(0.2),
-        detunings=(0.0,) * 12,
-        delta_omega_s=mhz_to_angular(2.34),
-    )
-    graph = build_truncated_13(params)
-    generic = cascaded_lambda_graph(params)
-    assert np.array_equal(graph.hamiltonian, generic.hamiltonian)
-    assert graph.population_decays == generic.population_decays
-
-    with pytest.raises(ValueError, match="13"):
-        bad = SystemParams(7, 1.0, gamma, 1.0, (0.0,) * 6, 1.0)
-        build_truncated_13(bad)
+def test_truncated_13_matches_generic_chain(tmp_path):
+    """The rb85 command's comparison chain is the generic 13-level chain at its drive,
+    decay rates and tone offset, resonant, whatever its splittings and line detuning."""
+    argv = ["rb85", "--with-truncated-13", "--format", "json", "--rabi-mhz", "12",
+            "--gamma-mhz", "1700", "--gamma-prime-mhz", "0.3", "--delta-omega-s-mhz", "2.5",
+            "--splitting-mhz", "2.3", "--line-detuning-mhz", "1.5", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    payload = json.loads((tmp_path / "rb85_truncated13_peaks.json").read_text())
+    dws = mhz_to_angular(2.5)
+    params = SystemParams(13, mhz_to_angular(12.0), mhz_to_angular(1700.0),
+                          mhz_to_angular(0.3), (0.0,) * 12, dws)
+    rho = steady_state(build_generator(cascaded_lambda_graph(params))).matrix
+    gidx = ground_indices(13)
+    peaks = coherence_peaks(rho[np.ix_(gidx, gidx)], dws)
+    assert [p["weight"] for p in payload["peaks"]] == [p.weight for p in peaks.peaks]
+    assert payload["delta_omega_s_mhz"] == angular_to_mhz(dws)
 
 
 def test_truncated_13_uniform_ground_populations():
@@ -223,7 +195,7 @@ def test_truncated_13_uniform_ground_populations():
         detunings=(0.0,) * 12,
         delta_omega_s=1.0,
     )
-    rho = steady_state(build_generator(build_truncated_13(params)))
+    rho = steady_state(build_generator(cascaded_lambda_graph(params)))
     pops = rho.populations[0::2]
     assert np.allclose(pops, 1.0 / 7.0, atol=1e-8)
 
@@ -235,7 +207,3 @@ def test_ground_block_shape_and_error():
     with pytest.raises(ValueError):
         ground_block(np.eye(4))
 
-
-def test_zeeman_manifold_m_values():
-    with pytest.raises(ValueError):
-        ZeemanManifold(2, 1.0)

@@ -111,12 +111,30 @@ def test_readme_rabi_sweep_matches_per_point(tmp_path):
             assert_close(row[2 * k + 1], eff[k])
 
 
+def spy_chunks(monkeypatch) -> list[tuple[int, int]]:
+    """(points, bytes of one L's band) of each chunk handed to the block solve, in order."""
+    chunks = []
+    solve = clams.liouvillian._graded_states
+
+    def spy(block, grading, matvec, fro, lio=None):
+        chunks.append((len(fro), 16 * grading.band.size))
+        return solve(block, grading, matvec, fro, lio)
+
+    monkeypatch.setattr(clams.liouvillian, "_graded_states", spy)
+    return chunks
+
+
 def test_partial_last_chunk_gives_same_rows(tmp_path, monkeypatch):
     argv = ["sweep-rabi", "--n-levels", "7", "--omega-min", "1e-3", "--omega-max", "5e-2",
             "--count", "11"]
+    chunks = spy_chunks(monkeypatch)
     assert main([*argv, "--out", str(tmp_path / "one")]) == 0
-    monkeypatch.setattr(clams.liouvillian, "STACK_BYTES", 3 * 16 * 49**2)  # N=7: 3 per stack
+    assert [k for k, _ in chunks] == [11, 11]  # the chain, then the reduced model
+    chain_band = chunks[0][1]
+    monkeypatch.setattr(clams.liouvillian, "STACK_BYTES", 3 * chain_band)
+    chunks.clear()
     assert main([*argv, "--out", str(tmp_path / "chunked")]) == 0
+    assert [k for k, _ in chunks] == [3, 3, 3, 2, 11]  # the reduced band is 70 entries
     one = (tmp_path / "one" / "sweep_rabi.csv").read_bytes()
     assert (tmp_path / "chunked" / "sweep_rabi.csv").read_bytes() == one
 
@@ -149,15 +167,21 @@ def test_underflowing_fundamental_is_flagged(tmp_path):
 
 
 def test_zero_start_grid_gives_the_same_bytes_in_any_chunking(tmp_path, monkeypatch):
-    # the undriven first point is solved with the others, one point per chunk, three, or
-    # all 41 in one, and its row is flagged with NaN ratios
+    # the undriven first point is solved with the others, all 41 in one chunk, or the
+    # chain's in chunks of three or of one point (the reduced model's, whose band is 70
+    # entries to the chain's 364, in chunks of 15 or 5), and its row is flagged NaN
     argv = ["sweep-rabi", "--n-levels", "7", "--omega-min", "0", "--omega-max", "0.05",
             "--count", "41", "--spacing", "linear"]
+    chunks = spy_chunks(monkeypatch)
     outputs = []
-    for per_chunk in (None, 3, 1):
+    for per_chunk, sizes in ((None, [41, 41]), (3, [3] * 13 + [2] + [15, 15, 11]),
+                             (1, [1] * 41 + [5] * 8 + [1])):
         if per_chunk is not None:
-            monkeypatch.setattr(clams.liouvillian, "STACK_BYTES", per_chunk * 16 * 49**2)
+            monkeypatch.setattr(clams.liouvillian, "STACK_BYTES", per_chunk * chain_band)
+        chunks.clear()
         run_warning_free(argv, tmp_path / str(per_chunk))
+        chain_band = chunks[0][1]
+        assert [k for k, _ in chunks] == sizes, per_chunk
         outputs.append((tmp_path / str(per_chunk) / "sweep_rabi.csv").read_bytes())
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
     _, rows = read_rows(tmp_path / "None" / "sweep_rabi.csv")
