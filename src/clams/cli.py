@@ -57,6 +57,7 @@ import os
 import sys
 import warnings
 from dataclasses import replace
+from math import isnan
 from pathlib import Path
 
 import numpy as np
@@ -310,7 +311,6 @@ def write_complex_matrix_csv(path: Path, matrix: np.ndarray, digest: str) -> Non
 
 
 def _peakset_payload(peaks: spectrum.PeakSet, threshold: float) -> dict:
-    fundamental = peaks.fundamental_weight
     return {
         "delta_omega_s_mhz": angular_to_mhz(peaks.delta_omega_s),
         "threshold": threshold,
@@ -320,7 +320,7 @@ def _peakset_payload(peaks: spectrum.PeakSet, threshold: float) -> dict:
                 "n": p.n,
                 "frequency_mhz": angular_to_mhz(p.frequency),
                 "weight": p.weight,
-                "ratio_to_fundamental": (p.weight / fundamental) if fundamental > 0 else None,
+                "ratio_to_fundamental": None if isnan(r := peaks.ratio(p.n)) else r,  # JSON has no NaN
                 "contributors": [[label, w] for label, w in p.contributors],
             }
             for p in peaks.peaks
@@ -332,12 +332,7 @@ def _peak_files(stem: str, peaks: spectrum.PeakSet, fmt: str, threshold: float) 
     """``<stem>_peaks.csv`` and/or ``<stem>_peaks.json``, as ``fmt`` says."""
     files = {}
     if fmt in ("csv", "both"):
-        fundamental = peaks.fundamental_weight
-        rows = [
-            [p.n, angular_to_mhz(p.frequency), p.weight,
-             p.weight / fundamental if fundamental > 0 else float("nan")]
-            for p in peaks.peaks
-        ]
+        rows = [[p.n, angular_to_mhz(p.frequency), p.weight, peaks.ratio(p.n)] for p in peaks.peaks]
         header = ["n", "frequency_mhz", "weight", "ratio_to_fundamental"]
         files[f"{stem}_peaks.csv"] = (header, rows)
     if fmt in ("json", "both"):

@@ -106,7 +106,7 @@ def build_full_model(
     """Coupling graph of the full 16-state driven system in the rotating frame.
 
     Both tones drive with Rabi coupling ``rabi`` and sit ``line_detuning`` off the
-    line; the ``offset_branch`` tone ("sigma+" or "pi") is delta_omega_s higher.
+    line; the ``offset_branch`` tone ("sigma+" or "pi") is the higher, by delta_omega_s > 0.
     The rotating frame advances the phase of ground state m by m times the tone
     difference, making the Hamiltonian time independent:
 
@@ -117,14 +117,14 @@ def build_full_model(
     of the multi-photon ladder line up when the splittings equal d_rel and the
     line detuning vanishes.
     """
-    if rabi < 0:
-        raise ValueError("rabi must be >= 0")
     if gamma <= 0 or gamma_prime <= 0:
         raise ValueError("gamma and gamma_prime must be positive")
+    if rabi < 0:
+        raise ValueError("rabi must be >= 0")
     if offset_branch not in ("sigma+", "pi"):
         raise ValueError(f"offset_branch must be 'sigma+' or 'pi', got {offset_branch!r}")
-    if delta_omega_s == 0.0:
-        raise ValueError("the tone offset delta_omega_s must be nonzero")
+    if delta_omega_s <= 0.0:
+        raise ValueError("delta_omega_s must be positive")
     sig_offset, pi_offset = (delta_omega_s, 0.0) if offset_branch == "sigma+" else (0.0, delta_omega_s)
     d_rel = (sig_offset - line_detuning) - (pi_offset - line_detuning)
     pi_line = line_detuning - pi_offset

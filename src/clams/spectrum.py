@@ -9,6 +9,10 @@ collects every ground pair n steps apart:
 
     weight(n) = sum_l |rho[l, l+n]|^2,    frequency = n * delta_omega_s.
 
+The height ratio H_n1 = weight(n) / weight(1) is ``PeakSet.ratio(n)`` for one
+steady state and a column of :func:`weight_ratios` for a stack; both are NaN
+where the fundamental weight is 0.  :func:`height_ratios` raises there instead.
+
 These weights are the coherent part only.  The incoherent part, the decaying
 remainder of the correlator with total weight p_{l+n} - |rho[l, l+n]|^2 per pair,
 is not computed.
@@ -24,7 +28,6 @@ from .liouvillian import DensityMatrix
 __all__ = [
     "Peak",
     "PeakSet",
-    "HeightRatios",
     "LogLinearFit",
     "coherence_peaks",
     "peak_weights",
@@ -67,21 +70,11 @@ class PeakSet:
     def fundamental_weight(self) -> float:
         return self.weight(1)
 
-
-@dataclass(frozen=True)
-class HeightRatios:
-    """Peak weights relative to the fundamental; ratio(1) == 1 by definition."""
-
-    fundamental_weight: float
-    ratios: tuple[tuple[int, float], ...]  # (n, H_n1) for n >= 2
-
     def ratio(self, n: int) -> float:
-        if n == 1:
-            return 1.0
-        for k, r in self.ratios:
-            if k == n:
-                return r
-        raise KeyError(f"no harmonic n={n}")
+        """H_n1 = weight(n) / weight(1); NaN when the fundamental weight is 0, the
+        rule of :func:`weight_ratios`."""
+        weight, fundamental = self.weight(n), self.fundamental_weight
+        return weight / fundamental if fundamental > 0.0 else float("nan")
 
 
 def coherence_peaks(rho_ground, delta_omega_s: float, labels=None) -> PeakSet:
@@ -128,14 +121,12 @@ def peak_weights(rho_ground) -> np.ndarray:
     return np.stack([_harmonic(m, n)[1] for n in range(1, m.shape[-1])], axis=-1)
 
 
-def height_ratios(peaks: PeakSet) -> HeightRatios:
-    """Weights of harmonics n >= 2 relative to the fundamental: one row of :func:`weight_ratios`."""
-    fundamental = peaks.fundamental_weight
-    if fundamental <= 0.0:
+def height_ratios(peaks: PeakSet) -> PeakSet:
+    """``peaks``, checked to be driven: a nonzero fundamental weight, so that every
+    ``ratio(n)`` is a number."""
+    if peaks.fundamental_weight <= 0.0:
         raise ValueError("fundamental peak weight is zero (undriven system)")
-    higher = [p for p in sorted(peaks.peaks, key=lambda p: p.n) if p.n >= 2]
-    row = weight_ratios(np.array([fundamental, *(p.weight for p in higher)]))
-    return HeightRatios(fundamental, tuple(zip([p.n for p in higher], row[1:].tolist())))
+    return peaks
 
 
 def weight_ratios(weights: np.ndarray) -> np.ndarray:

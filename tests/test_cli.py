@@ -429,6 +429,25 @@ def test_rb85_too_few_peaks_flagged(tmp_path, argv):
     assert not {"full_model_fit", "truncated13_fit", "slope_comparison"} & set(summary)
 
 
+@pytest.mark.parametrize("argv, error", [
+    # delta_omega_s is the positive tone difference (offset_branch says which tone is
+    # higher), and both models reject a negative one alike; left unset, it is the splitting
+    (["--delta-omega-s-mhz", "-2.34"], "delta_omega_s must be positive"),
+    (["--delta-omega-s-mhz", "-2.34", "--with-truncated-13"], "delta_omega_s must be positive"),
+    (["--splitting-mhz", "-2.34"], "delta_omega_s must be positive"),
+    # the drive is rabi_fraction * gamma, so it is negative too, but gamma is the fault
+    (["--gamma-mhz", "-5"], "gamma and gamma_prime must be positive"),
+], ids=["tone-offset", "tone-offset-with-truncated-13", "tone-offset-from-splitting", "gamma"])
+def test_rb85_bad_setting_exits_2(tmp_path, capsys, argv, error):
+    out = tmp_path / "out"
+    assert run_cli("rb85", *argv, "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert json.loads(line) == {"error": error, "type": "ValueError"}
+    assert not out.exists()
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n_levels = 7\nrabi_mhz = 1.0\ngamma_mhz = 1000\n")

@@ -160,8 +160,9 @@ def test_drive_validation():
     manifolds = dict(splitting=dws, excited_splitting=dws)
     with pytest.raises(ValueError, match="offset_branch"):
         build_full_model(1.0, gamma, 1.0, **manifolds, delta_omega_s=dws, offset_branch="sigma-")
-    with pytest.raises(ValueError, match="delta_omega_s"):
-        build_full_model(1.0, gamma, 1.0, **manifolds, delta_omega_s=0.0)
+    for dws_bad in (0.0, -dws):  # offset_branch, not the sign, says which tone is higher
+        with pytest.raises(ValueError, match="delta_omega_s must be positive"):
+            build_full_model(1.0, gamma, 1.0, **manifolds, delta_omega_s=dws_bad)
     with pytest.raises(ValueError, match="rabi"):
         build_full_model(-1.0, gamma, 1.0, **manifolds, delta_omega_s=dws)
     with pytest.raises(ValueError, match="gamma"):

@@ -82,14 +82,15 @@ def test_stacked_weights_match_the_per_pair_oracle(ng):
         assert got == want
         assert np.array_equal(bits([p.weight for p in got.peaks]), want_weights)
         assert np.array_equal(bits(w), want_weights)
-        ratios = height_ratios(want)  # every block has a nonzero fundamental weight
-        expected = [ratios.fundamental_weight, *(r for _, r in ratios.ratios)]
+        driven = height_ratios(want)  # every block has a nonzero fundamental weight
+        expected = [driven.fundamental_weight, *(driven.ratio(n) for n in range(2, ng))]
         assert np.array_equal(bits(row), bits(expected))
 
 
 def test_stack_with_zero_fundamental_has_nan_ratios_on_that_row_alone():
     # the undriven row gets NaN ratios, with no warning (this filter makes one an error),
-    # and the driven rows the bits of height_ratios; the undriven block alone still raises
+    # and the driven rows the bits of PeakSet.ratio; the undriven block's ratio(n) is NaN
+    # too, while height_ratios still raises on it
     rng = np.random.default_rng(52)
     stack = np.stack([hermitian_random(rng, 4), np.eye(4) / 4.0, hermitian_random(rng, 4)])
     with warnings.catch_warnings():
@@ -97,11 +98,13 @@ def test_stack_with_zero_fundamental_has_nan_ratios_on_that_row_alone():
         rows = weight_ratios(peak_weights(stack))
     assert rows[1, 0] == 0.0 and np.isnan(rows[1, 1:]).all()
     for block, row in zip(stack[::2], rows[::2]):
-        ratios = height_ratios(coherence_peaks(block, 1.0))
-        want = [ratios.fundamental_weight, *(r for _, r in ratios.ratios)]
+        peaks = coherence_peaks(block, 1.0)
+        want = [peaks.fundamental_weight, *(peaks.ratio(n) for n in range(2, 4))]
         assert np.array_equal(bits(row), bits(want))
+    undriven = coherence_peaks(stack[1], 1.0)
+    assert all(np.isnan(undriven.ratio(n)) for n in range(1, 4))
     with pytest.raises(ValueError, match="undriven"):
-        height_ratios(coherence_peaks(stack[1], 1.0))
+        height_ratios(undriven)
 
 
 def test_harmonics_have_no_gaps():
