@@ -239,19 +239,42 @@ def steady_state(gen: GeneratorMatrix) -> DensityMatrix:
 def steady_states(stack: np.ndarray) -> np.ndarray:
     """Steady states, shape (k, d, d), of a stack of k generators of order d^2.
 
-    The method of :func:`steady_state`, batched over the stack; the first member
-    that fails a check raises its typed error.
+    The method of :func:`steady_state`, batched over the stack.  Each member that
+    fails the batched solve is re-solved alone, in index order, as
+    :func:`steady_state` solves it, so its bits do not depend on the stack.
     """
     lio = np.ascontiguousarray(stack, dtype=complex)
-    matvec, fro = lambda v: (lio @ v[..., None])[..., 0], _frobenius(lio)
-    flat, grading = lio.reshape(len(lio), -1), _coherence_levels(lio)
-    band = None if grading is None else flat[:, grading.band]
-    rho = None if band is None else _graded_states(lambda a, b: band[:, a:b], grading, matvec, fro)
-    if rho is None:
-        rho = _graded_states(lambda a, b: flat.copy(), _one_block(lio.shape[-1]), matvec, fro, lio)
-    if rho is None:  # one block is singular for the whole stack: find the member
-        rho = np.concatenate([steady_states(member[None]) for member in lio])
+    if len(lio) == 1:
+        return _lone(lio[0])[None]
+    rho, ok = _dense_pass(lio, _coherence_levels(lio) or _one_block(lio.shape[-1]))
+    for i in np.flatnonzero(~ok):
+        rho[i] = _lone(lio[i])
     return rho
+
+
+def _lone(lio: np.ndarray) -> np.ndarray:
+    """Steady state (d, d) of one L (contiguous, complex) by the method of
+    :func:`steady_state`; a failed one-block solve raises by :func:`_raise_failure`."""
+    lio = lio[None]
+    for grading in filter(None, (_coherence_levels(lio), _one_block(lio.shape[-1]))):
+        rho, ok = _dense_pass(lio, grading)
+        if ok[0]:
+            return rho[0]
+    _raise_failure(lio, rho)  # of the one-block solve
+    return rho[0]
+
+
+def _dense(lio: np.ndarray):
+    """``matvec`` and ``fro`` of :func:`_checked` for a contiguous stack ``lio`` of L."""
+    return (lambda v: (lio @ v[..., None])[..., 0]), _frobenius(lio)
+
+
+def _dense_pass(lio: np.ndarray, grading: _Grading):
+    """:func:`_graded_states` of a contiguous stack ``lio`` of L over ``grading``."""
+    flat = lio.reshape(len(lio), -1)
+    band = None if grading.far is None else flat[:, grading.band]  # None: one block, L whole
+    return _graded_states(lambda a, b: flat.copy() if band is None else band[:, a:b], grading,
+                          *_dense(lio))
 
 
 _Grading = namedtuple("_Grading", "far band mirrored rows trace mirror unsort order")
@@ -261,7 +284,7 @@ _Grading = namedtuple("_Grading", "far band mirrored rows trace mirror unsort or
 def _one_block(n: int) -> _Grading:
     """The grading of generators of order n as one block: each L whole, in vec order."""
     return _Grading(None, slice(None), None, [(0, n * n, n, n, 0, n)], slice(0, n, isqrt(n) + 1),
-                    None, None, None)
+                    None, None, np.zeros(n, dtype=np.int8))
 
 
 def _bfs_levels(nbrs: list[list[int]], root: int) -> list[int]:
@@ -347,14 +370,12 @@ def _grading(adjacency: bytes, d: int) -> _Grading | None:
                     np.argsort(np.concatenate((idx, swap[idx[sizes[0] :]]))), order)
 
 
-def _graded_states(block, grading: _Grading, matvec, fro: np.ndarray, lio: np.ndarray | None = None):
+def _graded_states(block, grading: _Grading, matvec, fro: np.ndarray):
     """Steady states of a stack of L from the band of its ``grading`` (with
     :func:`_one_block`, one dense LU of each L), ``block(start, stop)`` an array
-    (k, stop - start) of each L's band that may be overwritten.  They are checked
-    by :func:`_checked` (given ``matvec``, ``fro`` and ``lio``).  Without the
-    stack ``lio`` of L, a failing member or a singular solve gives None, for the
-    caller to re-solve.  With it, a failing member raises its typed error, and so
-    does a singular solve of one L; one of several gives None, to be split.
+    (k, stop - start) of each L's band that may be overwritten, and the mask of the
+    members that pass :func:`_checked` (given ``matvec`` and ``fro``).  A singular
+    solve, which numpy raises for the whole stack, fails every member: NaN states.
 
     Block elimination (the matrix continued fraction; Risken, The Fokker-Planck
     Equation, ch. 9) inward from the outermost order, on the side +q only:
@@ -382,17 +403,15 @@ def _graded_states(block, grading: _Grading, matvec, fro: np.ndarray, lio: np.nd
         s[:, 0, grading.trace] = 1.0  # trace functional
         v = [np.linalg.solve(s, np.eye(s.shape[1], 1, dtype=complex))]
     except np.linalg.LinAlgError:
-        if lio is None or len(lio) > 1:
-            return None
-        raise DegenerateSteadyStateError(_null_dimension(lio[0])) from None
+        return np.full((k, *(isqrt(grading.order.size),) * 2), np.nan + 0j), np.zeros(k, dtype=bool)
     for xq in reversed(x):
         v.append(-(xq @ v[-1]))
     if not x:  # one block: v_0 is in vec order
-        return _checked(v[0][..., 0], matvec, fro, lio)
+        return _checked(v[0][..., 0], matvec, fro)
     x.clear()  # not needed by the check: less heap growth in a sweep
     plus = np.concatenate(v, axis=1)[..., 0]
     vec = np.concatenate((plus, plus[:, s.shape[1] :].conj()), axis=1)
-    return _checked(vec.take(grading.unsort, axis=1), matvec, fro, lio)
+    return _checked(vec.take(grading.unsort, axis=1), matvec, fro)
 
 
 def _frobenius(lio: np.ndarray) -> np.ndarray:
@@ -401,23 +420,17 @@ def _frobenius(lio: np.ndarray) -> np.ndarray:
     return np.sqrt((parts[:, None, :] @ parts[:, :, None])[:, 0, 0])
 
 
-def _checked(v: np.ndarray, matvec, fro: np.ndarray, lio: np.ndarray | None = None):
-    """Density matrices of the solutions ``v`` (k, d^2) of k generators, checked
-    against each L itself: the residual ||L v|| / (||L||_F ||v||) (time-unit free,
-    and 0 for L = 0, which every vector solves) against ``RESIDUAL_RTOL``, then
-    hermiticity, unit trace and the eigenvalue floor.  ``matvec(v)`` is L v and
-    ``fro`` ||L||_F, per member; a member whose ||L||_F overflows fails.  Given the
-    stack ``lio`` of L, the first member that fails raises its typed error (an
-    OverflowError if the entries of L are finite but ||L||_F overflows); without
-    it, any failure returns None."""
+def _checked(v: np.ndarray, matvec, fro: np.ndarray):
+    """Density matrices of the solutions ``v`` (k, d^2) of k generators, and the mask
+    of those that pass the checks against each L itself: the :func:`_residual` against
+    ``RESIDUAL_RTOL``, then hermiticity, unit trace and the eigenvalue floor.
+    ``matvec(v)`` is L v and ``fro`` ||L||_F, per member.  A non-finite solution
+    fails, and its state reads NaN."""
     k, n = v.shape
     d = isqrt(n)
     finite = np.isfinite(v).all(axis=1)
     v[~finite] = 0.0
-    scale = fro * _frobenius(v)
-    residual = _frobenius(matvec(v))
-    np.divide(residual, scale, out=residual, where=scale > 0)
-    residual[~np.isfinite(fro)] = np.nan  # x / inf would read 0: it fails instead
+    residual = _residual(v, matvec, fro)
     rho = v.reshape(k, d, d).transpose(0, 2, 1)  # column stacking
     rho_h = v.reshape(k, d, d).conj()
     ok = finite & (residual <= RESIDUAL_RTOL)
@@ -429,21 +442,37 @@ def _checked(v: np.ndarray, matvec, fro: np.ndarray, lio: np.ndarray | None = No
             raise np.linalg.LinAlgError  # a factor of NaN or inf certifies nothing
     except np.linalg.LinAlgError:
         ok &= np.linalg.eigvalsh(herm).min(axis=1) >= EIGENVALUE_FLOOR
-    if lio is None and not ok.all():
-        return None
-    for i in np.flatnonzero(~ok):
-        if not isfinite(fro[i]) and np.isfinite(lio[i]).all():
-            raise OverflowError("generator scale ||L||_F overflows a float "
-                                f"(largest |entry| {np.abs(lio[i]).max():.3g})")
-        if not (finite[i] and residual[i] <= RESIDUAL_RTOL):  # true for a NaN residual too
-            null_dim = _null_dimension(lio[i])
-            if null_dim != 1 or not finite[i]:
-                raise DegenerateSteadyStateError(null_dim)
-            raise SteadyStateError(
-                f"steady-state residual {residual[i]:.3e} exceeds {RESIDUAL_RTOL:.0e}"
-            )
-        DensityMatrix(rho[i]).validate()
-    return rho
+    rho[~finite] = np.nan
+    return rho, ok
+
+
+def _residual(v: np.ndarray, matvec, fro: np.ndarray) -> np.ndarray:
+    """||L v|| / (||L||_F ||v||) per member of a finite ``v``: time-unit free, 0 for L = 0
+    (which every vector solves), and NaN where ||L||_F overflows, so that it fails."""
+    scale = fro * _frobenius(v)
+    residual = _frobenius(matvec(v))
+    np.divide(residual, scale, out=residual, where=scale > 0)
+    residual[~np.isfinite(fro)] = np.nan  # x / inf would read 0: it fails instead
+    return residual
+
+
+def _raise_failure(lio: np.ndarray, rho: np.ndarray) -> None:
+    """Raise the typed error of the L in ``lio`` (1, d^2, d^2) whose one-block solve
+    ``rho`` failed :func:`_checked`: OverflowError if ||L||_F overflows with finite
+    entries; a null space diagnosis if rho is NaN (as a singular solve leaves it) or
+    its residual is over the bound; else the ValueError of DensityMatrix.validate."""
+    matvec, fro = _dense(lio)
+    if not isfinite(fro[0]) and np.isfinite(lio).all():
+        raise OverflowError("generator scale ||L||_F overflows a float "
+                            f"(largest |entry| {np.abs(lio).max():.3g})")
+    finite = not np.isnan(rho).any()
+    residual = _residual(rho.transpose(0, 2, 1).reshape(1, -1), matvec, fro)[0] if finite else np.nan
+    if not residual <= RESIDUAL_RTOL:  # true for a NaN residual too
+        null_dim = _null_dimension(lio[0])
+        if null_dim != 1 or not finite:
+            raise DegenerateSteadyStateError(null_dim)
+        raise SteadyStateError(f"steady-state residual {residual:.3e} exceeds {RESIDUAL_RTOL:.0e}")
+    DensityMatrix(rho[0]).validate()
 
 
 def affine_steady_states(base: np.ndarray, slope: np.ndarray, xs) -> np.ndarray:
@@ -456,19 +485,20 @@ def affine_steady_states(base: np.ndarray, slope: np.ndarray, xs) -> np.ndarray:
     from the nonzeros of L, graded in the rows of the orders 0 and, weighted by
     sqrt 2, +q alone: the rows -q are their conjugates but for the rounding of v_0,
     which the hermiticity check bounds.  ||L||_F^2 = ||A||^2 + 2 x Re<A, B> + x^2
-    ||B||^2 (A = base, B = slope).  A chunk that fails is re-solved by
-    :func:`steady_states`, which raises the typed error.  So the memory of a sweep
-    does not grow with its points.  The check gathers v at the nonzeros' columns into
-    a buffer that each thread keeps between sweeps and grows only when a chunk needs
-    more, so a sweep does not fault in fresh heap pages for it; it holds at most
-    ``STACK_BYTES``, or one point's nonzeros if they take more.
+    ||B||^2 (A = base, B = slope).  Each point that fails is re-solved alone, in
+    point order, from its dense L = base + x * slope as :func:`steady_state` solves
+    it: its bits do not depend on its chunk, and it costs the memory of one dense L,
+    so the memory of a sweep does not grow with its points.  The check gathers v at
+    the nonzeros' columns into a buffer that each thread keeps between sweeps and
+    grows only when a chunk needs more, so a sweep does not fault in fresh heap pages
+    for it; it holds at most ``STACK_BYTES``, or one point's nonzeros if they take more.
     """
     xs = np.asarray(xs, dtype=float)
     base, slope = np.asarray(base, dtype=complex), np.asarray(slope, dtype=complex)
     n = base.shape[0]
     grading = _coherence_levels(base, slope) or _one_block(n)
     slope_band, base_band = slope.ravel()[grading.band], base.ravel()[grading.band]
-    weight = np.sqrt(np.ones(n) if grading.order is None else np.sign(grading.order) + 1.0)  # per row
+    weight = np.sqrt(np.sign(grading.order) + 1.0)  # per row
     nonzero = np.flatnonzero(((base != 0) | (slope != 0)) & (weight[:, None] > 0))
     slope_nz, base_nz = (m.ravel()[nonzero] * weight[nonzero // n] for m in (slope, base))
     cols, heads = nonzero % n, np.flatnonzero(np.diff(nonzero // n, prepend=-1))  # row starts
@@ -478,12 +508,14 @@ def affine_steady_states(base: np.ndarray, slope: np.ndarray, xs) -> np.ndarray:
     for start in range(0, xs.size, per):
         x = xs[start : start + per, None]
         lnz = iadd(x * slope_nz, base_nz)
-        rho = _graded_states(  # the band and the nonzeros of each L: the bits of base + x * slope
+        rho, ok = _graded_states(  # the band and the nonzeros of each L: the bits of base + x * slope
             lambda a, b: iadd(x * slope_band[a:b], base_band[a:b]), grading,
             lambda v: np.add.reduceat(imul(_gather(v, cols), lnz), heads, axis=1),
             np.sqrt(np.maximum(aa + x[:, 0] * (2.0 * ab + x[:, 0] * bb), 0.0)),
         )
-        out[start : start + per] = steady_states(base + x[..., None] * slope) if rho is None else rho
+        for i in np.flatnonzero(~ok):
+            rho[i] = _lone(base + x[i, 0] * slope)
+        out[start : start + per] = rho
     return out
 
 

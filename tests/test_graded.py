@@ -37,12 +37,12 @@ def dense(stack):
 def no_dense_solve(solve, on_call=None):
     """A spy on the block solve ``solve`` that fails when it is called with one block,
     which is the dense LU, and otherwise hands ``on_call`` its arguments first."""
-    def spy(block, grading, matvec, fro, lio=None):
+    def spy(block, grading, matvec, fro):
         if grading.far is None:
             raise AssertionError("the dense solve ran")
         if on_call is not None:
             on_call(grading, fro)
-        return solve(block, grading, matvec, fro, lio)
+        return solve(block, grading, matvec, fro)
 
     return spy
 

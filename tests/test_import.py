@@ -10,6 +10,7 @@ import clams
 from clams import effective, level_system, liouvillian, rates, spectrum, units
 from conftest import run_python
 
+BENCH_TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 SCIPY_MODULES = "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
 
 
@@ -30,6 +31,23 @@ def test_propagate_does_not_load_scipy():
         "assert abs(rho.matrix[1, 1] - np.exp(-2.0)) < 1e-8"
     )
     assert scipy_modules_after(code) == []
+
+
+def test_traced_functions_resolve_after_importing_the_cli():
+    # the benchmark's tracer looks up each (module, function) of its TRACED table, and
+    # solve_ivp in clams.liouvillian, in sys.modules once the CLI is imported: a deletion
+    # or a lazy import that would break a traced benchmark run fails here
+    code = (
+        "import importlib.util, json, sys; "
+        "spec = importlib.util.spec_from_file_location('tracer', sys.argv[1]); "
+        "tracer = importlib.util.module_from_spec(spec); spec.loader.exec_module(tracer); "
+        "import clams.cli; "
+        "targets = [(m, f) for _, m, f in tracer.TRACED] + [('clams.liouvillian', 'solve_ivp')]; "
+        "missing = [t for t in targets if not callable(getattr(sys.modules.get(t[0]), t[1], None))]; "
+        "print(json.dumps([len(targets), missing]))"
+    )
+    count, missing = json.loads(run_python(code, str(BENCH_TRACER)))
+    assert count > 1 and missing == []
 
 
 def test_public_names_are_declared_once_per_module():

@@ -171,6 +171,19 @@ def test_stack_with_disconnected_generator_reports_its_null_dim():
     assert stacked.value.null_dim == single.value.null_dim == 2
 
 
+def test_stack_member_has_the_bits_of_its_lone_solve():
+    # a Lambda system with no ground relaxation: at two-photon resonance (delta = 0) block
+    # elimination meets a singular block, which numpy raises for the whole stack; the
+    # driven member keeps the bits of its own solve, and the resonant one is its own too
+    def at(delta):
+        h = np.array([[0, 1, 0], [1, 0, 1], [0, 1, delta]], dtype=complex)
+        return build_generator(CouplingGraph(3, h, ((1, 0, 5.0), (1, 2, 5.0)))).matrix
+
+    got = steady_states(np.stack([at(0.3), at(0.0)]))
+    for rho, delta in zip(got, (0.3, 0.0)):
+        assert np.array_equal(rho, steady_state(GeneratorMatrix(3, at(delta))).matrix), delta
+
+
 def test_affine_family_reports_the_null_dim_of_its_disconnected_member():
     # base: the disconnected two-block generator; slope: decays that join the
     # blocks.  Only the member at x = 0, in the middle of one chunk, is
@@ -443,19 +456,17 @@ def state_with_lambda_min(rng, d, lam_min):
 
 
 def check_positivity(states, with_lio):
-    """``_checked`` on ``states`` with a zero residual, and what the eigvalsh oracle expects."""
+    """``_checked`` on ``states`` with a zero residual, and what the eigvalsh oracle expects.
+    ``with_lio``: each failing state, given its L (zero), raises the eigenvalue error."""
     k, d, _ = states.shape
     expect = np.linalg.eigvalsh(states).min(axis=1) >= liouvillian.EIGENVALUE_FLOOR
     v = states.transpose(0, 2, 1).reshape(k, d * d).copy()  # column stacking
-    lio = np.zeros((k, d * d, d * d), dtype=complex) if with_lio else None
-    args = (v, np.zeros_like, np.ones(k), lio)
-    if expect.all():
-        np.testing.assert_array_equal(liouvillian._checked(*args), states)
-    elif with_lio:
+    rho, ok = liouvillian._checked(v, np.zeros_like, np.ones(k))
+    np.testing.assert_array_equal(ok, expect)
+    np.testing.assert_array_equal(rho, states)
+    for i in np.flatnonzero(~ok) if with_lio else ():
         with pytest.raises(ValueError, match="eigenvalue"):
-            liouvillian._checked(*args)
-    else:
-        assert liouvillian._checked(*args) is None
+            liouvillian._raise_failure(np.zeros((1, d * d, d * d), dtype=complex), rho[i : i + 1])
     return expect
 
 
@@ -480,26 +491,31 @@ def test_positivity_of_clear_states_needs_no_eigenvalues(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
     v = states.transpose(0, 2, 1).reshape(3, 25).copy()
-    np.testing.assert_array_equal(liouvillian._checked(v, np.zeros_like, np.ones(3)), states)
+    rho, ok = liouvillian._checked(v, np.zeros_like, np.ones(3))
+    assert ok.all()
+    np.testing.assert_array_equal(rho, states)
 
 
 def test_positivity_of_an_overflowing_state_is_not_certified():
     # finite entries whose Hermitian part overflows: a factor of NaN, not a LinAlgError
     rho = np.array([[0.5, 1e308], [1e308, 0.5]], dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        assert liouvillian._checked(rho.T.reshape(1, 4).copy(), np.zeros_like, np.ones(1)) is None
+        _, ok = liouvillian._checked(rho.T.reshape(1, 4).copy(), np.zeros_like, np.ones(1))
+    assert not ok.any()
 
 
 def test_nan_lambda_min_is_rejected():
     # the same state: its Hermitian part overflows and eigvalsh gives lambda_min = NaN,
-    # which is not at or above the floor, so validate raises and _checked given L does too
+    # which is not at or above the floor, so validate raises, _checked fails it, and the
+    # failure given L raises the same error
     rho = np.array([[0.5, 1e308], [1e308, 0.5]], dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="eigenvalue nan"):
             DensityMatrix(rho).validate()
+        states, ok = liouvillian._checked(rho.T.reshape(1, 4).copy(), np.zeros_like, np.ones(1))
+        assert not ok.any()
         with pytest.raises(ValueError, match="eigenvalue nan"):
-            liouvillian._checked(rho.T.reshape(1, 4).copy(), np.zeros_like, np.ones(1),
-                                 np.zeros((1, 4, 4), dtype=complex))
+            liouvillian._raise_failure(np.zeros((1, 4, 4), dtype=complex), states)
 
 
 def test_vec_roundtrip_column_stacking():

@@ -11,9 +11,11 @@ import pytest
 import clams.liouvillian
 from clams.cli import main
 from clams.effective import build_effective_generator, effective_steady_state
-from clams.level_system import SystemParams, ground_indices, raman_detunings
+from clams.level_system import SystemParams, ground_indices, raman_detunings, rotating_diagonal
 from clams.liouvillian import (
     RESIDUAL_RTOL,
+    CouplingGraph,
+    GeneratorMatrix,
     SteadyStateError,
     _coherence_levels,
     affine_steady_states,
@@ -116,9 +118,9 @@ def spy_chunks(monkeypatch) -> list[tuple[int, int]]:
     chunks = []
     solve = clams.liouvillian._graded_states
 
-    def spy(block, grading, matvec, fro, lio=None):
+    def spy(block, grading, matvec, fro):
         chunks.append((len(fro), 16 * grading.band.size))
-        return solve(block, grading, matvec, fro, lio)
+        return solve(block, grading, matvec, fro)
 
     monkeypatch.setattr(clams.liouvillian, "_graded_states", spy)
     return chunks
@@ -254,11 +256,11 @@ def checked_calls(monkeypatch, corrupt=None):
     before its check."""
     calls, check = [], clams.liouvillian._checked
 
-    def spy(v, matvec, fro, lio=None):
+    def spy(v, matvec, fro):
         calls.append((v.copy(), matvec, fro.copy()))
         if corrupt is not None:
             corrupt(v, matvec, fro)
-        return check(v, matvec, fro, lio)
+        return check(v, matvec, fro)
 
     monkeypatch.setattr(clams.liouvillian, "_checked", spy)
     return calls
@@ -310,7 +312,7 @@ def test_graded_residual_from_the_plus_q_rows_equals_the_dense_one(monkeypatch, 
 def test_corrupted_plus_q_solution_fails_the_graded_check(monkeypatch, checks_corrupted):
     # a +q entry of the solution and its mirror moved by the same small amount: the state
     # stays Hermitian with unit trace, so only the residual of the rows 0 and +q sees it.
-    # Corrupted once, the chunk is re-solved; every time, the solve raises
+    # Corrupted once, each point of the chunk is re-solved alone; every time, the solve raises
     base, slope, xs = next(chain_families())
     clean = affine_steady_states(base, slope, xs)
     grading = _coherence_levels(base, slope)
@@ -328,7 +330,65 @@ def test_corrupted_plus_q_solution_fails_the_graded_check(monkeypatch, checks_co
             affine_steady_states(base, slope, xs)
     else:
         assert np.array_equal(affine_steady_states(base, slope, xs), clean)
-        assert len(calls) == 2  # the graded chunk's check, then the re-solve's
+        assert len(calls) == 1 + len(xs)  # the graded chunk's check, then each point's alone
+
+
+def trapping_family():
+    """(base, slope, xs) of the N = 13 chain with excited decays only (each excited level
+    to both neighbours at 10 rad/us), 1 rad/us drives, against the two-photon detuning
+    on 41 points through 0.  Without ground relaxation, two-photon resonance is coherent
+    population trapping: there block elimination meets an exactly singular outer block."""
+    def at(delta):
+        h = np.diag(rotating_diagonal(13, raman_detunings(13, delta))) + np.eye(13, k=1) + np.eye(13, k=-1)
+        return build_generator(CouplingGraph(13, h, tuple(
+            (e, g, 10.0) for e in range(1, 13, 2) for g in (e - 1, e + 1)))).matrix
+
+    base = at(0.0)
+    return base, at(1.0) - base, np.linspace(-1.0, 1.0, 41)
+
+
+def test_failing_point_has_the_bits_of_its_own_solve_in_any_chunking(monkeypatch):
+    # the resonant point fails the chunk's graded solve: it alone takes the dense LU, and
+    # every point, solved whole, 3 or 1 per chunk, has the bits of its own steady_state
+    base, slope, xs = trapping_family()
+    band = _coherence_levels(base, slope).band.size
+    lone = np.stack([steady_state(GeneratorMatrix(13, base + x * slope)).matrix for x in xs])
+    solve, dense = clams.liouvillian._graded_states, []
+
+    def spy(block, grading, matvec, fro):
+        if grading.far is None:  # one block: the dense LU
+            dense.append(len(fro))
+        return solve(block, grading, matvec, fro)
+
+    monkeypatch.setattr(clams.liouvillian, "_graded_states", spy)
+    for per_chunk in (None, 3, 1):
+        with monkeypatch.context() as patch:
+            if per_chunk is not None:
+                patch.setattr(clams.liouvillian, "STACK_BYTES", per_chunk * 16 * band)
+            dense.clear()
+            got = affine_steady_states(base, slope, xs)
+        assert np.array_equal(got, lone), per_chunk
+        assert dense == [1], per_chunk  # one dense LU, of one point
+
+
+def test_failing_point_costs_one_dense_generator():
+    # the traced peak of the sweep through resonance exceeds that of the sweep without
+    # its resonant point by at most 8 dense L (16 d^4 bytes each), however many points
+    # share the failing chunk
+    base, slope, xs = trapping_family()
+
+    def peak(points):
+        affine_steady_states(base, slope, points)  # the gather buffer, once
+        tracemalloc.start()
+        try:
+            affine_steady_states(base, slope, points)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    resonant = np.flatnonzero(xs == 0.0)
+    assert resonant.size == 1
+    assert peak(xs) <= peak(np.delete(xs, resonant)) + 8 * base.nbytes
 
 
 def one_block_family():
@@ -371,9 +431,9 @@ def recording_checks(monkeypatch, times=1):
     gives ``solve()`` and the L v of the checks it ran, in the thread that runs it."""
     check, seen = clams.liouvillian._checked, threading.local()
 
-    def spy(v, matvec, fro, lio=None):
+    def spy(v, matvec, fro):
         seen.products.extend(matvec(v) for _ in range(times))
-        return check(v, matvec, fro, lio)
+        return check(v, matvec, fro)
 
     def run(solve):
         seen.products = []
