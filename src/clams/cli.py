@@ -66,6 +66,7 @@ from . import effective, rb85, spectrum
 from .level_system import SystemParams, ground_indices, raman_detunings
 from .liouvillian import (
     CouplingGraph,
+    GeneratorMatrix,
     PropagationError,
     SteadyStateError,
     affine_steady_states,
@@ -284,7 +285,7 @@ def write_json(path: Path, payload) -> None:
     _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def write_complex_matrix_csv(path: Path, matrix: np.ndarray, digest: str) -> None:
+def write_complex_matrix_csv(path: Path, matrix: np.ndarray, digest: str, pattern=None) -> None:
     """Dump a complex matrix with interleaved real/imaginary columns.
 
     The bytes are those of ``_fmt`` on every part.  The body is all-``_ZERO``
@@ -292,11 +293,13 @@ def write_complex_matrix_csv(path: Path, matrix: np.ndarray, digest: str) -> Non
     row-major parts is the character at byte 2k.  Only the parts whose 64-bit
     pattern is not that of +0.0 (nonzeros, -0.0, NaN, +-inf) are spliced in,
     each distinct pattern formatted once, between gaps cut from one template of
-    whole rows that is as long as the longest gap needs.
+    whole rows that is as long as the longest gap needs.  Given a ``pattern`` (as
+    ``GeneratorMatrix.pattern``), only the entries there are read.
     """
     header = ",".join([f"re_{j},im_{j}" for j in range(matrix.shape[1])])
     bits = np.ascontiguousarray(matrix, dtype=complex).view(np.int64)
-    flat = np.flatnonzero(bits != 0)
+    flat = np.flatnonzero(bits != 0) if pattern is None else (2 * pattern[:, None] + [0, 1]).ravel()
+    flat = flat[bits.ravel()[flat] != 0]  # the parts that are not +0.0
     distinct, which = np.unique(bits.ravel()[flat], return_inverse=True)
     texts = np.array([_FLOAT_FORMAT % v for v in distinct.view(float).tolist()], dtype=object)
     row = ",".join([_ZERO] * bits.shape[1]) + "\n"
@@ -368,7 +371,7 @@ def cmd_steady(args, s):
         peaks = spectrum.coherence_peaks(rho, params.delta_omega_s)
     else:
         gen, rho, peaks = _chain_peaks(cascaded_lambda_graph(params), params.delta_omega_s)
-    files = {"steady_generator.csv": gen.matrix} if args.dump_generator else {}
+    files = {"steady_generator.csv": gen} if args.dump_generator else {}
     files["steady_rho.csv"] = rho.matrix
     return used, files | _peak_files("steady", peaks, s["format"], threshold)
 
@@ -381,14 +384,8 @@ def _chain_peaks(graph: CouplingGraph, delta_omega_s: float):
     return gen, rho, spectrum.coherence_peaks(rho.matrix[np.ix_(gidx, gidx)], delta_omega_s)
 
 
-def _chain_generator(params: SystemParams) -> np.ndarray:
-    return build_generator(cascaded_lambda_graph(params)).matrix
-
-
-def _reduced_generator(params: SystemParams, j_hop: float) -> np.ndarray:
-    return effective.build_effective_generator(
-        params.n_levels, j_hop, params.gamma_prime, params.detunings
-    ).matrix
+def _reduced_generator(params: SystemParams, j_hop: float) -> GeneratorMatrix:
+    return effective.build_effective_generator(params.n_levels, j_hop, params.gamma_prime, params.detunings)
 
 
 def _sweep_rows(params: SystemParams, chain_at, xs, reduced_at, js) -> list[list[float]]:
@@ -402,9 +399,9 @@ def _sweep_rows(params: SystemParams, chain_at, xs, reduced_at, js) -> list[list
         (chain_at, xs, ground_indices(params.n_levels)),
         (reduced_at, js, np.arange(params.n_ground)),
     ):
-        base, slope = build(0.0), build(1.0)
-        slope -= base  # in place: two generators alive, not three
-        rho = affine_steady_states(base, slope, points)
+        base, top = build(0.0), build(1.0)
+        slope = np.subtract(top.matrix, base.matrix, out=top.matrix)  # two generators alive, not three
+        rho = affine_steady_states(base.matrix, slope, points, [base.pattern, top.pattern])  # hold slope's
         models.append(spectrum.weight_ratios(spectrum.peak_weights(rho[:, gidx][:, :, gidx])))
     return np.stack(models, axis=-1).reshape(len(models[0]), 2 * (params.n_ground - 1)).tolist()
 
@@ -427,7 +424,7 @@ def cmd_sweep_detuning(args, s):
     j_hop = _hopping_rate(params)
     rows = _sweep_rows(
         params,
-        lambda x: _chain_generator(at(x)), deltas,
+        lambda x: build_generator(cascaded_lambda_graph(at(x))), deltas,
         lambda x: _reduced_generator(at(x), j_hop), deltas,
     )
     rows = [[delta_mhz, *row] for delta_mhz, row in zip(grid, rows)]
@@ -441,7 +438,7 @@ def cmd_sweep_rabi(args, s):
     rabis = grid * params.gamma
     rows = _sweep_rows(
         params,
-        lambda x: _chain_generator(replace(params, rabi=x)), rabis,
+        lambda x: build_generator(cascaded_lambda_graph(replace(params, rabi=x))), rabis,
         lambda j: _reduced_generator(params, j), rabis**2 / params.gamma,
     )
     rows = [[frac, rabi**2 / params.gamma / params.gamma_prime, *row[2:],
@@ -601,6 +598,8 @@ def main(argv=None) -> int:
                     write_csv(out / name, *data, digest)
                 elif isinstance(data, np.ndarray):
                     write_complex_matrix_csv(out / name, data, digest)
+                elif isinstance(data, GeneratorMatrix):
+                    write_complex_matrix_csv(out / name, data.matrix, digest, data.pattern)
                 else:
                     write_json(out / name, data | {"config_hash": digest} if "config_hash" in data else data)
             return 0

@@ -129,7 +129,8 @@ def build_effective_generator(
     mat[np.diag_indices(ng * ng)] -= damping.ravel(order="F")
     mat[np.ix_(pop, pop)] = rates.T - np.diag(outflow)
 
-    return EffectiveGenerator(n_states=ng, matrix=mat, v_eff=v_eff)
+    structure = ((h_eff != 0).tobytes(), ng, np.array(np.nonzero(rates), dtype=np.int64).tobytes(), False)
+    return EffectiveGenerator(n_states=ng, matrix=mat, v_eff=v_eff, structure=structure)
 
 
 def reduce(params: SystemParams) -> EffectiveGenerator:
@@ -187,7 +188,9 @@ class ClosedFormCoherences:
 def closed_form_coherences(
     n_levels: int, j_hop: float, gamma_prime: float, delta: float
 ) -> ClosedFormCoherences:
-    """Analytic steady-state coherences at detuning pattern (delta, 0, delta, 0, ...)."""
+    """Analytic steady-state coherences at detuning pattern (delta, 0, delta, 0, ...).
+    The 7-level forms' own weak-drive limits of H21 / (j/gp)^2 and H31 / (j/gp)^4 are
+    49/54 and 49/27; the reduced model's are 392/369 and 784/369."""
     jh, gp, d = float(j_hop), float(gamma_prime), float(delta)
     _check_rates(jh, gp)
     if not np.isfinite(d):

@@ -11,11 +11,14 @@ the sum of the total outflow rates of a and b; they never create coherence.
 Vectorization is column-stacking throughout: vec(rho)[i + j*d] = rho[i, j], so
 vec(A rho B) = (B^T kron A) vec(rho).  Every index map in this module derives
 from that single convention.
+
+A generator's pattern, the entries its builder writes (cached per structure) or a scan
+finds, gives one cached plan (:func:`_plan`): solves, sweeps and dumps read L only there.
 """
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial, frexp, inf, isfinite, isqrt
 from operator import iadd, imul
@@ -117,10 +120,17 @@ class CouplingGraph:
 
 @dataclass(frozen=True)
 class GeneratorMatrix:
-    """Linear generator L on column-stacked density matrices: dvec(rho)/dt = L vec(rho)."""
+    """Linear generator L on column-stacked density matrices: dvec(rho)/dt = L vec(rho);
+    the builders set ``structure``, the key of the pattern they write."""
 
     n_states: int
     matrix: np.ndarray
+    structure: tuple | None = field(default=None, kw_only=True, repr=False, compare=False)
+
+    @property
+    def pattern(self) -> np.ndarray:
+        """Sorted flat indices outside which ``matrix`` is +0.0: its builder's, else a scan's."""
+        return np.frombuffer(_written(*self.structure) if self.structure else _scan(self.matrix), np.int64)
 
 
 @dataclass(frozen=True)
@@ -176,12 +186,14 @@ def build_generator(graph: CouplingGraph) -> GeneratorMatrix:
     """Assemble the d^2 x d^2 generator of the coherent + population-decay dynamics."""
     d = graph.n_states
     lio = hamiltonian_superoperator(graph.hamiltonian, graph.hamiltonian)
+    src = tgt = np.zeros(0, dtype=np.int64)
     if graph.population_decays:
         src, tgt, rate = map(np.array, zip(*graph.population_decays))
         np.add.at(lio, (tgt * (d + 1), src * (d + 1)), rate)
         outflow = np.bincount(src, weights=rate, minlength=d)
         lio[np.diag_indices(d * d)] -= 0.5 * (outflow[:, None] + outflow[None, :]).ravel()
-    return GeneratorMatrix(n_states=d, matrix=lio)
+    return GeneratorMatrix(n_states=d, matrix=lio, structure=(
+        (graph.hamiltonian != 0).tobytes(), d, np.array([src, tgt], dtype=np.int64).tobytes(), True))
 
 
 def cascaded_lambda_graph(params: SystemParams) -> CouplingGraph:
@@ -224,44 +236,63 @@ def _null_dimension(lio: np.ndarray) -> int:
 def steady_state(gen: GeneratorMatrix) -> DensityMatrix:
     """Unique trace-one null vector of the generator.
 
-    One row of L is replaced by the trace functional and the square system is
-    solved directly by block elimination over coherence orders: over the orders
-    +q of :func:`_coherence_levels`, -q being their mirror, where it finds two or
-    more beyond 0, else, or if that solve fails, over one block, which is one dense
-    LU.  The solution is then verified against the unmodified L.  A relative
-    residual above ``RESIDUAL_RTOL`` (or a singular solve) triggers a null space
-    diagnosis, and a null dimension other than one is reported as a degeneracy
-    rather than silently picking a state.
-    """
-    return DensityMatrix(steady_states(gen.matrix[None])[0])
+    One row of L is replaced by the trace functional and the square system is solved by
+    block elimination over the coherence orders +q of the :func:`_plan` of its pattern
+    (-q being their mirror), reading L at the pattern alone; else, or if that fails, as
+    one block, one dense LU.  The solution is checked against L: a relative residual over
+    ``RESIDUAL_RTOL`` (or a singular solve) triggers a null space diagnosis, and a null
+    dimension other than one is a degeneracy rather than a silent pick."""
+    lio = np.ascontiguousarray(gen.matrix, dtype=complex)
+    s = gen.structure
+    return DensityMatrix(_lone(lio, _scan(lio) if s is None else None if _cliques(*s[:2]) else _written(*s)))
 
 
 def steady_states(stack: np.ndarray) -> np.ndarray:
-    """Steady states, shape (k, d, d), of a stack of k generators of order d^2.
-
-    The method of :func:`steady_state`, batched over the stack.  Each member that
-    fails the batched solve is re-solved alone, in index order, as
-    :func:`steady_state` solves it, so its bits do not depend on the stack.
-    """
+    """Steady states, shape (k, d, d), of a stack of k generators, each solved alone by
+    :func:`steady_state`, its pattern from one scan."""
     lio = np.ascontiguousarray(stack, dtype=complex)
-    if len(lio) == 1:
-        return _lone(lio[0])[None]
-    rho, ok = _dense_pass(lio, _coherence_levels(lio) or _one_block(lio.shape[-1]))
-    for i in np.flatnonzero(~ok):
-        rho[i] = _lone(lio[i])
-    return rho
+    out = np.empty((len(lio), *(isqrt(lio.shape[-1]),) * 2), dtype=complex).transpose(0, 2, 1)  # as each rho
+    for i, member in enumerate(lio):
+        out[i] = _lone(member, _scan(member))
+    return out
 
 
-def _lone(lio: np.ndarray) -> np.ndarray:
-    """Steady state (d, d) of one L (contiguous, complex) by the method of
-    :func:`steady_state`; a failed one-block solve raises by :func:`_raise_failure`."""
-    lio = lio[None]
-    for grading in filter(None, (_coherence_levels(lio), _one_block(lio.shape[-1]))):
-        rho, ok = _dense_pass(lio, grading)
-        if ok[0]:
-            return rho[0]
-    _raise_failure(lio, rho)  # of the one-block solve
+def _lone(lio: np.ndarray, pattern: bytes | None) -> np.ndarray:
+    """:func:`steady_state` of one L (contiguous, complex) with ``pattern`` (None: one block)."""
+    if pattern is not None:
+        plan, (at,) = _graded_plan(pattern, isqrt(len(lio)), lio)
+        if plan.far is not None:
+            band, lnz = at[:, plan.band], at[:, plan.nz] * plan.weight  # the weighted rows 0 and +q
+            matvec = lambda v: np.add.reduceat(imul(_gather(v, plan.cols), lnz), plan.heads, axis=1)
+            solve = lambda lo, hi: _graded_states(lambda a, b: band[:, a:b], plan, matvec, _frobenius(at))
+            return _bisected(0, 1, solve, lambda i: _dense_lu(lio))[0]
+    return _dense_lu(lio)
+
+
+def _dense_lu(lio: np.ndarray) -> np.ndarray:
+    """Steady state (d, d) of one L (contiguous, complex) by one dense LU, or its failure raised."""
+    lio, n = lio[None], len(lio)
+    try:
+        rho, ok = _graded_states(lambda a, b: lio.reshape(1, -1).copy(), _one_block(n), *_dense(lio))
+    except np.linalg.LinAlgError:  # singular: a NaN state, which fails
+        rho, ok = np.full((1, isqrt(n), isqrt(n)), np.nan + 0j), [False]
+    if not ok[0]:
+        _raise_failure(lio, rho)
     return rho[0]
+
+
+def _bisected(lo: int, hi: int, solve, dense) -> np.ndarray:
+    """States of members lo..hi-1 by ``solve(lo, hi)``, or by halves if it raises LinAlgError;
+    a member failing its own solve (alone, or its check) takes ``dense(i)``, not that again."""
+    try:
+        rho, ok = solve(lo, hi)
+    except np.linalg.LinAlgError:
+        mid = (lo + hi) // 2
+        return dense(lo)[None] if hi - lo == 1 else np.concatenate(
+            (_bisected(lo, mid, solve, dense), _bisected(mid, hi, solve, dense)))
+    for i in np.flatnonzero(~ok):
+        rho[i] = dense(lo + i)
+    return rho
 
 
 def _dense(lio: np.ndarray):
@@ -269,22 +300,52 @@ def _dense(lio: np.ndarray):
     return (lambda v: (lio @ v[..., None])[..., 0]), _frobenius(lio)
 
 
-def _dense_pass(lio: np.ndarray, grading: _Grading):
-    """:func:`_graded_states` of a contiguous stack ``lio`` of L over ``grading``."""
-    flat = lio.reshape(len(lio), -1)
-    band = None if grading.far is None else flat[:, grading.band]  # None: one block, L whole
-    return _graded_states(lambda a, b: flat.copy() if band is None else band[:, a:b], grading,
-                          *_dense(lio))
-
-
-_Grading = namedtuple("_Grading", "far band mirrored rows trace mirror unsort order")
+_Plan = namedtuple("_Plan", "far band rows trace mirror unsort order pattern mirrored nz cols heads weight")
 
 
 @lru_cache(maxsize=None)
-def _one_block(n: int) -> _Grading:
-    """The grading of generators of order n as one block: each L whole, in vec order."""
-    return _Grading(None, slice(None), None, [(0, n * n, n, n, 0, n)], slice(0, n, isqrt(n) + 1),
-                    None, None, np.zeros(n, dtype=np.int8))
+def _one_block(n: int) -> _Plan:
+    """The plan of generators of order n as one block, each L whole, without a pattern."""
+    return _Plan(None, None, [(0, n * n, n, n, 0, n)], slice(0, n, isqrt(n) + 1), None, None,
+                 np.zeros(n, dtype=np.int8), *[None] * 6)
+
+
+def _scan(*gens: np.ndarray) -> bytes:
+    """The pattern of the entries that are not +0.0 in raw generators (L or stacks) ``gens``."""
+    return _distinct([np.flatnonzero(np.ascontiguousarray(g, dtype=complex).view(np.int64) != 0) // 2
+                      % g.shape[-1] ** 2 for g in gens])  # the parts that are not +0.0, as entries
+
+
+def _distinct(flat) -> bytes:
+    """The pattern of flat indices ``flat`` (arrays); np.unique would import numpy.ma."""
+    flat = np.sort(np.hstack(flat).astype(np.int64))
+    return flat[np.diff(flat, prepend=-1) > 0].tobytes()
+
+
+@lru_cache(maxsize=16)
+def _cliques(hamiltonian: bytes, d: int) -> bool:
+    """Whether the state graph joined where ``hamiltonian`` (d x d) marks H[a, b] or H[b, a]
+    has cliques for components: then its generators are one block."""
+    adj = np.frombuffer(hamiltonian, dtype=bool).reshape(d, d)
+    adj = adj | adj.T | np.eye(d, dtype=bool)
+    return bool((adj @ adj == adj).all())
+
+
+@lru_cache(maxsize=16)
+def _written(hamiltonian: bytes, d: int, pairs: bytes, coherent: bool) -> bytes:
+    """The pattern that the builders write, from their ``structure``: the diagonal, the left-
+    and right-multiplication entries of each H[a, b] or H[b, a] marked in ``hamiltonian`` (in
+    the rows of coherences alone unless ``coherent``), and the transfers ``pairs`` (src, tgt)."""
+    n = d * d
+    a, b = np.nonzero(np.frombuffer(hamiltonian, dtype=bool).reshape(d, d))
+    a, b = np.concatenate((a, b)), np.concatenate((b, a))
+    m = np.arange(d)[:, None]
+    hams = np.concatenate(((a + m * d) * n + b + m * d,  # -i H[a, b] rho[b, m]
+                           (m + b * d) * n + m + a * d)).ravel()  # i rho[m, a] H[a, b]
+    if not coherent:
+        hams = hams[hams // n % (d + 1) > 0]  # vec index i + j*d of a population: a multiple of d + 1
+    src, tgt = np.frombuffer(pairs, dtype=np.int64).reshape(2, -1) * (d + 1)
+    return _distinct([hams, tgt * n + src, np.arange(n) * (n + 1)])
 
 
 def _bfs_levels(nbrs: list[list[int]], root: int) -> list[int]:
@@ -297,85 +358,98 @@ def _bfs_levels(nbrs: list[list[int]], root: int) -> list[int]:
     return level
 
 
-def _coherence_levels(*gens: np.ndarray) -> _Grading | None:
-    """The :func:`_grading` into coherence orders c = phi(a) - phi(b) of generators
-    with the nonzeros of ``gens`` (generators or stacks), or None for one block.
-    phi is the breadth-first level of a state in the graph that joins two states
-    when L has a left- or right-multiplication entry between them (d^3 entries of
-    L).  The orders are kept if there are two or more beyond 0, every nonzero of L
-    joins orders at most 1 apart (L is block-tridiagonal in them), and L preserves
-    Hermiticity exactly on them.  Populations, and so the trace row, are order 0."""
-    n = gens[0].shape[-1]
-    d = isqrt(n)
-    adj = False
-    for g in gens:
-        g5 = g.reshape(-1, d, d, d, d)  # g5[m, j, i, l, k]: entry L[i + j*d, k + l*d] of member m
-        adj = adj | g5.diagonal(0, 1, 3).any(axis=(0, 3)) | g5.diagonal(0, 2, 4).any(axis=(0, 3))
-    grading = _grading((adj | adj.T).tobytes(), d)  # j = l: H[i, k]; i = k: H[l, j]
-    flat = [g.reshape(-1, n * n) for g in gens]
-    if grading is None or any((np.packbits(f != 0, axis=-1) & grading.far).any() for f in flat):
-        return None
-    mirrored = all(np.array_equal(f[:, grading.mirrored], f[:, grading.band].conj()) for f in flat)
-    return grading if mirrored else None
+def _coherence_levels(*gens: np.ndarray) -> _Plan | None:
+    """The graded plan of raw generators ``gens`` (L or stacks) from a scan, None for one block."""
+    plan, _ = _graded_plan(_scan(*gens), isqrt(gens[0].shape[-1]), *gens)
+    return None if plan.far is None else plan
+
+
+def _graded_plan(pattern: bytes, d: int, *gens: np.ndarray):
+    """The :func:`_plan` of ``pattern`` for ``gens`` (L or stacks) and each one's entries there,
+    (k, size + 1) with a 0 appended; one block unless each is 0 at ``far`` and L_PaPb = conj(L_ab)."""
+    plan = _plan(pattern, d)
+    at = [np.reshape(g, (-1, d**4))[:, plan.pattern] for g in gens]
+    at = [np.concatenate((v, np.zeros((len(v), 1))), axis=1) for v in at]
+    if plan.far is not None and all(not v[:, plan.far].any()
+                                    and np.array_equal(v[:, plan.mirrored], v[:, :-1].conj()) for v in at):
+        return plan, at
+    return _plan(pattern, d, False), at
 
 
 @lru_cache(maxsize=16)
-def _grading(adjacency: bytes, d: int) -> _Grading | None:
-    """Block elimination over the coherence orders 0, ..., +top of the state graph
-    ``adjacency`` (d x d booleans), or None if each component is a clique (top <= 1).
-    phi is searched from a pseudo-peripheral state of each component (George & Liu).
-    ``far`` marks the entries of L joining orders more than 1 apart, bit-packed;
-    ``band`` the flat indices into L of the row block of each order q = top, ..., 0
-    in the columns of orders q-1, q and q+1, each at ``rows`` (start, stop, rows,
-    columns, first column of order q, first of q+1); ``mirrored`` their (P a, P b);
-    ``trace`` the order-0 places of the populations; ``mirror`` (P a, P b) in the
-    flat order-0 block; ``unsort`` the places of the vec indices in [0, +1.., +top,
-    -1.., -top]; ``order`` the coherence order of each vec index."""
-    adj = np.frombuffer(adjacency, dtype=bool).reshape(d, d) | np.eye(d, dtype=bool)
-    if (adj @ adj == adj).all():
-        return None
-    nbrs = [[b for b, joined in enumerate(row) if joined] for row in adj.tolist()]  # a among them
-    phi = [-1] * d
-    for start in range(d):
-        if phi[start] >= 0:
-            continue
-        level = _bfs_levels(nbrs, start)
-        while True:  # restart from a farthest state of least degree while the depth grows
-            depth = max(level)
-            far = _bfs_levels(nbrs, min((a for a in range(d) if level[a] == depth),
-                                        key=lambda a: len(nbrs[a])))
-            if max(far) <= depth:
-                break
-            level = far
-        phi = [max(a, b) for a, b in zip(phi, level)]
-    phi = np.array(phi, dtype=np.int8 if d <= 64 else np.int32)  # int8 differences: small
-    order = np.subtract.outer(phi, phi).ravel(order="F")  # of vec index i + j*d
-    n, top = d * d, int(order.max())
-    sizes = np.bincount(order[order >= 0])
-    idx = np.argsort(order, kind="stable")[n - sizes.sum() :]  # orders 0, +1, ..., +top
-    at = [0, *np.cumsum([0, *sizes, 0]).tolist()]  # at[q + 1]: where order q starts in idx
-    rows, band, stop = [], [], 0
-    for q in range(top, -1, -1):
-        lo, mid, end, hi = at[q : q + 4]  # orders q-1 (none for q = 0), q, q+1 (none for top)
-        band.append((idx[mid:end, None] * n + idx[lo:hi]).ravel())
-        rows.append((stop, stop + band[-1].size, end - mid, hi - lo, mid - lo, end - lo))
-        stop += band[-1].size
-    swap = np.arange(n) % d * d + np.arange(n) // d  # P: the vec index of rho_ba
-    band, zero = np.concatenate(band), idx[: sizes[0]]
-    mirror = zero.searchsorted(swap[zero])
-    return _Grading(np.packbits(np.abs(order[:, None] - order[None, :]) > 1), band,
-                    swap[band // n] * n + swap[band % n], rows,
-                    zero.searchsorted(np.arange(0, n, d + 1)),
-                    (mirror[:, None] * zero.size + mirror).ravel(),
-                    np.argsort(np.concatenate((idx, swap[idx[sizes[0] :]]))), order)
+def _plan(pattern: bytes, d: int, graded: bool = True) -> _Plan:
+    """How generators of order n = d^2 that are +0.0 outside ``pattern`` (sorted flat int64
+    indices, as bytes) are solved: over the coherence orders c = phi(a) - phi(b), phi the
+    breadth-first level from a pseudo-peripheral state (George & Liu) in the graph of the
+    pattern's left- and right-multiplication entries, if ``graded`` and a component is no
+    clique; else as one block.  Populations are order 0.  ``rows``: the (start, stop, rows,
+    columns, first column of q, of q+1) in the band of the row block of each order q = top,
+    ..., 0 in the columns of orders q-1..q+1; ``trace``, ``mirror``: the populations and (P a,
+    P b) in order 0; ``unsort``: the places of the vec indices in [0, +1.., +top, -1..,
+    -top]; ``order``: theirs.  Places in the pattern (its size where absent) of: the entries
+    joining orders over 1 apart (``far``); the band (``band``; of L for one block); each
+    entry's mirror (``mirrored``); the rows 0 and +q (``nz``, with ``cols``, ``heads`` where
+    each row starts and ``weight``, sqrt 2 in +q)."""
+    p, n = np.frombuffer(pattern, dtype=np.int64), d * d
+    rows, cols = np.divmod(p, n)
+
+    def find(idx):  # the place of each flat index in the pattern, p.size where absent
+        pos = p.searchsorted(idx)
+        return np.where(np.append(p, -1)[pos] == idx, pos, p.size)
+
+    adj = np.zeros((d, d), dtype=bool)
+    adj[rows[rows // d == cols // d] % d, cols[rows // d == cols // d] % d] = True  # H[i, k] rho[k, j]
+    adj[cols[rows % d == cols % d] // d, rows[rows % d == cols % d] // d] = True  # rho[i, l] H[l, j]
+    adj |= adj.T
+    if not graded or _cliques(adj.tobytes(), d):
+        order = np.zeros(n, dtype=np.int8)
+        plan = _one_block(n)._replace(band=find(np.arange(n * n)), pattern=p)
+    else:
+        adj |= np.eye(d, dtype=bool)
+        nbrs = [[b for b, joined in enumerate(row) if joined] for row in adj.tolist()]  # a among them
+        phi = [-1] * d
+        for start in range(d):
+            if phi[start] >= 0:
+                continue
+            level = _bfs_levels(nbrs, start)
+            while True:  # restart from a farthest state of least degree while the depth grows
+                depth = max(level)
+                far = _bfs_levels(nbrs, min((a for a in range(d) if level[a] == depth),
+                                            key=lambda a: len(nbrs[a])))
+                if max(far) <= depth:
+                    break
+                level = far
+            phi = [max(a, b) for a, b in zip(phi, level)]
+        phi = np.array(phi, dtype=np.int8 if d <= 64 else np.int32)  # int8 differences: small
+        order = np.subtract.outer(phi, phi).ravel(order="F")  # of vec index i + j*d
+        top = int(order.max())
+        sizes = np.bincount(order[order >= 0])
+        idx = np.argsort(order, kind="stable")[n - sizes.sum() :]  # orders 0, +1, ..., +top
+        at = [0, *np.cumsum([0, *sizes, 0]).tolist()]  # at[q + 1]: where order q starts in idx
+        blocks, band, stop = [], [], 0
+        for q in range(top, -1, -1):
+            lo, mid, end, hi = at[q : q + 4]  # orders q-1 (none for q = 0), q, q+1 (none for top)
+            band.append((idx[mid:end, None] * n + idx[lo:hi]).ravel())
+            blocks.append((stop, stop + band[-1].size, end - mid, hi - lo, mid - lo, end - lo))
+            stop += band[-1].size
+        swap = np.arange(n) % d * d + np.arange(n) // d  # P: the vec index of rho_ba
+        band, zero = np.concatenate(band), idx[: sizes[0]]
+        trace, mirror = zero.searchsorted(np.arange(0, n, d + 1)), zero.searchsorted(swap[zero])
+        unsort = np.argsort(np.concatenate((idx, swap[idx[sizes[0] :]])))
+        plan = _Plan(np.flatnonzero(np.abs(order[rows] - order[cols]) > 1), find(band), blocks, trace,
+                     (mirror[:, None] * zero.size + mirror).ravel(), unsort, order, p,
+                     find(swap[rows] * n + swap[cols]), None, None, None, None)
+    nz = np.flatnonzero(order[rows] >= 0)
+    return plan._replace(nz=nz, cols=cols[nz], heads=np.flatnonzero(np.diff(rows[nz], prepend=-1)),
+                         weight=np.sqrt(np.sign(order[rows[nz]]) + 1.0))
 
 
-def _graded_states(block, grading: _Grading, matvec, fro: np.ndarray):
+def _graded_states(block, grading: _Plan, matvec, fro: np.ndarray):
     """Steady states of a stack of L from the band of its ``grading`` (with
     :func:`_one_block`, one dense LU of each L), ``block(start, stop)`` an array
     (k, stop - start) of each L's band that may be overwritten, and the mask of the
     members that pass :func:`_checked` (given ``matvec`` and ``fro``).  A singular
-    solve, which numpy raises for the whole stack, fails every member: NaN states.
+    solve raises LinAlgError, which numpy raises for the whole stack.
 
     Block elimination (the matrix continued fraction; Risken, The Fokker-Planck
     Equation, ch. 9) inward from the outermost order, on the side +q only:
@@ -388,22 +462,19 @@ def _graded_states(block, grading: _Grading, matvec, fro: np.ndarray):
     the Hermitian part of their blocks is the damping -(G_a + G_b)/2 < 0, Schur
     complements keep that sign, and no S_q is singular."""
     k, x = len(fro), []  # x: X_top, ..., X_1
-    try:
-        for start, stop, m, width, c1, c2 in grading.rows:  # orders top, ..., 0
-            r = block(start, stop).reshape(k, m, width)
-            s = r[..., c1:c2]
-            if x:
-                t = r[..., c2:] @ x[-1]  # L_q,q+1 X_q+1
-                s -= t  # in place: less heap growth in a sweep
-            if c1:
-                x.append(np.linalg.solve(s, r[..., :c1]))
+    for start, stop, m, width, c1, c2 in grading.rows:  # orders top, ..., 0
+        r = block(start, stop).reshape(k, m, width)
+        s = r[..., c1:c2]
         if x:
-            s -= t.reshape(k, -1)[:, grading.mirror].reshape(s.shape).conj()
-        s[:, 0, :] = 0.0
-        s[:, 0, grading.trace] = 1.0  # trace functional
-        v = [np.linalg.solve(s, np.eye(s.shape[1], 1, dtype=complex))]
-    except np.linalg.LinAlgError:
-        return np.full((k, *(isqrt(grading.order.size),) * 2), np.nan + 0j), np.zeros(k, dtype=bool)
+            t = r[..., c2:] @ x[-1]  # L_q,q+1 X_q+1
+            s -= t  # in place: less heap growth in a sweep
+        if c1:
+            x.append(np.linalg.solve(s, r[..., :c1]))
+    if x:
+        s -= t.reshape(k, -1)[:, grading.mirror].reshape(s.shape).conj()
+    s[:, 0, :] = 0.0
+    s[:, 0, grading.trace] = 1.0  # trace functional
+    v = [np.linalg.solve(s, np.eye(s.shape[1], 1, dtype=complex))]
     for xq in reversed(x):
         v.append(-(xq @ v[-1]))
     if not x:  # one block: v_0 is in vec order
@@ -475,47 +546,43 @@ def _raise_failure(lio: np.ndarray, rho: np.ndarray) -> None:
     DensityMatrix(rho[0]).validate()
 
 
-def affine_steady_states(base: np.ndarray, slope: np.ndarray, xs) -> np.ndarray:
+def affine_steady_states(base: np.ndarray, slope: np.ndarray, xs, pattern=None) -> np.ndarray:
     """Steady states, shape (len(xs), d, d), of the generators base + x * slope.
 
-    The method of :func:`steady_state` over the coherence orders that
-    ``(base != 0) | (slope != 0)`` grades L into, else over one block, in chunks of
-    at most ``STACK_BYTES`` of blocks.  Each block is built as x * slope_block +
-    base_block, which has the bits of the dense entries.  The residual L v is taken
-    from the nonzeros of L, graded in the rows of the orders 0 and, weighted by
-    sqrt 2, +q alone: the rows -q are their conjugates but for the rounding of v_0,
-    which the hermiticity check bounds.  ||L||_F^2 = ||A||^2 + 2 x Re<A, B> + x^2
-    ||B||^2 (A = base, B = slope).  Each point that fails is re-solved alone, in
-    point order, from its dense L = base + x * slope as :func:`steady_state` solves
-    it: its bits do not depend on its chunk, and it costs the memory of one dense L,
-    so the memory of a sweep does not grow with its points.  The check gathers v at
-    the nonzeros' columns into a buffer that each thread keeps between sweeps and
-    grows only when a chunk needs more, so a sweep does not fault in fresh heap pages
-    for it; it holds at most ``STACK_BYTES``, or one point's nonzeros if they take more.
+    The method of :func:`steady_state`, reading only at ``pattern`` (arrays of flat indices
+    outside which base and slope are +0.0; by default a scan's), in chunks of at most
+    ``STACK_BYTES`` of blocks, each x * slope_block + base_block: the dense entries' bits.
+    The residual L v is taken in the rows of orders 0 and, weighted by sqrt 2, +q: the
+    rows -q are their conjugates but for the rounding of v_0, which the hermiticity check
+    bounds.  ||L||_F^2 = ||A||^2 + 2 x Re<A, B> + x^2 ||B||^2 (A = base, B = slope).  A
+    chunk that numpy finds singular is solved in halves; a point failing alone or by its
+    check takes one dense LU of base + x * slope, in point order: its bits do not depend on
+    its chunk, and it costs one dense L.  The check gathers v into a per-thread buffer kept
+    between sweeps (at most ``STACK_BYTES``, or one point's entries).
     """
     xs = np.asarray(xs, dtype=float)
     base, slope = np.asarray(base, dtype=complex), np.asarray(slope, dtype=complex)
     n = base.shape[0]
-    grading = _coherence_levels(base, slope) or _one_block(n)
-    slope_band, base_band = slope.ravel()[grading.band], base.ravel()[grading.band]
-    weight = np.sqrt(np.sign(grading.order) + 1.0)  # per row
-    nonzero = np.flatnonzero(((base != 0) | (slope != 0)) & (weight[:, None] > 0))
-    slope_nz, base_nz = (m.ravel()[nonzero] * weight[nonzero // n] for m in (slope, base))
-    cols, heads = nonzero % n, np.flatnonzero(np.diff(nonzero // n, prepend=-1))  # row starts
-    aa, ab, bb = (np.vdot(p, q).real for p, q in ((base, base), (base, slope), (slope, slope)))
-    per = max(1, min(xs.size, STACK_BYTES // (16 * max(slope_band.size, cols.size))))
+    key = _scan(base, slope) if pattern is None else _distinct(pattern)
+    plan, at = _graded_plan(key, isqrt(n), base, slope)  # the entries of base, then of slope
+    base_band, slope_band = at[0][0, plan.band], at[1][0, plan.band]
+    base_nz, slope_nz = at[0][0, plan.nz] * plan.weight, at[1][0, plan.nz] * plan.weight
+    aa, ab, bb = (np.vdot(at[i], at[j]).real for i, j in ((0, 0), (0, 1), (1, 1)))
+    per = max(1, min(xs.size, STACK_BYTES // (16 * max(plan.band.size, plan.nz.size))))
     out = np.empty((xs.size, *(isqrt(n),) * 2), dtype=complex)
     for start in range(0, xs.size, per):
-        x = xs[start : start + per, None]
-        lnz = iadd(x * slope_nz, base_nz)
-        rho, ok = _graded_states(  # the band and the nonzeros of each L: the bits of base + x * slope
-            lambda a, b: iadd(x * slope_band[a:b], base_band[a:b]), grading,
-            lambda v: np.add.reduceat(imul(_gather(v, cols), lnz), heads, axis=1),
-            np.sqrt(np.maximum(aa + x[:, 0] * (2.0 * ab + x[:, 0] * bb), 0.0)),
-        )
-        for i in np.flatnonzero(~ok):
-            rho[i] = _lone(base + x[i, 0] * slope)
-        out[start : start + per] = rho
+        chunk = xs[start : start + per, None]
+
+        def solve(lo, hi, chunk=chunk):  # the band and the entries of each L: the bits of base + x * slope
+            x = chunk[lo:hi]
+            lnz = iadd(x * slope_nz, base_nz)
+            return _graded_states(
+                lambda a, b: iadd(x * slope_band[a:b], base_band[a:b]), plan,
+                lambda v: np.add.reduceat(imul(_gather(v, plan.cols), lnz), plan.heads, axis=1),
+                np.sqrt(np.maximum(aa + x[:, 0] * (2.0 * ab + x[:, 0] * bb), 0.0)))
+
+        out[start : start + per] = _bisected(0, len(chunk), solve,
+                                             lambda i, chunk=chunk: _dense_lu(base + chunk[i, 0] * slope))
     return out
 
 

@@ -1,9 +1,20 @@
-"""The index-based generator builders against their reference forms in ``oracles``."""
+"""The index-based generator builders against their reference forms in ``oracles``, and
+the patterns they record."""
 import numpy as np
 import pytest
 
+from clams import rb85
+from clams.cli import write_complex_matrix_csv
 from clams.effective import build_effective_generator
-from clams.liouvillian import build_generator, cascaded_lambda_graph
+from clams.liouvillian import (
+    GeneratorMatrix,
+    _coherence_levels,
+    affine_steady_states,
+    build_generator,
+    cascaded_lambda_graph,
+    steady_state,
+)
+from clams.units import mhz_to_angular
 from conftest import chain_params, random_graph, rb85_graph
 from oracles import closure_effective_generator, kron_generator
 
@@ -45,3 +56,86 @@ def test_reduced_generators_match_closure_oracle(n_levels):
     detunings = tuple(rng.normal(size=n_levels - 1))
     got = build_effective_generator(n_levels, j_hop, gp, detunings).matrix
     assert_agrees(got, closure_effective_generator(n_levels, j_hop, gp, detunings))
+
+
+def chain_generators():
+    """Chains N = 3..21, undriven and driven, at zero and at random detunings."""
+    rng = np.random.default_rng(7)
+    for n in range(3, 22, 2):
+        for rabi in (0.0, 0.3):
+            for detunings in (None, tuple(rng.normal(size=n - 1))):
+                yield build_generator(cascaded_lambda_graph(chain_params(n, rabi, 1.0, 1e-3, detunings)))
+
+
+def rb85_generators():
+    """The rb85 command's model at its defaults and on the pi branch 3 MHz off the line."""
+    gamma, dws = mhz_to_angular(rb85.DEFAULT_GAMMA_MHZ), mhz_to_angular(rb85.DEFAULT_SPLITTING_MHZ)
+    for branch, line_detuning_mhz in (("sigma+", 0.0), ("pi", 3.0)):
+        yield build_generator(rb85.build_full_model(
+            rb85.DEFAULT_RABI_FRACTION * gamma, gamma, mhz_to_angular(rb85.DEFAULT_GAMMA_PRIME_MHZ),
+            splitting=dws, excited_splitting=dws, delta_omega_s=dws,
+            line_detuning=mhz_to_angular(line_detuning_mhz), offset_branch=branch))
+
+
+def reduced_generators():
+    """Reduced models N = 3..13, without and with hopping, at zero and at random detunings."""
+    rng = np.random.default_rng(8)
+    for n in range(3, 14, 2):
+        for j_hop in (0.0, 0.02):
+            for detunings in (None, tuple(rng.normal(size=n - 1))):
+                yield build_effective_generator(n, j_hop, 0.1, detunings)
+
+
+def criterion_09_generators():
+    rng = np.random.default_rng(2026)  # the draw sequence of criterion 09
+    for _ in range(200):
+        g = random_graph(rng)
+        rng.normal(size=(g.n_states,) * 2), rng.normal(size=(g.n_states,) * 2)
+        yield build_generator(g)
+
+
+FAMILIES = {"chains": chain_generators, "rb85": rb85_generators, "reduced": reduced_generators,
+            "criterion-09": criterion_09_generators}
+
+
+def outside(gen) -> np.ndarray:
+    """Mask of the flat entries of ``gen.matrix`` outside its pattern."""
+    mask = np.ones(gen.matrix.size, dtype=bool)
+    mask[gen.pattern] = False
+    return mask
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_every_entry_outside_the_builders_pattern_is_plus_zero(family):
+    for gen in FAMILIES[family]():
+        assert gen.structure is not None
+        assert (np.diff(gen.pattern) > 0).all() and gen.pattern[-1] < gen.matrix.size
+        assert not gen.matrix.ravel()[outside(gen)].view(np.int64).any()  # +0.0 in both parts
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_solve_over_the_builders_pattern_has_the_bits_of_the_raw_array(family):
+    # the same matrix given without its structure: its pattern comes from a scan
+    for gen in FAMILIES[family]():
+        raw = GeneratorMatrix(gen.n_states, gen.matrix.copy())
+        assert raw.structure is None and np.isin(raw.pattern, gen.pattern).all()
+        assert np.array_equal(steady_state(gen).matrix, steady_state(raw).matrix)
+
+
+@pytest.mark.parametrize("family", ["chains", "rb85", "reduced"])
+def test_graded_solve_sweep_and_dump_read_only_the_pattern(tmp_path, family):
+    # NaN planted at every entry outside the pattern changes nothing that is read through
+    # it: a graded single solve, a sweep given the pattern and the generator dump
+    graded = [gen for gen in FAMILIES[family]() if _coherence_levels(gen.matrix) is not None]
+    assert graded
+    for gen in graded:
+        poisoned = gen.matrix.copy()
+        poisoned.ravel()[outside(gen)] = np.nan
+        planted = GeneratorMatrix(gen.n_states, poisoned, structure=gen.structure)
+        assert np.array_equal(steady_state(planted).matrix, steady_state(gen).matrix)
+        xs = [0.5, 1.0]
+        assert np.array_equal(affine_steady_states(poisoned, poisoned, xs, gen.pattern),
+                              affine_steady_states(gen.matrix, gen.matrix, xs))
+        write_complex_matrix_csv(tmp_path / "got.csv", poisoned, "0", gen.pattern)
+        write_complex_matrix_csv(tmp_path / "want.csv", gen.matrix, "0")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()

@@ -27,6 +27,17 @@ def ground_pair_index(l, lp):
     return (l - 1) // 2, (lp - 1) // 2
 
 
+@pytest.mark.parametrize("gamma_prime", [1.0, 0.126])
+def test_reduced_seven_level_weak_drive_ratios_are_the_series_limits(gamma_prime):
+    # the exact series in j of the reduced N = 7 model: H21 -> (392/369)(j/gp)^2 and
+    # H31 -> (784/369)(j/gp)^4, not the closed form's 49/54 and 49/27, whose middle
+    # coherence rho_35 is the edge pairs' -j/(3 gp) where the model's is -j/(4 gp)
+    ratio = 1e-6
+    peaks = coherence_peaks(effective_ground_state(7, ratio * gamma_prime, gamma_prime), 1.0)
+    assert abs(peaks.ratio(2) / ratio**2 / (392 / 369) - 1.0) <= 1e-5
+    assert abs(peaks.ratio(3) / ratio**4 / (784 / 369) - 1.0) <= 1e-5
+
+
 @pytest.mark.parametrize("n_levels", [3, 5])
 def test_steady_state_matches_closed_forms(n_levels):
     gp = 1.0

@@ -312,7 +312,8 @@ def test_graded_residual_from_the_plus_q_rows_equals_the_dense_one(monkeypatch, 
 def test_corrupted_plus_q_solution_fails_the_graded_check(monkeypatch, checks_corrupted):
     # a +q entry of the solution and its mirror moved by the same small amount: the state
     # stays Hermitian with unit trace, so only the residual of the rows 0 and +q sees it.
-    # Corrupted once, each point of the chunk is re-solved alone; every time, the solve raises
+    # Corrupted once, each point of the chunk has failed its own check and takes one dense LU,
+    # not its graded solve again; every time, the solve raises
     base, slope, xs = next(chain_families())
     clean = affine_steady_states(base, slope, xs)
     grading = _coherence_levels(base, slope)
@@ -329,8 +330,10 @@ def test_corrupted_plus_q_solution_fails_the_graded_check(monkeypatch, checks_co
         with pytest.raises(SteadyStateError, match="residual"):
             affine_steady_states(base, slope, xs)
     else:
-        assert np.array_equal(affine_steady_states(base, slope, xs), clean)
-        assert len(calls) == 1 + len(xs)  # the graded chunk's check, then each point's alone
+        got = affine_steady_states(base, slope, xs)
+        assert np.array_equal(got, dense_bordered_steady_states(base + xs[:, None, None] * slope))
+        assert np.abs(got - clean).max() <= SWEEP_RTOL * np.abs(clean).max()
+        assert len(calls) == 1 + len(xs)  # the graded chunk's check, then each point's dense LU
 
 
 def trapping_family():
