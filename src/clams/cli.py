@@ -32,13 +32,9 @@ nothing.  ``main`` may be called repeatedly in one process; the parser is built 
 
 Sweeps build the generators of each model from two pieces, L(x) = A + x B
 (x is the drive, the two-photon detuning, or the reduced model's hopping rate),
-and solve them batched, in chunks of points, by block elimination over
-coherence orders: models with two or more orders beyond 0 take only the blocks
-of the orders 0 and +q next to the diagonal of each L (the orders -q are their
-conjugate mirror), and any other model is one block, one dense LU each.  Each
-point is checked by its residual ||L v|| / (||L||_F ||v||), of graded models from
-the rows of the orders 0 and +q alone (the rows -q are their conjugates).  The
-peak weights of all points are taken at once.  A point whose fundamental weight
+and solve them batched, in chunks of points, by
+:func:`clams.liouvillian.affine_steady_states`.  The peak weights of all points
+are taken at once.  A point whose fundamental weight
 is 0 (undriven, or so weakly driven that it underflows) has NaN ratios, and
 ``sweep-rabi`` flags its row ``zero-fundamental``.  ``--parallel`` is ignored.
 
@@ -261,14 +257,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Every output file is written here; a path that cannot be written is a configuration error.
-    A file is overwritten from byte 0 and cut to length, not truncated first (ext4 writes back
-    a file truncated to zero at close); a failed write leaves the new head on the old tail."""
+def _write_text(path: Path, chunks) -> None:
+    """Every output file is written here, from its text's ``chunks`` (str) one at a time, so that
+    a large file makes no fresh buffer of its size; a path that cannot be written is a
+    configuration error.  A file is overwritten from byte 0 and cut to length, not truncated
+    first (ext4 writes back a file truncated to zero at close); a failed write leaves the new
+    head on the old tail."""
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
         with open(fd, "wb") as f:
-            f.write(text.encode())
+            for chunk in chunks:
+                f.write(chunk.encode())
             f.truncate()
     except OSError as exc:
         raise ConfigError(f"cannot write output file: {exc}") from None
@@ -278,39 +277,44 @@ def write_csv(path: Path, header: list[str], rows: list[list], digest: str) -> N
     """Each line is one ``%`` of a format built from its values' types by ``_fmt``'s rule."""
     lines = ((",".join([_FLOAT_FORMAT if isinstance(v, (float, np.floating)) else "%s" for v in row])
               % tuple(row)) for row in rows)
-    _write_text(path, "\n".join([f"# config-hash: {digest}", ",".join(header), *lines]) + "\n")
+    _write_text(path, ["\n".join([f"# config-hash: {digest}", ",".join(header), *lines]) + "\n"])
 
 
 def write_json(path: Path, payload) -> None:
-    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_text(path, [json.dumps(payload, sort_keys=True, indent=2) + "\n"])
 
 
-def write_complex_matrix_csv(path: Path, matrix: np.ndarray, digest: str, pattern=None) -> None:
-    """Dump a complex matrix with interleaved real/imaginary columns.
-
-    The bytes are those of ``_fmt`` on every part.  The body is all-``_ZERO``
-    rows of 4m bytes for m complex columns, in which part k of the flat
-    row-major parts is the character at byte 2k.  Only the parts whose 64-bit
-    pattern is not that of +0.0 (nonzeros, -0.0, NaN, +-inf) are spliced in,
-    each distinct pattern formatted once, between gaps cut from one template of
-    whole rows that is as long as the longest gap needs.  Given a ``pattern`` (as
-    ``GeneratorMatrix.pattern``), only the entries there are read.
-    """
-    header = ",".join([f"re_{j},im_{j}" for j in range(matrix.shape[1])])
-    bits = np.ascontiguousarray(matrix, dtype=complex).view(np.int64)
-    flat = np.flatnonzero(bits != 0) if pattern is None else (2 * pattern[:, None] + [0, 1]).ravel()
-    flat = flat[bits.ravel()[flat] != 0]  # the parts that are not +0.0
-    distinct, which = np.unique(bits.ravel()[flat], return_inverse=True)
+def write_complex_matrix_csv(path: Path, matrix, digest: str) -> None:
+    """Dump a complex matrix, an array or a ``GeneratorMatrix``, with interleaved real/imaginary
+    columns, in the bytes of ``_fmt`` on every part: the parts of the entries at a generator's
+    pattern (of all of an array), each distinct 64-bit pattern formatted once, between :func:`_gaps`."""
+    gen = isinstance(matrix, GeneratorMatrix)
+    shape = (matrix.n_states**2,) * 2 if gen else np.shape(matrix)
+    pattern = matrix.pattern if gen else np.arange(np.prod(shape))
+    bits = (matrix.values if gen else np.ascontiguousarray(matrix, dtype=complex).ravel()).view(np.int64)
+    distinct = np.sort(bits)
+    distinct = distinct[np.diff(distinct, prepend=distinct[:1] - 1) != 0]
     texts = np.array([_FLOAT_FORMAT % v for v in distinct.view(float).tolist()], dtype=object)
-    row = ",".join([_ZERO] * bits.shape[1]) + "\n"
-    starts = np.append(0, 2 * flat + 1)  # the gaps of the body around the spliced parts
-    sizes = np.append(2 * flat, len(row) * len(bits)) - starts
+    pieces = np.empty(2 * bits.size + 1, dtype=object)
+    pieces[::2], pieces[1::2] = _gaps(pattern.tobytes(), *shape), texts[distinct.searchsorted(bits)]
+    pieces[0] = f"# config-hash: {digest}\n{pieces[0]}"
+    _write_text(path, ("".join(pieces[at : at + 1024].tolist()) for at in range(0, pieces.size, 1024)))
+
+
+@functools.lru_cache(maxsize=8)
+def _gaps(pattern: bytes, rows: int, cols: int) -> np.ndarray:
+    """The header and all-``_ZERO`` body of a (rows, cols) complex-matrix CSV, in which part k of
+    the flat row-major parts is the character at byte 2k, cut around the parts of the entries at
+    ``pattern`` (a +0.0 part prints as its gap would) from one template of whole rows."""
+    parts = (2 * np.frombuffer(pattern, dtype=np.int64)[:, None] + [0, 1]).ravel()
+    row = ",".join([_ZERO] * 2 * cols) + "\n"
+    starts = np.append(0, 2 * parts + 1)
+    sizes = np.append(2 * parts, len(row) * rows) - starts
     starts %= len(row)  # rows repeat, so a gap starts at its offset within its row
     template = row * (int((starts + sizes).max()) // len(row) + 1)
-    pieces = [f"# config-hash: {digest}\n{header}\n"] + [None] * (2 * len(flat) + 1)
-    pieces[1::2] = [template[at : at + size] for at, size in zip(starts.tolist(), sizes.tolist())]
-    pieces[2::2] = texts[which].tolist()
-    _write_text(path, "".join(pieces))
+    gaps = [template[at : at + size] for at, size in zip(starts.tolist(), sizes.tolist())]
+    gaps[0] = ",".join([f"re_{j},im_{j}" for j in range(cols)]) + "\n" + gaps[0]
+    return np.array(gaps, dtype=object)
 
 
 def _peakset_payload(peaks: spectrum.PeakSet, threshold: float) -> dict:
@@ -596,12 +600,10 @@ def main(argv=None) -> int:
             for name, data in files.items():
                 if isinstance(data, tuple):
                     write_csv(out / name, *data, digest)
-                elif isinstance(data, np.ndarray):
-                    write_complex_matrix_csv(out / name, data, digest)
-                elif isinstance(data, GeneratorMatrix):
-                    write_complex_matrix_csv(out / name, data.matrix, digest, data.pattern)
-                else:
+                elif isinstance(data, dict):
                     write_json(out / name, data | {"config_hash": digest} if "config_hash" in data else data)
+                else:  # a complex matrix, an array or a generator
+                    write_complex_matrix_csv(out / name, data, digest)
             return 0
         # ConfigError is a ValueError; an OverflowError is a setting too large for a float power;
         # a Warning is one that the caller's filters turn into an error

@@ -30,12 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .level_system import SystemParams, rotating_diagonal
-from .liouvillian import (
-    DensityMatrix,
-    GeneratorMatrix,
-    hamiltonian_superoperator,
-    steady_state,
-)
+from .liouvillian import DensityMatrix, GeneratorMatrix, _assemble, steady_state
 
 __all__ = [
     "EffectiveGenerator",
@@ -55,12 +50,13 @@ __all__ = [
 VALIDITY_RATIO = 0.05
 
 
-@dataclass(frozen=True)
 class EffectiveGenerator(GeneratorMatrix):
     """Generator of the reduced dynamics on vectorized ground density matrices
     (``n_states`` ground states), with its hopping coupling ``v_eff``."""
 
-    v_eff: np.ndarray
+    def __init__(self, n_states: int, matrix: np.ndarray | None = None, *, v_eff: np.ndarray, **kw):
+        super().__init__(n_states, matrix, **kw)
+        self.v_eff = v_eff
 
 
 def _chain_adjacency(n_ground: int) -> np.ndarray:
@@ -95,12 +91,8 @@ def _check_rates(j_hop: float, gamma_prime: float) -> None:
         raise ValueError("gamma_prime must be finite and positive")
 
 
-def build_effective_generator(
-    n_levels: int,
-    j_hop: float,
-    gamma_prime: float,
-    detunings=None,
-) -> EffectiveGenerator:
+def build_effective_generator(n_levels: int, j_hop: float, gamma_prime: float,
+                              detunings=None) -> EffectiveGenerator:
     """Assemble the reduced generator directly from the hopping scale.
 
     ``detunings`` follows the full-chain convention (length n_levels - 1);
@@ -116,21 +108,16 @@ def build_effective_generator(
 
     v_eff = -hopping_matrix(ng, j_hop)  # density-matrix convention: -i * j_hop * A
     h_eff = np.diag(gdiag).astype(complex) + v_eff
-    gtilde = coherence_damping(ng, j_hop)
     rates = population_rates(ng, j_hop, gamma_prime)
     outflow = rates.sum(axis=1)
 
-    # column-stacked superoperator: populations see no coherent term, each
-    # coherence rho_ab damps at gtilde[a, b] plus half the outflow of a and b
-    mat = hamiltonian_superoperator(h_eff, h_eff.conj().T)
-    pop = np.arange(ng) * (ng + 1)
-    mat[pop, :] = 0.0
-    damping = gtilde + 0.5 * (outflow[:, None] + outflow[None, :])
-    mat[np.diag_indices(ng * ng)] -= damping.ravel(order="F")
-    mat[np.ix_(pop, pop)] = rates.T - np.diag(outflow)
-
-    structure = ((h_eff != 0).tobytes(), ng, np.array(np.nonzero(rates), dtype=np.int64).tobytes(), False)
-    return EffectiveGenerator(n_states=ng, matrix=mat, v_eff=v_eff, structure=structure)
+    # column-stacked superoperator: populations see no coherent term and lose their
+    # outflow, each coherence rho_ab damps at gtilde[a, b] plus half the outflow of a and b
+    damping = (coherence_damping(ng, j_hop) + 0.5 * (outflow[:, None] + outflow[None, :])).ravel(order="F")
+    damping[np.arange(ng) * (ng + 1)] = outflow
+    src, tgt = np.nonzero(rates)
+    return _assemble(h_eff, h_eff.conj().T, src, tgt, rates[src, tgt], damping, False,
+                     EffectiveGenerator, v_eff=v_eff)
 
 
 def reduce(params: SystemParams) -> EffectiveGenerator:

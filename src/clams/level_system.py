@@ -56,14 +56,11 @@ class SystemParams:
         for name in ("rabi", "gamma", "gamma_prime", "delta_omega_s"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if self.gamma_prime <= 0:
-            raise ValueError("gamma_prime must be positive")
+        for name in ("gamma", "gamma_prime", "delta_omega_s"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if self.rabi < 0:
             raise ValueError("rabi must be >= 0")
-        if self.delta_omega_s <= 0:
-            raise ValueError("delta_omega_s must be positive")
         object.__setattr__(self, "detunings", tuple(float(d) for d in self.detunings))
         if len(self.detunings) != self.n_levels - 1:
             raise ValueError(

@@ -12,14 +12,15 @@ Vectorization is column-stacking throughout: vec(rho)[i + j*d] = rho[i, j], so
 vec(A rho B) = (B^T kron A) vec(rho).  Every index map in this module derives
 from that single convention.
 
-A generator's pattern, the entries its builder writes (cached per structure) or a scan
-finds, gives one cached plan (:func:`_plan`): solves, sweeps and dumps read L only there.
+A builder's L is dense where its H joins states in cliques alone; else it is only its values
+at its pattern, the entries it writes, from index places cached per structure.  A pattern (a
+scan's, for a dense L) gives one cached plan (:func:`_plan`): L is read only there.
 """
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from math import factorial, frexp, inf, isfinite, isqrt
 from operator import iadd, imul
 from threading import local
@@ -118,19 +119,30 @@ class CouplingGraph:
         object.__setattr__(self, "population_decays", tuple(chans))
 
 
-@dataclass(frozen=True)
 class GeneratorMatrix:
-    """Linear generator L on column-stacked density matrices: dvec(rho)/dt = L vec(rho);
-    the builders set ``structure``, the key of the pattern they write."""
+    """Linear generator L on column-stacked density matrices: dvec(rho)/dt = L vec(rho), given
+    dense (``matrix``; its pattern is one scan's, kept with its values) or, by a graded build,
+    as its ``values`` at its ``pattern`` alone, which ``matrix`` scatters into +0.0 on first
+    read and keeps.  The builders set ``structure``, the key of the pattern they write."""
 
-    n_states: int
-    matrix: np.ndarray
-    structure: tuple | None = field(default=None, kw_only=True, repr=False, compare=False)
+    def __init__(self, n_states: int, matrix=None, *, structure: tuple | None = None, values=None):
+        self.n_states, self.structure = n_states, structure
+        self.__dict__.update((k, v) for k, v in (("matrix", matrix), ("values", values)) if v is not None)
 
-    @property
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        lio = np.zeros(self.n_states**4, dtype=complex)
+        lio[self.pattern] = self.values
+        return lio.reshape((self.n_states**2,) * 2)
+
+    @cached_property
     def pattern(self) -> np.ndarray:
-        """Sorted flat indices outside which ``matrix`` is +0.0: its builder's, else a scan's."""
-        return np.frombuffer(_written(*self.structure) if self.structure else _scan(self.matrix), np.int64)
+        """Sorted flat indices outside which ``matrix`` is +0.0: its builder's, else one scan's."""
+        return np.frombuffer(_places(*self.structure)[0] if self.structure else _scan(self.matrix), np.int64)
+
+    @cached_property
+    def values(self) -> np.ndarray:  # L at its pattern
+        return np.asarray(self.matrix, dtype=complex).ravel()[self.pattern]
 
 
 @dataclass(frozen=True)
@@ -139,12 +151,8 @@ class DensityMatrix:
 
     matrix: np.ndarray
 
-    def validate(
-        self,
-        herm_atol: float = HERMITICITY_ATOL,
-        trace_atol: float = TRACE_ATOL,
-        eig_floor: float = EIGENVALUE_FLOOR,
-    ) -> "DensityMatrix":
+    def validate(self, herm_atol: float = HERMITICITY_ATOL, trace_atol: float = TRACE_ATOL,
+                 eig_floor: float = EIGENVALUE_FLOOR) -> "DensityMatrix":
         m = self.matrix
         if np.abs(m - m.conj().T).max() > herm_atol:
             raise ValueError("density matrix is not Hermitian within tolerance")
@@ -184,16 +192,33 @@ def hamiltonian_superoperator(left: np.ndarray, right: np.ndarray) -> np.ndarray
 
 def build_generator(graph: CouplingGraph) -> GeneratorMatrix:
     """Assemble the d^2 x d^2 generator of the coherent + population-decay dynamics."""
-    d = graph.n_states
-    lio = hamiltonian_superoperator(graph.hamiltonian, graph.hamiltonian)
-    src = tgt = np.zeros(0, dtype=np.int64)
+    src, tgt, rate = np.zeros((3, 0), dtype=np.int64)
     if graph.population_decays:
         src, tgt, rate = map(np.array, zip(*graph.population_decays))
-        np.add.at(lio, (tgt * (d + 1), src * (d + 1)), rate)
-        outflow = np.bincount(src, weights=rate, minlength=d)
-        lio[np.diag_indices(d * d)] -= 0.5 * (outflow[:, None] + outflow[None, :]).ravel()
-    return GeneratorMatrix(n_states=d, matrix=lio, structure=(
-        (graph.hamiltonian != 0).tobytes(), d, np.array([src, tgt], dtype=np.int64).tobytes(), True))
+    outflow = np.bincount(src, weights=rate, minlength=graph.n_states)
+    return _assemble(graph.hamiltonian, graph.hamiltonian, src, tgt, rate,
+                     0.5 * (outflow[:, None] + outflow[None, :]).ravel())
+
+
+def _assemble(left, right, src, tgt, rate, damping, coherent=True, cls=GeneratorMatrix, **kw):
+    """The ``cls`` of rho -> -i (left rho - rho right) (in the rows of coherences alone unless
+    ``coherent``), plus the transfers at ``rate`` from population src to tgt, minus ``damping``
+    (vec order) on the diagonal: dense if left joins states in cliques alone, else its values at
+    its pattern from the places cached per structure, by the dense build's float operations."""
+    d = len(left)
+    structure = ((left != 0).tobytes(), d, np.array([src, tgt], dtype=np.int64).tobytes(), coherent)
+    if dense := _cliques(*structure[:2]):
+        values, dp = hamiltonian_superoperator(left, right), np.diag_indices(d * d)
+        tp = (tgt * (d + 1), src * (d + 1))
+        if not coherent:
+            values[np.arange(d) * (d + 1), :] = 0.0
+    else:
+        _, lp, rp, tp, dp = _places(*structure)
+        values = 0 - 1j * np.append(left, 0)[lp]  # 0 where left or right has no part
+        values += 1j * np.append(right.T, 0)[rp]
+    np.add.at(values, tp, rate)
+    values[dp] -= damping
+    return cls(d, values if dense else None, values=None if dense else values, structure=structure, **kw)
 
 
 def cascaded_lambda_graph(params: SystemParams) -> CouplingGraph:
@@ -216,11 +241,7 @@ def cascaded_lambda_graph(params: SystemParams) -> CouplingGraph:
                 chans.append((i, i - 2, params.gamma_prime))
             if i + 2 < n:
                 chans.append((i, i + 2, params.gamma_prime))
-    return CouplingGraph(
-        n_states=n,
-        hamiltonian=build_rotating_hamiltonian(params),
-        population_decays=tuple(chans),
-    )
+    return CouplingGraph(n, build_rotating_hamiltonian(params), tuple(chans))
 
 
 def _null_dimension(lio: np.ndarray) -> int:
@@ -238,13 +259,20 @@ def steady_state(gen: GeneratorMatrix) -> DensityMatrix:
 
     One row of L is replaced by the trace functional and the square system is solved by
     block elimination over the coherence orders +q of the :func:`_plan` of its pattern
-    (-q being their mirror), reading L at the pattern alone; else, or if that fails, as
+    (-q being their mirror), reading only its values there; else, or if that fails, as
     one block, one dense LU.  The solution is checked against L: a relative residual over
     ``RESIDUAL_RTOL`` (or a singular solve) triggers a null space diagnosis, and a null
     dimension other than one is a degeneracy rather than a silent pick."""
-    lio = np.ascontiguousarray(gen.matrix, dtype=complex)
-    s = gen.structure
-    return DensityMatrix(_lone(lio, _scan(lio) if s is None else None if _cliques(*s[:2]) else _written(*s)))
+    dense = lambda i=0: _dense_lu(np.ascontiguousarray(gen.matrix, dtype=complex))
+    if gen.structure and _cliques(*gen.structure[:2]):  # built dense, as one block
+        return DensityMatrix(dense())
+    plan, (at,) = _graded_plan(gen.pattern.base, gen.n_states, gen.values[None])  # .base: the key bytes
+    if plan.far is None:
+        return DensityMatrix(dense())
+    band, lnz = at[:, plan.band], at[:, plan.nz] * plan.weight  # the weighted rows 0 and +q
+    matvec = lambda v: np.add.reduceat(imul(_gather(v, plan.cols), lnz), plan.heads, axis=1)
+    solve = lambda lo, hi: _graded_states(lambda a, b: band[:, a:b], plan, matvec, _frobenius(at))
+    return DensityMatrix(_bisected(0, 1, solve, dense)[0])
 
 
 def steady_states(stack: np.ndarray) -> np.ndarray:
@@ -253,20 +281,8 @@ def steady_states(stack: np.ndarray) -> np.ndarray:
     lio = np.ascontiguousarray(stack, dtype=complex)
     out = np.empty((len(lio), *(isqrt(lio.shape[-1]),) * 2), dtype=complex).transpose(0, 2, 1)  # as each rho
     for i, member in enumerate(lio):
-        out[i] = _lone(member, _scan(member))
+        out[i] = steady_state(GeneratorMatrix(isqrt(len(member)), member)).matrix
     return out
-
-
-def _lone(lio: np.ndarray, pattern: bytes | None) -> np.ndarray:
-    """:func:`steady_state` of one L (contiguous, complex) with ``pattern`` (None: one block)."""
-    if pattern is not None:
-        plan, (at,) = _graded_plan(pattern, isqrt(len(lio)), lio)
-        if plan.far is not None:
-            band, lnz = at[:, plan.band], at[:, plan.nz] * plan.weight  # the weighted rows 0 and +q
-            matvec = lambda v: np.add.reduceat(imul(_gather(v, plan.cols), lnz), plan.heads, axis=1)
-            solve = lambda lo, hi: _graded_states(lambda a, b: band[:, a:b], plan, matvec, _frobenius(at))
-            return _bisected(0, 1, solve, lambda i: _dense_lu(lio))[0]
-    return _dense_lu(lio)
 
 
 def _dense_lu(lio: np.ndarray) -> np.ndarray:
@@ -300,14 +316,14 @@ def _dense(lio: np.ndarray):
     return (lambda v: (lio @ v[..., None])[..., 0]), _frobenius(lio)
 
 
-_Plan = namedtuple("_Plan", "far band rows trace mirror unsort order pattern mirrored nz cols heads weight")
+_Plan = namedtuple("_Plan", "far band rows trace mirror unsort order mirrored nz cols heads weight")
 
 
 @lru_cache(maxsize=None)
 def _one_block(n: int) -> _Plan:
     """The plan of generators of order n as one block, each L whole, without a pattern."""
     return _Plan(None, None, [(0, n * n, n, n, 0, n)], slice(0, n, isqrt(n) + 1), None, None,
-                 np.zeros(n, dtype=np.int8), *[None] * 6)
+                 np.zeros(n, dtype=np.int8), *[None] * 5)
 
 
 def _scan(*gens: np.ndarray) -> bytes:
@@ -332,20 +348,26 @@ def _cliques(hamiltonian: bytes, d: int) -> bool:
 
 
 @lru_cache(maxsize=16)
-def _written(hamiltonian: bytes, d: int, pairs: bytes, coherent: bool) -> bytes:
-    """The pattern that the builders write, from their ``structure``: the diagonal, the left-
-    and right-multiplication entries of each H[a, b] or H[b, a] marked in ``hamiltonian`` (in
-    the rows of coherences alone unless ``coherent``), and the transfers ``pairs`` (src, tgt)."""
+def _places(hamiltonian: bytes, d: int, pairs: bytes, coherent: bool):
+    """The pattern that the builders write for their ``structure``: the diagonal, the left- and
+    right-multiplication entries of each H[a, b] or H[b, a] marked in ``hamiltonian`` (in the
+    rows of coherences alone unless ``coherent``) and the transfers ``pairs`` (src, tgt); then
+    for :func:`_assemble`, the place of each entry's part in the flat left and right.T (d^2 if
+    none), and the places in the pattern of the transfers and of the diagonal."""
     n = d * d
     a, b = np.nonzero(np.frombuffer(hamiltonian, dtype=bool).reshape(d, d))
     a, b = np.concatenate((a, b)), np.concatenate((b, a))
     m = np.arange(d)[:, None]
-    hams = np.concatenate(((a + m * d) * n + b + m * d,  # -i H[a, b] rho[b, m]
-                           (m + b * d) * n + m + a * d)).ravel()  # i rho[m, a] H[a, b]
-    if not coherent:
-        hams = hams[hams // n % (d + 1) > 0]  # vec index i + j*d of a population: a multiple of d + 1
+    hams = np.stack(((a + m * d) * n + b + m * d,  # -i H[a, b] rho[b, m]
+                     (m + b * d) * n + m + a * d))  # i rho[m, a] H[a, b]
+    reads = np.broadcast_to(np.stack((a * d + b, b * d + a))[:, None], hams.shape)
+    kept = (hams // n % (d + 1) > 0) | coherent  # a population's vec index: a multiple of d + 1
     src, tgt = np.frombuffer(pairs, dtype=np.int64).reshape(2, -1) * (d + 1)
-    return _distinct([hams, tgt * n + src, np.arange(n) * (n + 1)])
+    p = np.frombuffer(key := _distinct([hams[kept], tgt * n + src, np.arange(n) * (n + 1)]), np.int64)
+    places = np.full((2, p.size), n)
+    for side in (0, 1):
+        places[side, p.searchsorted(hams[side][kept[side]])] = reads[side][kept[side]]
+    return key, *places, p.searchsorted(tgt * n + src), p.searchsorted(np.arange(n) * (n + 1))
 
 
 def _bfs_levels(nbrs: list[list[int]], root: int) -> list[int]:
@@ -360,16 +382,20 @@ def _bfs_levels(nbrs: list[list[int]], root: int) -> list[int]:
 
 def _coherence_levels(*gens: np.ndarray) -> _Plan | None:
     """The graded plan of raw generators ``gens`` (L or stacks) from a scan, None for one block."""
-    plan, _ = _graded_plan(_scan(*gens), isqrt(gens[0].shape[-1]), *gens)
+    plan, _ = _graded_plan(key := _scan(*gens), isqrt(gens[0].shape[-1]), *_at(key, *gens))
     return None if plan.far is None else plan
 
 
-def _graded_plan(pattern: bytes, d: int, *gens: np.ndarray):
-    """The :func:`_plan` of ``pattern`` for ``gens`` (L or stacks) and each one's entries there,
-    (k, size + 1) with a 0 appended; one block unless each is 0 at ``far`` and L_PaPb = conj(L_ab)."""
+def _at(pattern: bytes, *gens: np.ndarray) -> list[np.ndarray]:
+    """The entries at ``pattern`` of each of ``gens`` (L or stacks), (k, size) each."""
+    return [np.reshape(g, (-1, g.shape[-1] ** 2))[:, np.frombuffer(pattern, np.int64)] for g in gens]
+
+
+def _graded_plan(pattern: bytes, d: int, *values: np.ndarray):
+    """The :func:`_plan` of ``pattern`` for generators with ``values`` there ((k, size) each),
+    and those with a 0 appended; one block unless each is 0 at ``far`` and L_PaPb = conj(L_ab)."""
     plan = _plan(pattern, d)
-    at = [np.reshape(g, (-1, d**4))[:, plan.pattern] for g in gens]
-    at = [np.concatenate((v, np.zeros((len(v), 1))), axis=1) for v in at]
+    at = [np.concatenate((v, np.zeros((len(v), 1))), axis=1) for v in values]
     if plan.far is not None and all(not v[:, plan.far].any()
                                     and np.array_equal(v[:, plan.mirrored], v[:, :-1].conj()) for v in at):
         return plan, at
@@ -403,7 +429,7 @@ def _plan(pattern: bytes, d: int, graded: bool = True) -> _Plan:
     adj |= adj.T
     if not graded or _cliques(adj.tobytes(), d):
         order = np.zeros(n, dtype=np.int8)
-        plan = _one_block(n)._replace(band=find(np.arange(n * n)), pattern=p)
+        plan = _one_block(n)._replace(band=find(np.arange(n * n)))
     else:
         adj |= np.eye(d, dtype=bool)
         nbrs = [[b for b, joined in enumerate(row) if joined] for row in adj.tolist()]  # a among them
@@ -437,7 +463,7 @@ def _plan(pattern: bytes, d: int, graded: bool = True) -> _Plan:
         trace, mirror = zero.searchsorted(np.arange(0, n, d + 1)), zero.searchsorted(swap[zero])
         unsort = np.argsort(np.concatenate((idx, swap[idx[sizes[0] :]])))
         plan = _Plan(np.flatnonzero(np.abs(order[rows] - order[cols]) > 1), find(band), blocks, trace,
-                     (mirror[:, None] * zero.size + mirror).ravel(), unsort, order, p,
+                     (mirror[:, None] * zero.size + mirror).ravel(), unsort, order,
                      find(swap[rows] * n + swap[cols]), None, None, None, None)
     nz = np.flatnonzero(order[rows] >= 0)
     return plan._replace(nz=nz, cols=cols[nz], heads=np.flatnonzero(np.diff(rows[nz], prepend=-1)),
@@ -564,7 +590,7 @@ def affine_steady_states(base: np.ndarray, slope: np.ndarray, xs, pattern=None) 
     base, slope = np.asarray(base, dtype=complex), np.asarray(slope, dtype=complex)
     n = base.shape[0]
     key = _scan(base, slope) if pattern is None else _distinct(pattern)
-    plan, at = _graded_plan(key, isqrt(n), base, slope)  # the entries of base, then of slope
+    plan, at = _graded_plan(key, isqrt(n), *_at(key, base, slope))  # the entries of base, then of slope
     base_band, slope_band = at[0][0, plan.band], at[1][0, plan.band]
     base_nz, slope_nz = at[0][0, plan.nz] * plan.weight, at[1][0, plan.nz] * plan.weight
     aa, ab, bb = (np.vdot(at[i], at[j]).real for i, j in ((0, 0), (0, 1), (1, 1)))
@@ -651,11 +677,8 @@ def propagate(gen: GeneratorMatrix, rho0: DensityMatrix, t: float, tol: float = 
     drift = abs(complex(np.trace(rho.matrix)) - 1.0)
     if drift > 10.0 * tol:
         raise PropagationError(f"trace drift {drift:.3e} exceeds 10*tol")
-    return rho.validate(
-        herm_atol=max(HERMITICITY_ATOL, 10.0 * tol),
-        trace_atol=10.0 * tol,
-        eig_floor=min(EIGENVALUE_FLOOR, -10.0 * tol),
-    )
+    return rho.validate(herm_atol=max(HERMITICITY_ATOL, 10.0 * tol), trace_atol=10.0 * tol,
+                        eig_floor=min(EIGENVALUE_FLOOR, -10.0 * tol))
 
 
 def __getattr__(name: str):

@@ -96,14 +96,7 @@ def coherence_peaks(rho_ground, delta_omega_s: float, labels=None) -> PeakSet:
     peaks = []
     for n in range(1, ng):
         terms, weight = _harmonic(m, n)
-        peaks.append(
-            Peak(
-                n=n,
-                frequency=n * delta_omega_s,
-                weight=float(weight),
-                contributors=tuple(zip(labels, terms.tolist())),
-            )
-        )
+        peaks.append(Peak(n, n * delta_omega_s, float(weight), tuple(zip(labels, terms.tolist()))))
     return PeakSet(delta_omega_s=float(delta_omega_s), peaks=tuple(peaks))
 
 
@@ -165,9 +158,7 @@ def loglinear_fit(peaks: PeakSet) -> LogLinearFit:
     ss_res = float(np.sum((logw - pred) ** 2))
     ss_tot = float(np.sum((logw - logw.mean()) ** 2))
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return LogLinearFit(
-        slope=float(slope), intercept=float(intercept), r_squared=r_squared, n_points=len(usable)
-    )
+    return LogLinearFit(float(slope), float(intercept), r_squared, len(usable))
 
 
 def visible_peaks(peaks: PeakSet, rel_threshold: float = DEFAULT_DISPLAY_THRESHOLD) -> tuple[Peak, ...]:

@@ -1,5 +1,6 @@
 """Reference forms that the optimised code in ``clams`` must reproduce: the direct
-Kronecker-product and basis-matrix generator builders, the dense bordered steady-state
+Kronecker-product and basis-matrix generator builders, the dense index builders
+whose bits the builders keep, the dense bordered steady-state
 solve and the same bordered solve in 40-digit arithmetic, the per-value table and
 complex-matrix CSV writers, the per-pair peak weights, and the LSODA time integration
 that ``propagate`` replaced by the exact exponential."""
@@ -74,6 +75,48 @@ def closure_effective_generator(n_levels, j_hop, gamma_prime, detunings=None) ->
             basis = np.zeros((ng, ng), dtype=complex)
             basis[i, j] = 1.0
             mat[:, i + j * ng] = act(basis).reshape(ng * ng, order="F")
+    return mat
+
+
+def _superoperator(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """d^2 x d^2 matrix of rho -> -i (left rho - rho right), written from indices into zeros."""
+    d = left.shape[0]
+    lio = np.zeros((d * d, d * d), dtype=complex)
+    l4 = lio.reshape(d, d, d, d)  # l4[j, i, l, k] = L[i + j*d, k + l*d]
+    idx = np.arange(d)
+    l4[idx, :, idx, :] -= 1j * left  # left[i, k] rho[k, j]
+    l4[:, idx, :, idx] += 1j * right.T  # rho[i, l] right[l, j]
+    return lio
+
+
+def dense_generator(graph: CouplingGraph) -> np.ndarray:
+    """``build_generator`` as a dense array, every one of its d^4 entries written."""
+    d = graph.n_states
+    lio = _superoperator(graph.hamiltonian, graph.hamiltonian)
+    if graph.population_decays:
+        src, tgt, rate = map(np.array, zip(*graph.population_decays))
+        np.add.at(lio, (tgt * (d + 1), src * (d + 1)), rate)
+        outflow = np.bincount(src, weights=rate, minlength=d)
+        lio[np.diag_indices(d * d)] -= 0.5 * (outflow[:, None] + outflow[None, :]).ravel()
+    return lio
+
+
+def dense_effective_generator(n_levels, j_hop, gamma_prime, detunings=None) -> np.ndarray:
+    """``build_effective_generator`` as a dense array, every one of its entries written."""
+    if detunings is None:
+        detunings = (0.0,) * (n_levels - 1)
+    ng = (n_levels + 1) // 2
+    gdiag = rotating_diagonal(n_levels, detunings)[0::2]
+    h_eff = np.diag(gdiag).astype(complex) + -hopping_matrix(ng, j_hop)
+    gtilde = coherence_damping(ng, j_hop)
+    rates = population_rates(ng, j_hop, gamma_prime)
+    outflow = rates.sum(axis=1)
+    mat = _superoperator(h_eff, h_eff.conj().T)
+    pop = np.arange(ng) * (ng + 1)
+    mat[pop, :] = 0.0
+    damping = gtilde + 0.5 * (outflow[:, None] + outflow[None, :])
+    mat[np.diag_indices(ng * ng)] -= damping.ravel(order="F")
+    mat[np.ix_(pop, pop)] = rates.T - np.diag(outflow)
     return mat
 
 

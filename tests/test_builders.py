@@ -1,9 +1,11 @@
-"""The index-based generator builders against their reference forms in ``oracles``, and
-the patterns they record."""
+"""The index-based generator builders against their reference forms in ``oracles``, the
+patterns they record, and the values alone that a graded build holds."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from clams import rb85
+from clams import cli, liouvillian, rb85
 from clams.cli import write_complex_matrix_csv
 from clams.effective import build_effective_generator
 from clams.liouvillian import (
@@ -16,7 +18,7 @@ from clams.liouvillian import (
 )
 from clams.units import mhz_to_angular
 from conftest import chain_params, random_graph, rb85_graph
-from oracles import closure_effective_generator, kron_generator
+from oracles import closure_effective_generator, dense_effective_generator, dense_generator, kron_generator
 
 AGREEMENT = 1e-15  # times the Frobenius norm of the reference generator
 
@@ -58,44 +60,47 @@ def test_reduced_generators_match_closure_oracle(n_levels):
     assert_agrees(got, closure_effective_generator(n_levels, j_hop, gp, detunings))
 
 
-def chain_generators():
+def chain_generators(build=build_generator):
     """Chains N = 3..21, undriven and driven, at zero and at random detunings."""
     rng = np.random.default_rng(7)
     for n in range(3, 22, 2):
         for rabi in (0.0, 0.3):
             for detunings in (None, tuple(rng.normal(size=n - 1))):
-                yield build_generator(cascaded_lambda_graph(chain_params(n, rabi, 1.0, 1e-3, detunings)))
+                yield build(cascaded_lambda_graph(chain_params(n, rabi, 1.0, 1e-3, detunings)))
 
 
-def rb85_generators():
+def rb85_generators(build=build_generator):
     """The rb85 command's model at its defaults and on the pi branch 3 MHz off the line."""
     gamma, dws = mhz_to_angular(rb85.DEFAULT_GAMMA_MHZ), mhz_to_angular(rb85.DEFAULT_SPLITTING_MHZ)
     for branch, line_detuning_mhz in (("sigma+", 0.0), ("pi", 3.0)):
-        yield build_generator(rb85.build_full_model(
+        yield build(rb85.build_full_model(
             rb85.DEFAULT_RABI_FRACTION * gamma, gamma, mhz_to_angular(rb85.DEFAULT_GAMMA_PRIME_MHZ),
             splitting=dws, excited_splitting=dws, delta_omega_s=dws,
             line_detuning=mhz_to_angular(line_detuning_mhz), offset_branch=branch))
 
 
-def reduced_generators():
+def reduced_generators(build=build_effective_generator):
     """Reduced models N = 3..13, without and with hopping, at zero and at random detunings."""
     rng = np.random.default_rng(8)
     for n in range(3, 14, 2):
         for j_hop in (0.0, 0.02):
             for detunings in (None, tuple(rng.normal(size=n - 1))):
-                yield build_effective_generator(n, j_hop, 0.1, detunings)
+                yield build(n, j_hop, 0.1, detunings)
 
 
-def criterion_09_generators():
+def criterion_09_generators(build=build_generator):
     rng = np.random.default_rng(2026)  # the draw sequence of criterion 09
     for _ in range(200):
         g = random_graph(rng)
         rng.normal(size=(g.n_states,) * 2), rng.normal(size=(g.n_states,) * 2)
-        yield build_generator(g)
+        yield build(g)
 
 
 FAMILIES = {"chains": chain_generators, "rb85": rb85_generators, "reduced": reduced_generators,
             "criterion-09": criterion_09_generators}
+# each family's dense reference build: the index builders as they wrote every entry
+ORACLES = {"chains": dense_generator, "rb85": dense_generator, "reduced": dense_effective_generator,
+           "criterion-09": dense_generator}
 
 
 def outside(gen) -> np.ndarray:
@@ -136,6 +141,79 @@ def test_graded_solve_sweep_and_dump_read_only_the_pattern(tmp_path, family):
         xs = [0.5, 1.0]
         assert np.array_equal(affine_steady_states(poisoned, poisoned, xs, gen.pattern),
                               affine_steady_states(gen.matrix, gen.matrix, xs))
-        write_complex_matrix_csv(tmp_path / "got.csv", poisoned, "0", gen.pattern)
+        write_complex_matrix_csv(tmp_path / "got.csv", planted, "0")
         write_complex_matrix_csv(tmp_path / "want.csv", gen.matrix, "0")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=complex).view(np.int64)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_values_and_matrix_have_the_bits_of_the_dense_build(family):
+    # the values at the pattern are the matrix's there, and the matrix (made from the values
+    # when the build is graded) is the dense build's, bit for bit
+    for gen, want in zip(FAMILIES[family](), FAMILIES[family](ORACLES[family]), strict=True):
+        assert np.array_equal(bits(gen.values), bits(gen.matrix.ravel()[gen.pattern]))
+        assert np.array_equal(bits(gen.matrix), bits(want))
+
+
+@pytest.mark.parametrize("family", ["chains", "rb85"])
+def test_builders_pattern_holds_only_the_nonzeros(family):
+    # the pattern is the entries written, not padded: as many as the nonzeros of L
+    sizes = {}
+    for gen in FAMILIES[family]():
+        assert gen.pattern.size == np.count_nonzero(gen.matrix)
+        sizes[gen.n_states] = gen.pattern.size
+    assert family != "chains" or sizes[21] == 2161
+
+
+def test_raw_generator_is_scanned_once():
+    gen = build_generator(cascaded_lambda_graph(chain_params(5, 0.3, 1.0, 1e-3)))
+    raw = GeneratorMatrix(gen.n_states, gen.matrix.copy())
+    assert raw.pattern is raw.pattern and raw.values is raw.values
+    assert np.array_equal(raw.pattern, gen.pattern) and np.array_equal(bits(raw.values), bits(gen.values))
+
+
+def test_graded_build_holds_only_its_values():
+    gen = build_generator(cascaded_lambda_graph(chain_params(21, 0.3, 1.0, 1e-3)))
+    assert "matrix" not in vars(gen) and gen.values.shape == gen.pattern.shape == (2161,)
+    assert gen.matrix is gen.matrix  # made once, on first read
+
+
+@pytest.fixture
+def materialized(monkeypatch):
+    """The generators whose dense matrix is made from their values, while the fixture lives."""
+    made, make = [], GeneratorMatrix.matrix
+
+    class Spy:  # a non-data descriptor, as the cached property is
+        def __get__(self, gen, owner=None):
+            made.append(gen)
+            return make.__get__(gen, owner)
+
+    monkeypatch.setattr(GeneratorMatrix, "matrix", Spy())
+    return made
+
+
+@pytest.mark.parametrize("argv", [["steady", "--n-levels", "21", "--dump-generator"],
+                                  ["rb85", "--with-truncated-13", "--format", "both"]])
+def test_models_commands_make_no_dense_generator(tmp_path, materialized, argv):
+    assert cli.main([*argv, "--out", str(tmp_path / "warm")]) == 0
+    tracemalloc.start()
+    try:
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert materialized == []
+    assert peak < 16 * 21**4  # the bytes of the N = 21 chain's dense L
+
+
+def test_criterion_09_graphs_compute_no_places():
+    # each graph's H is dense: one block, built dense, with no pattern or places computed
+    misses = liouvillian._places.cache_info().misses
+    for gen in criterion_09_generators():
+        assert "matrix" in vars(gen)
+        steady_state(gen)
+    assert liouvillian._places.cache_info().misses == misses
