@@ -14,7 +14,8 @@ from that single convention.
 
 A builder's L is dense where its H joins states in cliques alone; else it is only its values
 at its pattern, the entries it writes, from index places cached per structure.  A pattern (a
-scan's, for a dense L) gives one cached plan (:func:`_plan`): L is read only there.
+scan's, for a dense L) gives one cached plan (:func:`_plan`): L is read only there, in a sweep
+too, whose family is two such L, base and slope.  The heap policy is stated at ``STACK_BYTES``.
 """
 from __future__ import annotations
 
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import factorial, frexp, inf, isfinite, isqrt
 from operator import iadd, imul
-from threading import local
 
 import numpy as np
 
@@ -61,7 +61,10 @@ _THETA_13 = 5.371920351148152
 # the blocks it eliminates (one block: the whole generator), or of the nonzeros its
 # residual check gathers; the solves work on one member at a time.
 STACK_BYTES = 2 * 1024**2
-_gathers = local()  # .buf: each thread's gather of the residual check, kept between sweeps
+# The heap policy: glibc maps each block over its dynamic mmap threshold (128 KiB at first) afresh,
+# its pages faulting in, and freeing one raises the threshold to its size (the heap's trim threshold
+# to twice that).  Freeing one untouched block of 2 STACK_BYTES here keeps sweeps' chunks in the heap.
+np.empty(2 * STACK_BYTES, dtype=np.uint8)
 
 
 class SteadyStateError(RuntimeError):
@@ -121,13 +124,20 @@ class CouplingGraph:
 
 class GeneratorMatrix:
     """Linear generator L on column-stacked density matrices: dvec(rho)/dt = L vec(rho), given
-    dense (``matrix``; its pattern is one scan's, kept with its values) or, by a graded build,
-    as its ``values`` at its ``pattern`` alone, which ``matrix`` scatters into +0.0 on first
-    read and keeps.  The builders set ``structure``, the key of the pattern they write."""
+    dense (``matrix``, n^2 x n^2; its pattern is one scan's, kept with its values) or as its
+    ``values`` at its ``pattern`` alone (sorted flat indices, an int64 view of bytes), which
+    ``matrix`` scatters into +0.0 on first read and keeps.  The builders set ``structure``, the
+    key of the pattern they write, in place of ``pattern``."""
 
-    def __init__(self, n_states: int, matrix=None, *, structure: tuple | None = None, values=None):
+    def __init__(self, n_states: int, matrix=None, *, structure: tuple | None = None, values=None,
+                 pattern: np.ndarray | None = None):
+        if matrix is None and (values is None or structure is None and pattern is None):
+            raise ValueError("a generator needs its matrix, or its values and their pattern")
+        if matrix is not None and np.shape(matrix) != (n_states**2,) * 2:
+            raise ValueError(f"the generator of {n_states} states must be {n_states**2}x{n_states**2}")
         self.n_states, self.structure = n_states, structure
-        self.__dict__.update((k, v) for k, v in (("matrix", matrix), ("values", values)) if v is not None)
+        self.__dict__.update((k, v) for k, v in (("matrix", matrix), ("values", values), ("pattern", pattern))
+                             if v is not None)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -143,6 +153,17 @@ class GeneratorMatrix:
     @cached_property
     def values(self) -> np.ndarray:  # L at its pattern
         return np.asarray(self.matrix, dtype=complex).ravel()[self.pattern]
+
+    def values_at(self, pattern: np.ndarray) -> np.ndarray:
+        """L at ``pattern``, sorted flat indices that hold its own: its values, +0.0 elsewhere."""
+        out = np.zeros(pattern.size, dtype=complex)
+        out[pattern.searchsorted(self.pattern)] = self.values
+        return out
+
+    def __sub__(self, other: GeneratorMatrix) -> GeneratorMatrix:
+        """self - other, from their values alone, at the union of their patterns."""
+        at = np.frombuffer(_distinct([self.pattern, other.pattern]), np.int64)
+        return GeneratorMatrix(self.n_states, values=self.values_at(at) - other.values_at(at), pattern=at)
 
 
 @dataclass(frozen=True)
@@ -270,7 +291,7 @@ def steady_state(gen: GeneratorMatrix) -> DensityMatrix:
     if plan.far is None:
         return DensityMatrix(dense())
     band, lnz = at[:, plan.band], at[:, plan.nz] * plan.weight  # the weighted rows 0 and +q
-    matvec = lambda v: np.add.reduceat(imul(_gather(v, plan.cols), lnz), plan.heads, axis=1)
+    matvec = lambda v: np.add.reduceat(imul(v.take(plan.cols, 1, mode="clip"), lnz), plan.heads, axis=1)
     solve = lambda lo, hi: _graded_states(lambda a, b: band[:, a:b], plan, matvec, _frobenius(at))
     return DensityMatrix(_bisected(0, 1, solve, dense)[0])
 
@@ -378,17 +399,6 @@ def _bfs_levels(nbrs: list[list[int]], root: int) -> list[int]:
             level[a] = depth
         frontier, depth = {b for a in frontier for b in nbrs[a] if level[b] < 0}, depth + 1
     return level
-
-
-def _coherence_levels(*gens: np.ndarray) -> _Plan | None:
-    """The graded plan of raw generators ``gens`` (L or stacks) from a scan, None for one block."""
-    plan, _ = _graded_plan(key := _scan(*gens), isqrt(gens[0].shape[-1]), *_at(key, *gens))
-    return None if plan.far is None else plan
-
-
-def _at(pattern: bytes, *gens: np.ndarray) -> list[np.ndarray]:
-    """The entries at ``pattern`` of each of ``gens`` (L or stacks), (k, size) each."""
-    return [np.reshape(g, (-1, g.shape[-1] ** 2))[:, np.frombuffer(pattern, np.int64)] for g in gens]
 
 
 def _graded_plan(pattern: bytes, d: int, *values: np.ndarray):
@@ -572,30 +582,29 @@ def _raise_failure(lio: np.ndarray, rho: np.ndarray) -> None:
     DensityMatrix(rho[0]).validate()
 
 
-def affine_steady_states(base: np.ndarray, slope: np.ndarray, xs, pattern=None) -> np.ndarray:
+def affine_steady_states(base: GeneratorMatrix, slope: GeneratorMatrix, xs) -> np.ndarray:
     """Steady states, shape (len(xs), d, d), of the generators base + x * slope.
 
-    The method of :func:`steady_state`, reading only at ``pattern`` (arrays of flat indices
-    outside which base and slope are +0.0; by default a scan's), in chunks of at most
-    ``STACK_BYTES`` of blocks, each x * slope_block + base_block: the dense entries' bits.
+    The method of :func:`steady_state`, reading base and slope only at their patterns (each
+    at the union of the two, +0.0 where it has no value), in chunks of at most
+    ``STACK_BYTES`` of blocks, each x * slope_block + base_block: the dense entries' bits;
+    the heap keeps the chunks from one sweep to the next, by the policy at ``STACK_BYTES``.
     The residual L v is taken in the rows of orders 0 and, weighted by sqrt 2, +q: the
     rows -q are their conjugates but for the rounding of v_0, which the hermiticity check
     bounds.  ||L||_F^2 = ||A||^2 + 2 x Re<A, B> + x^2 ||B||^2 (A = base, B = slope).  A
     chunk that numpy finds singular is solved in halves; a point failing alone or by its
-    check takes one dense LU of base + x * slope, in point order: its bits do not depend on
-    its chunk, and it costs one dense L.  The check gathers v into a per-thread buffer kept
-    between sweeps (at most ``STACK_BYTES``, or one point's entries).
+    check takes one dense LU of base + x * slope, made from those values, in point order:
+    its bits do not depend on its chunk, and it is the one dense L a sweep makes.
     """
-    xs = np.asarray(xs, dtype=float)
-    base, slope = np.asarray(base, dtype=complex), np.asarray(slope, dtype=complex)
-    n = base.shape[0]
-    key = _scan(base, slope) if pattern is None else _distinct(pattern)
-    plan, at = _graded_plan(key, isqrt(n), *_at(key, base, slope))  # the entries of base, then of slope
-    base_band, slope_band = at[0][0, plan.band], at[1][0, plan.band]
-    base_nz, slope_nz = at[0][0, plan.nz] * plan.weight, at[1][0, plan.nz] * plan.weight
-    aa, ab, bb = (np.vdot(at[i], at[j]).real for i, j in ((0, 0), (0, 1), (1, 1)))
+    xs, d = np.asarray(xs, dtype=float), base.n_states
+    at = np.frombuffer(key := _distinct([base.pattern, slope.pattern]), np.int64)
+    base_at, slope_at = base.values_at(at), slope.values_at(at)
+    plan, (pa, pb) = _graded_plan(key, d, base_at[None], slope_at[None])  # each with a 0 appended
+    base_band, slope_band = pa[0, plan.band], pb[0, plan.band]
+    base_nz, slope_nz = pa[0, plan.nz] * plan.weight, pb[0, plan.nz] * plan.weight
+    aa, ab, bb = np.vdot(pa, pa).real, np.vdot(pa, pb).real, np.vdot(pb, pb).real
     per = max(1, min(xs.size, STACK_BYTES // (16 * max(plan.band.size, plan.nz.size))))
-    out = np.empty((xs.size, *(isqrt(n),) * 2), dtype=complex)
+    out = np.empty((xs.size, d, d), dtype=complex)
     for start in range(0, xs.size, per):
         chunk = xs[start : start + per, None]
 
@@ -604,20 +613,12 @@ def affine_steady_states(base: np.ndarray, slope: np.ndarray, xs, pattern=None) 
             lnz = iadd(x * slope_nz, base_nz)
             return _graded_states(
                 lambda a, b: iadd(x * slope_band[a:b], base_band[a:b]), plan,
-                lambda v: np.add.reduceat(imul(_gather(v, plan.cols), lnz), plan.heads, axis=1),
+                lambda v: np.add.reduceat(imul(v.take(plan.cols, 1, mode="clip"), lnz), plan.heads, axis=1),
                 np.sqrt(np.maximum(aa + x[:, 0] * (2.0 * ab + x[:, 0] * bb), 0.0)))
 
-        out[start : start + per] = _bisected(0, len(chunk), solve,
-                                             lambda i, chunk=chunk: _dense_lu(base + chunk[i, 0] * slope))
+        out[start : start + per] = _bisected(0, len(chunk), solve, lambda i, chunk=chunk: _dense_lu(
+            GeneratorMatrix(d, values=base_at + chunk[i, 0] * slope_at, pattern=at).matrix))
     return out
-
-
-def _gather(v: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """v[:, cols] (cols in range) in this thread's buffer, grown when it is too small.  With
-    mode="raise" rather than "clip", np.take would gather into a hidden temporary and copy it."""
-    if getattr(_gathers, "buf", np.empty(0)).size < (size := len(v) * cols.size):
-        _gathers.buf = np.empty(size, dtype=complex)
-    return np.take(v, cols, 1, _gathers.buf[:size].reshape(len(v), cols.size), "clip")
 
 
 def _norm1(m: np.ndarray) -> float:

@@ -4,6 +4,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from math import isqrt
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,15 @@ import numpy as np
 import clams
 from clams.effective import build_effective_generator, effective_steady_state
 from clams.level_system import SystemParams, ground_indices
-from clams.liouvillian import CouplingGraph, build_generator, cascaded_lambda_graph, steady_state
+from clams.liouvillian import (
+    CouplingGraph,
+    GeneratorMatrix,
+    _graded_plan,
+    _scan,
+    build_generator,
+    cascaded_lambda_graph,
+    steady_state,
+)
 from clams.rb85 import (
     DEFAULT_GAMMA_MHZ,
     DEFAULT_GAMMA_PRIME_MHZ,
@@ -56,6 +65,20 @@ def effective_ground_state(n_levels, j_hop, gamma_prime, detunings=None):
 def effective_height_ratios(n_levels, j_hop, gamma_prime, detunings=None, delta_omega_s=1.0):
     rho = effective_ground_state(n_levels, j_hop, gamma_prime, detunings)
     return height_ratios(coherence_peaks(rho, delta_omega_s))
+
+
+def generators(*lios: np.ndarray) -> list[GeneratorMatrix]:
+    """Raw generators (n x n arrays, n = d^2) as GeneratorMatrix, each read at one scan's pattern."""
+    return [GeneratorMatrix(isqrt(len(lio)), lio) for lio in lios]
+
+
+def coherence_levels(*gens: np.ndarray):
+    """The graded plan of raw generators ``gens`` (L or stacks) at the pattern of one scan of
+    them all, as a sweep of base and slope grades them; None for one block."""
+    at = np.frombuffer(key := _scan(*gens), np.int64)
+    values = [np.reshape(g, (-1, g.shape[-1] ** 2))[:, at] for g in gens]
+    plan, _ = _graded_plan(key, isqrt(gens[0].shape[-1]), *values)
+    return None if plan.far is None else plan
 
 
 def random_graph(rng, d=None) -> CouplingGraph:

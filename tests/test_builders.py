@@ -10,14 +10,13 @@ from clams.cli import write_complex_matrix_csv
 from clams.effective import build_effective_generator
 from clams.liouvillian import (
     GeneratorMatrix,
-    _coherence_levels,
     affine_steady_states,
     build_generator,
     cascaded_lambda_graph,
     steady_state,
 )
 from clams.units import mhz_to_angular
-from conftest import chain_params, random_graph, rb85_graph
+from conftest import chain_params, coherence_levels, generators, random_graph, rb85_graph
 from oracles import closure_effective_generator, dense_effective_generator, dense_generator, kron_generator
 
 AGREEMENT = 1e-15  # times the Frobenius norm of the reference generator
@@ -130,8 +129,8 @@ def test_solve_over_the_builders_pattern_has_the_bits_of_the_raw_array(family):
 @pytest.mark.parametrize("family", ["chains", "rb85", "reduced"])
 def test_graded_solve_sweep_and_dump_read_only_the_pattern(tmp_path, family):
     # NaN planted at every entry outside the pattern changes nothing that is read through
-    # it: a graded single solve, a sweep given the pattern and the generator dump
-    graded = [gen for gen in FAMILIES[family]() if _coherence_levels(gen.matrix) is not None]
+    # it: a graded single solve, a sweep of that generator and the generator dump
+    graded = [gen for gen in FAMILIES[family]() if coherence_levels(gen.matrix) is not None]
     assert graded
     for gen in graded:
         poisoned = gen.matrix.copy()
@@ -139,8 +138,8 @@ def test_graded_solve_sweep_and_dump_read_only_the_pattern(tmp_path, family):
         planted = GeneratorMatrix(gen.n_states, poisoned, structure=gen.structure)
         assert np.array_equal(steady_state(planted).matrix, steady_state(gen).matrix)
         xs = [0.5, 1.0]
-        assert np.array_equal(affine_steady_states(poisoned, poisoned, xs, gen.pattern),
-                              affine_steady_states(gen.matrix, gen.matrix, xs))
+        assert np.array_equal(affine_steady_states(planted, planted, xs),
+                              affine_steady_states(*generators(gen.matrix, gen.matrix), xs))
         write_complex_matrix_csv(tmp_path / "got.csv", planted, "0")
         write_complex_matrix_csv(tmp_path / "want.csv", gen.matrix, "0")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
@@ -157,6 +156,19 @@ def test_values_and_matrix_have_the_bits_of_the_dense_build(family):
     for gen, want in zip(FAMILIES[family](), FAMILIES[family](ORACLES[family]), strict=True):
         assert np.array_equal(bits(gen.values), bits(gen.matrix.ravel()[gen.pattern]))
         assert np.array_equal(bits(gen.matrix), bits(want))
+
+
+@pytest.mark.parametrize("family", ["chains", "rb85", "reduced"])
+def test_difference_of_two_builds_has_the_bits_of_the_dense_one(family):
+    # top - base, formed from their values at the union of their patterns, is the dense
+    # difference bit for bit, as a sweep's slope L(1) - L(0) must be
+    gens = list(FAMILIES[family]())
+    pairs = [(top, base) for top, base in zip(gens[1:], gens) if top.n_states == base.n_states]
+    assert pairs
+    for top, base in pairs:
+        diff = top - base
+        assert "matrix" not in vars(diff) and np.isin(top.pattern, diff.pattern).all()
+        assert np.array_equal(bits(diff.matrix), bits(top.matrix - base.matrix))
 
 
 @pytest.mark.parametrize("family", ["chains", "rb85"])
@@ -208,6 +220,17 @@ def test_models_commands_make_no_dense_generator(tmp_path, materialized, argv):
         tracemalloc.stop()
     assert materialized == []
     assert peak < 16 * 21**4  # the bytes of the N = 21 chain's dense L
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-detuning", "--n-levels", "21", "--start-mhz", "-2", "--stop-mhz", "2", "--count", "41"],
+    ["sweep-rabi", "--n-levels", "7", "--omega-min", "1e-4", "--omega-max", "5e-2", "--count", "201",
+     "--gamma-prime-mhz", "0.02"]], ids=["detuning21", "rabi7"])
+def test_sweeps_make_no_dense_generator(tmp_path, materialized, argv):
+    # each family is solved from its builders' values: neither the chain's L (of order 441 at
+    # N = 21) nor the reduced model's is made dense
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+    assert materialized == []
 
 
 def test_criterion_09_graphs_compute_no_places():

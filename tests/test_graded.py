@@ -15,7 +15,6 @@ from clams.liouvillian import (
     CouplingGraph,
     DegenerateSteadyStateError,
     SteadyStateError,
-    _coherence_levels,
     affine_steady_states,
     build_generator,
     cascaded_lambda_graph,
@@ -23,7 +22,7 @@ from clams.liouvillian import (
 )
 from clams.spectrum import peak_weights, weight_ratios
 from clams.units import mhz_to_angular
-from conftest import chain_params, random_graph
+from conftest import chain_params, coherence_levels, generators, random_graph
 from oracles import dense_bordered_steady_states, mpmath_bordered_steady_state
 
 GRADED_RTOL = 1e-12
@@ -161,7 +160,7 @@ def test_tridiagonal_hamiltonians_with_arbitrary_decays_match_the_dense_solve():
 
 def test_two_component_graph_matches_the_dense_solve():
     lio = build_generator(tridiagonal_graph(np.random.default_rng(42), 12, split=5)).matrix
-    assert len(_coherence_levels(lio).rows) == 7  # the longer chain, 7 states, sets the outermost order 6
+    assert len(coherence_levels(lio).rows) == 7  # the longer chain, 7 states, sets the outermost order 6
     assert_close(graded(lio), dense(lio)[0], np.arange(12))
 
 
@@ -190,14 +189,14 @@ def test_single_block_inputs_keep_the_dense_bits():
         gens.append(build_generator(cascaded_lambda_graph(chain_params(
             n, 0.0, p.gamma, p.gamma_prime, p.detunings))).matrix)
     for lio in gens:
-        assert _coherence_levels(lio) is None
+        assert coherence_levels(lio) is None
         assert np.array_equal(steady_states(lio[None]), dense(lio))
 
 
 def beyond_order_0(lio):
     """(d, d) mask of the entries rho_ab of coherence order other than 0: those placed
     after the orders 0 (as many as the rows of the last row block) by the grading."""
-    grading = _coherence_levels(lio)
+    grading = coherence_levels(lio)
     d = isqrt(lio.shape[0])
     return (grading.unsort >= grading.rows[-1][2]).reshape(d, d).T  # vec index i + j*d
 
@@ -229,16 +228,16 @@ def test_generator_that_does_not_preserve_hermiticity_takes_the_dense_solve(chan
     rejects it, so the single and the affine solve give the dense solve's bits or
     raise its error."""
     base, slope, xs = detuning_family(13)
-    grading = _coherence_levels(base)
+    grading = coherence_levels(base)
     minus = np.flatnonzero(grading.unsort >= (base.shape[0] + grading.rows[-1][2]) // 2)
     for entry in ((minus[0], minus[0]), (minus[-1], minus[-1]), (minus[3], minus[3])):
         changed = base.copy()
         changed[entry] += change * changed[entry]
-        assert _coherence_levels(changed) is None
+        assert coherence_levels(changed) is None
         xs_few = xs[::8]
         for solve, args, stack in (
             (steady_states, (changed[None],), changed[None]),
-            (affine_steady_states, (changed, slope, xs_few), changed + xs_few[:, None, None] * slope),
+            (affine_steady_states, (*generators(changed, slope), xs_few), changed + xs_few[:, None, None] * slope),
         ):
             try:
                 want = dense(stack)
@@ -269,12 +268,12 @@ def test_affine_chunks_give_the_same_bits(monkeypatch):
     monkeypatch.setattr(clams.liouvillian, "_graded_states",
                         no_dense_solve(clams.liouvillian._graded_states, count))
     monkeypatch.setattr(clams.liouvillian, "STACK_BYTES", 2**40)
-    whole = affine_steady_states(base, slope, xs)
+    whole = affine_steady_states(*generators(base, slope), xs)
     assert [k for k, _ in chunks] == [41]
     per_point = chunks[0][1]  # bytes of the band of one generator
     monkeypatch.setattr(clams.liouvillian, "STACK_BYTES", 3 * per_point)
     chunks.clear()
-    chunked = affine_steady_states(base, slope, xs)
+    chunked = affine_steady_states(*generators(base, slope), xs)
     assert [k for k, _ in chunks] == [3] * 13 + [2]
     assert np.array_equal(chunked, whole)
     assert np.array_equal(whole, steady_states(base + xs[:, None, None] * slope))
@@ -293,13 +292,13 @@ def test_non_finite_member_of_a_graded_stack_raises_the_dense_error():
     stack = base + xs[:3, None, None] * slope
     stack[1, 5, 5] = stack[1, 65, 65] = np.inf  # on the diagonal at rho_50 and its mirror
     # rho_05 (vec indices 5 and 65), so the stack still grades
-    assert _coherence_levels(stack) is not None
+    assert coherence_levels(stack) is not None
     error = raised(dense, stack)
     assert "non-finite" in error[1]
     assert raised(steady_states, stack) == error
     base = base.copy()
     base[5, 5] = base[65, 65] = np.inf
-    assert raised(affine_steady_states, base, slope, xs[:3]) == error
+    assert raised(affine_steady_states, *generators(base, slope), xs[:3]) == error
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow in the norms
@@ -312,7 +311,7 @@ def test_overflowing_norm_raises_on_every_path():
     base, ok = chain(0.0), chain(1.0)
     for solve, args in ((steady_states, (chain(1e160)[None],)),
                         (steady_states, (np.stack([ok, chain(1e160)]),)),
-                        (affine_steady_states, (base, ok - base, [1.0, 1e160]))):
+                        (affine_steady_states, (*generators(base, ok - base), [1.0, 1e160]))):
         with pytest.raises(OverflowError, match="overflows a float"):
             solve(*args)
 
@@ -338,7 +337,7 @@ def test_first_failing_member_raises_the_dense_error(at):
     base, slope, xs = detuning_family()
     stack = base + xs[:3, None, None] * slope
     stack[at, 5, 5] = stack[at, 65, 65] = np.inf
-    assert _coherence_levels(stack) is not None
+    assert coherence_levels(stack) is not None
     error = raised(dense, stack)
     assert "non-finite" in error[1]
     assert raised(steady_states, stack) == error
@@ -351,7 +350,7 @@ def test_first_failing_member_raises_the_dense_error(at):
         error = raised(dense, stack)
         assert (error[0], error[2]) == (kind, null_dim)
         assert raised(steady_states, stack) == error
-        assert raised(affine_steady_states, base, slope, xs) == error
+        assert raised(affine_steady_states, *generators(base, slope), xs) == error
 
 
 def test_singular_block_solve_falls_back_to_the_dense_bits(monkeypatch):
@@ -367,7 +366,7 @@ def test_singular_block_solve_falls_back_to_the_dense_bits(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", solve)
     assert np.array_equal(steady_states(stack), want)
-    assert np.array_equal(affine_steady_states(base, slope, xs), want)
+    assert np.array_equal(affine_steady_states(*generators(base, slope), xs), want)
 
 
 def test_entries_joining_orders_two_apart_take_the_dense_solve():
@@ -375,12 +374,12 @@ def test_entries_joining_orders_two_apart_take_the_dense_solve():
     and its conjugate, joins orders -1 and +1 of the README chain: the grading check
     rejects it, and the single and the affine solve are the dense one, bit for bit."""
     base, slope, xs = detuning_family(13)
-    assert _coherence_levels(base) is not None
+    assert coherence_levels(base) is not None
     d, alpha = 13, 1e-3 * readme_chain(13).gamma_prime * (1.0 + 1.0j)
     base[0 + 1 * d, 4 + 3 * d] = alpha  # the vec index of rho_ij is i + j*d
     base[1 + 0 * d, 3 + 4 * d] = np.conj(alpha)
-    assert _coherence_levels(base) is None
+    assert coherence_levels(base) is None
     assert np.array_equal(steady_states(base[None]), dense(base))
     xs = xs[::8]
-    assert np.array_equal(affine_steady_states(base, slope, xs),
+    assert np.array_equal(affine_steady_states(*generators(base, slope), xs),
                           dense(base + xs[:, None, None] * slope))

@@ -14,7 +14,6 @@ from clams.liouvillian import (
     GeneratorMatrix,
     PropagationError,
     SteadyStateError,
-    _coherence_levels,
     affine_steady_states,
     build_generator,
     cascaded_lambda_graph,
@@ -23,7 +22,7 @@ from clams.liouvillian import (
     steady_states,
 )
 from clams.units import mhz_to_angular
-from conftest import chain_params, hermitian_random, random_graph
+from conftest import chain_params, coherence_levels, generators, hermitian_random, random_graph
 from oracles import lsoda_propagate
 
 
@@ -194,7 +193,7 @@ def test_affine_family_reports_the_null_dim_of_its_disconnected_member():
     base = build_generator(CouplingGraph(4, h, blocks))
     slope = build_generator(CouplingGraph(4, h, ((1, 2, 1.0), (2, 1, 1.0))))
     with pytest.raises(DegenerateSteadyStateError) as err:
-        affine_steady_states(base.matrix, slope.matrix, [0.5, 2.0, 0.0, 1.0])
+        affine_steady_states(base, slope, [0.5, 2.0, 0.0, 1.0])
     assert err.value.null_dim == 2
 
 
@@ -208,7 +207,7 @@ def test_residual_over_the_bound_is_a_steady_state_error(monkeypatch):
 
     base = at(0.0)
     for solve in (lambda: steady_state(GeneratorMatrix(5, at(params.rabi))),
-                  lambda: affine_steady_states(base, at(1.0) - base, [params.rabi])):
+                  lambda: affine_steady_states(*generators(base, at(1.0) - base), [params.rabi])):
         with pytest.raises(SteadyStateError, match="steady-state residual .* exceeds") as err:
             solve()
         assert type(err.value) is SteadyStateError
@@ -281,7 +280,7 @@ def test_graded_steady_state_independent_of_time_unit(n_levels):
             detunings=tuple(x * s for x in base["detunings"]), delta_omega_s=s,
         )
         lio = build_generator(cascaded_lambda_graph(p)).matrix
-        assert _coherence_levels(lio) is not None
+        assert coherence_levels(lio) is not None
         return steady_state(GeneratorMatrix(n_levels, lio)).matrix
 
     want = solve(1.0)
@@ -422,6 +421,11 @@ def test_graph_validation():
             CouplingGraph(2, np.array([[0.0, bad], [bad, 0.0]]), ())
         with pytest.raises(ValueError, match="finite"):
             CouplingGraph(2, h_ok, ((1, 0, bad),))
+    # a generator with nothing to read, or whose matrix is not (n^2, n^2) for its n states
+    for args, kw in (((3,), {}), ((2,), {"values": np.zeros(3)}), ((2, np.zeros((3, 3))), {}),
+                     ((2, np.zeros((4, 5))), {})):
+        with pytest.raises(ValueError, match="generator"):
+            GeneratorMatrix(*args, **kw)
 
 
 def test_propagate_rejects_negative_time():

@@ -1,4 +1,5 @@
 """Batched sweeps against per-point steady states."""
+import platform
 import threading
 import tracemalloc
 import warnings
@@ -17,7 +18,6 @@ from clams.liouvillian import (
     CouplingGraph,
     GeneratorMatrix,
     SteadyStateError,
-    _coherence_levels,
     affine_steady_states,
     build_generator,
     cascaded_lambda_graph,
@@ -33,7 +33,7 @@ from clams.rb85 import (
 )
 from clams.spectrum import coherence_peaks, height_ratios
 from clams.units import mhz_to_angular
-from conftest import hermitian_random, random_graph
+from conftest import coherence_levels, generators, hermitian_random, random_graph, run_python
 from oracles import dense_bordered_steady_states
 
 SWEEP_RTOL = 1e-12
@@ -225,11 +225,11 @@ def test_affine_states_equal_the_stacked_solve(monkeypatch, per_chunk):
     for base, slope, xs in [*families, *readme_families()]:
         if per_chunk is not None:
             monkeypatch.setattr(clams.liouvillian, "STACK_BYTES", per_chunk * 16 * base.size)
-        got = affine_steady_states(base, slope, xs)
+        got = affine_steady_states(*generators(base, slope), xs)
         stack = base + xs[:, None, None] * slope
         assert np.array_equal(got, steady_states(stack))
         want = dense_bordered_steady_states(stack)
-        if _coherence_levels(base, slope) is None:
+        if coherence_levels(base, slope) is None:
             assert np.array_equal(got, want)
         else:
             assert np.abs(got - want).max() <= SWEEP_RTOL * np.abs(want).max()
@@ -288,10 +288,10 @@ def test_graded_residual_from_the_plus_q_rows_equals_the_dense_one(monkeypatch, 
     # order-0 entry and at the mirror of that, or both: the residual of the rows of orders
     # 0 and +q, weighted, is the dense ||L v||, and ||L||_F the dense one, per point
     base, slope, xs = [*chain_families(), *list(readme_families())[2:]][family]
-    grading = _coherence_levels(base, slope)
+    grading = coherence_levels(base, slope)
     assert grading is not None
     calls = checked_calls(monkeypatch)
-    affine_steady_states(base, slope, xs)
+    affine_steady_states(*generators(base, slope), xs)
     done = 0
     for v, matvec, fro in calls:
         stack = base + xs[done : done + len(v), None, None] * slope
@@ -315,8 +315,8 @@ def test_corrupted_plus_q_solution_fails_the_graded_check(monkeypatch, checks_co
     # Corrupted once, each point of the chunk has failed its own check and takes one dense LU,
     # not its graded solve again; every time, the solve raises
     base, slope, xs = next(chain_families())
-    clean = affine_steady_states(base, slope, xs)
-    grading = _coherence_levels(base, slope)
+    clean = affine_steady_states(*generators(base, slope), xs)
+    grading = coherence_levels(base, slope)
     plus1 = np.flatnonzero(grading.order == 1)[0]
 
     def corrupt(v, matvec, fro):
@@ -328,9 +328,9 @@ def test_corrupted_plus_q_solution_fails_the_graded_check(monkeypatch, checks_co
     calls = checked_calls(monkeypatch, corrupt)
     if checks_corrupted is None:
         with pytest.raises(SteadyStateError, match="residual"):
-            affine_steady_states(base, slope, xs)
+            affine_steady_states(*generators(base, slope), xs)
     else:
-        got = affine_steady_states(base, slope, xs)
+        got = affine_steady_states(*generators(base, slope), xs)
         assert np.array_equal(got, dense_bordered_steady_states(base + xs[:, None, None] * slope))
         assert np.abs(got - clean).max() <= SWEEP_RTOL * np.abs(clean).max()
         assert len(calls) == 1 + len(xs)  # the graded chunk's check, then each point's dense LU
@@ -354,7 +354,7 @@ def test_failing_point_has_the_bits_of_its_own_solve_in_any_chunking(monkeypatch
     # the resonant point fails the chunk's graded solve: it alone takes the dense LU, and
     # every point, solved whole, 3 or 1 per chunk, has the bits of its own steady_state
     base, slope, xs = trapping_family()
-    band = _coherence_levels(base, slope).band.size
+    band = coherence_levels(base, slope).band.size
     lone = np.stack([steady_state(GeneratorMatrix(13, base + x * slope)).matrix for x in xs])
     solve, dense = clams.liouvillian._graded_states, []
 
@@ -369,7 +369,7 @@ def test_failing_point_has_the_bits_of_its_own_solve_in_any_chunking(monkeypatch
             if per_chunk is not None:
                 patch.setattr(clams.liouvillian, "STACK_BYTES", per_chunk * 16 * band)
             dense.clear()
-            got = affine_steady_states(base, slope, xs)
+            got = affine_steady_states(*generators(base, slope), xs)
         assert np.array_equal(got, lone), per_chunk
         assert dense == [1], per_chunk  # one dense LU, of one point
 
@@ -381,10 +381,10 @@ def test_failing_point_costs_one_dense_generator():
     base, slope, xs = trapping_family()
 
     def peak(points):
-        affine_steady_states(base, slope, points)  # the gather buffer, once
+        affine_steady_states(*generators(base, slope), points)  # the cached plans, once
         tracemalloc.start()
         try:
-            affine_steady_states(base, slope, points)
+            affine_steady_states(*generators(base, slope), points)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -406,9 +406,9 @@ def one_block_family():
 def test_one_block_family_checks_every_row(monkeypatch):
     base, slope, xs = one_block_family()
     rng = np.random.default_rng(6)
-    assert _coherence_levels(base, slope) is None
+    assert coherence_levels(base, slope) is None
     calls = checked_calls(monkeypatch)
-    affine_steady_states(base, slope, xs)
+    affine_steady_states(*generators(base, slope), xs)
     ((v, matvec, fro),) = calls
     stack = base + xs[:, None, None] * slope
     w = rng.normal(size=v.shape) + 1j * rng.normal(size=v.shape)
@@ -420,7 +420,7 @@ def test_one_block_family_checks_every_row(monkeypatch):
 
 
 def in_new_thread(solve):
-    """``solve()`` run in a thread of its own, which starts without a gather buffer."""
+    """``solve()`` run in a thread of its own."""
     out = []
     thread = threading.Thread(target=lambda: out.append(solve()))
     thread.start()
@@ -458,11 +458,11 @@ def assert_same_solves(got, want):
 def test_reused_gather_buffer_leaves_no_trace(monkeypatch, family, chunked):
     # the family solved first in its thread, then after a family whose gather is larger
     # (the README N = 7 Rabi sweep) and after one whose gather is smaller (two points of
-    # the N = 5 detuning sweep), in a thread each: the same bits, however much of the
-    # buffer the other family left behind
+    # the N = 5 detuning sweep), in a thread each: the same bits, whatever heap the other
+    # family left behind
     (base5, slope5, xs5), detuning13, rabi7 = chain_families()
     base, slope, xs = detuning13 if family == "detuning13" else one_block_family()
-    grading = _coherence_levels(base, slope)
+    grading = coherence_levels(base, slope)
     assert (grading is None) == (family == "one-block")
     run = recording_checks(monkeypatch)
 
@@ -471,11 +471,11 @@ def test_reused_gather_buffer_leaves_no_trace(monkeypatch, family, chunked):
             if chunked:  # 3 points per chunk: 3 bands (one block: 3 generators)
                 band = base.size if grading is None else grading.band.size
                 patch.setattr(clams.liouvillian, "STACK_BYTES", 3 * 16 * band)
-            return affine_steady_states(base, slope, xs)
+            return affine_steady_states(*generators(base, slope), xs)
 
     first = in_new_thread(lambda: run(solve))
     for before in (rabi7, (base5, slope5, xs5[:2])):
-        got = in_new_thread(lambda: (run(lambda: affine_steady_states(*before)), run(solve))[1])
+        got = in_new_thread(lambda: (run(lambda: affine_steady_states(*generators(*before[:2]), before[2])), run(solve))[1])
         assert_same_solves(got, first)
 
 
@@ -483,9 +483,9 @@ def test_threads_keep_their_own_gather_buffers(monkeypatch):
     # two threads solve the README N = 13 detuning and N = 7 Rabi families 8 times each,
     # every check forming L v 30 times to widen the window in which the other thread
     # runs: the bits of the serial solves, as L v would not have if one thread gathered
-    # into the buffer from which the other was multiplying and summing
+    # into memory from which the other was multiplying and summing
     run = recording_checks(monkeypatch, times=30)
-    solves = [lambda f=family: [affine_steady_states(*f) for _ in range(8)]
+    solves = [lambda f=family: [affine_steady_states(*generators(*f[:2]), f[2]) for _ in range(8)]
               for family in list(chain_families())[1:]]
     serial = [run(solve) for solve in solves]
     results = [None, None]
@@ -499,35 +499,26 @@ def test_threads_keep_their_own_gather_buffers(monkeypatch):
         assert_same_solves(got, want)
 
 
-def test_second_sweep_allocates_no_gather(monkeypatch):
-    # the README N = 7 Rabi family, 201 points in one chunk: after the first call, a
-    # second one traces a peak lower by at least the gather of the residual check
-    # (points x nonzeros of its rows, complex), which it reuses, and L v of the check
-    # allocates less than that gather: no hidden temporary of np.take either
-    base, slope, xs = list(chain_families())[2]
-    plus = (np.sign(_coherence_levels(base, slope).order) >= 0)[:, None]
-    gather_bytes = xs.size * np.count_nonzero(((base != 0) | (slope != 0)) & plus) * 16
-    calls = checked_calls(monkeypatch)
+# Each run prints the minor page faults it made; the argv is the command's.
+_REPEATED_SWEEP = """if True:
+    import resource, sys
+    from clams.cli import main
+    for _ in range(5):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        assert main(sys.argv[1:]) == 0
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
 
-    def peak(run):
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        run()
-        return tracemalloc.get_traced_memory()[1] - before
 
-    def peaks():
-        first, second = (peak(lambda: affine_steady_states(base, slope, xs)) for _ in "12")
-        ((v, matvec, _),) = calls[-1:]
-        return first, second, peak(lambda: matvec(v))
-
-    tracemalloc.start()
-    try:
-        first, second, product = in_new_thread(peaks)
-    finally:
-        tracemalloc.stop()
-    assert len(calls) == 2  # one chunk per call, no re-solve
-    assert first - second >= gather_bytes
-    assert product < gather_bytes
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap policy is stated for glibc")
+def test_repeated_sweeps_fault_no_fresh_pages(tmp_path):
+    # the README N = 7 Rabi sweep run five times alone in a fresh interpreter: once the heap
+    # policy has let the heap keep a sweep's chunks, a run takes them from there, not from fresh
+    # mmap pages, and faults in at most a few pages (CPython's own object arenas)
+    argv = ["sweep-rabi", "--n-levels", "7", "--omega-min", "1e-4", "--omega-max", "5e-2",
+            "--count", "201", "--gamma-prime-mhz", "0.02", "--out", str(tmp_path)]
+    faults = [int(n) for n in run_python(_REPEATED_SWEEP, *argv, blas_threads=1).split()]
+    assert len(faults) == 5 and max(faults[2:]) < 50, faults
 
 
 @pytest.mark.parametrize("argv", [
