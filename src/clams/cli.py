@@ -30,13 +30,13 @@ also emitted as one-line JSON on stderr.  A command writes its files, and create
 ``--out``, only once every model it solves is solved, so one that fails writes
 nothing.  ``main`` may be called repeatedly in one process; the parser is built once.
 
-Sweeps solve each model's generators L(x) = A + x B (x is the drive, the two-photon detuning,
-or the reduced model's hopping rate; A = L(0) and B = L(1) - A, from the builders' values
-alone) batched, in chunks of points, by :func:`clams.liouvillian.affine_steady_states`; a
-block freed at import raises glibc's mmap threshold, so those chunks stay in the heap between
-sweeps.  The peak weights of all points are taken at once.  A point whose fundamental weight is
-0 (undriven, or so weakly driven that it underflows) has NaN ratios, and ``sweep-rabi`` flags
-its row ``zero-fundamental``.  ``--parallel`` is ignored.
+Sweeps solve each model's L(x) = L(0) + x (L(1) - L(0)), x the drive, the two-photon detuning or
+the reduced model's hopping rate, from its two builds by
+:func:`clams.liouvillian.affine_steady_states`, which forms the slope once, at the union of their
+patterns, and solves the points in chunks; a block freed at import raises glibc's mmap threshold,
+so those chunks stay in the heap between sweeps.  The peak weights of all points are taken at once.
+A point whose fundamental weight is 0 (undriven, or so weakly driven that it underflows) has NaN
+ratios, and ``sweep-rabi`` flags its row ``zero-fundamental``.  ``--parallel`` is ignored.
 
 ``rb85`` fits the log-linear law to a model only when its fundamental and two more
 of its peaks are nonzero; its summary's ``flag`` reads ``zero-fundamental`` or,
@@ -395,15 +395,14 @@ def _reduced_generator(params: SystemParams, j_hop: float) -> GeneratorMatrix:
 def _sweep_rows(params: SystemParams, chain_at, xs, reduced_at, js) -> list[list[float]]:
     """Rows [w1_full, w1_eff, h21_full, h21_eff, ...] at the points ``xs`` of the
     full chain ``chain_at(x)`` and ``js`` of the reduced model ``reduced_at(j)``, a
-    model's ratios NaN where its w1 is 0.
-    Each generator family is solved as base + x * slope, slope = L(1) - L(0) from their values,
-    so it must be affine in its argument, as it is in the drive, the detunings and the hopping rate."""
+    model's ratios NaN where its w1 is 0.  Each generator family is solved from its two builds
+    L(0) and L(1), so it must be affine in its argument, as in the drive, detunings and hopping rate."""
     models = []
     for build, points, gidx in (
         (chain_at, xs, ground_indices(params.n_levels)),
         (reduced_at, js, np.arange(params.n_ground)),
     ):
-        rho = affine_steady_states(base := build(0.0), build(1.0) - base, points)
+        rho = affine_steady_states(build(0.0), build(1.0), points)
         models.append(spectrum.weight_ratios(spectrum.peak_weights(rho[:, gidx][:, :, gidx])))
     return np.stack(models, axis=-1).reshape(len(models[0]), 2 * (params.n_ground - 1)).tolist()
 

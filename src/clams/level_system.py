@@ -17,6 +17,7 @@ transition frequency.  All quantities are angular frequencies in rad/us
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -54,7 +55,7 @@ class SystemParams:
         if self.n_levels < 3 or self.n_levels % 2 == 0:
             raise ValueError("n_levels must be odd and >= 3")
         for name in ("rabi", "gamma", "gamma_prime", "delta_omega_s"):
-            if not np.isfinite(getattr(self, name)):
+            if not isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         for name in ("gamma", "gamma_prime", "delta_omega_s"):
             if getattr(self, name) <= 0:
@@ -102,9 +103,7 @@ def build_rotating_hamiltonian(params: SystemParams) -> np.ndarray:
     """Time-independent rotating-frame Hamiltonian of the chain (complex N x N, Hermitian)."""
     n = params.n_levels
     h = np.diag(rotating_diagonal(n, params.detunings)).astype(complex)
-    for m in range(n - 1):
-        h[m, m + 1] = params.rabi
-        h[m + 1, m] = params.rabi
+    h.flat[1 :: n + 1] = h.flat[n :: n + 1] = params.rabi  # the super- and subdiagonal
     return h
 
 

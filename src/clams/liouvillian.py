@@ -15,7 +15,7 @@ from that single convention.
 A builder's L is dense where its H joins states in cliques alone; else it is only its values
 at its pattern, the entries it writes, from index places cached per structure.  A pattern (a
 scan's, for a dense L) gives one cached plan (:func:`_plan`): L is read only there, in a sweep
-too, whose family is two such L, base and slope.  The heap policy is stated at ``STACK_BYTES``.
+too, whose family is its two builds, its slope formed once at their union; heap policy: ``STACK_BYTES``.
 """
 from __future__ import annotations
 
@@ -116,7 +116,7 @@ class CouplingGraph:
                 raise ValueError("decay channel source and target must differ")
             if rate < 0:
                 raise ValueError(f"negative decay rate {rate}")
-            if not np.isfinite(rate):
+            if not isfinite(rate):
                 raise ValueError(f"decay rate {rate} must be finite")
             chans.append((int(src), int(tgt), float(rate)))
         object.__setattr__(self, "population_decays", tuple(chans))
@@ -159,11 +159,6 @@ class GeneratorMatrix:
         out = np.zeros(pattern.size, dtype=complex)
         out[pattern.searchsorted(self.pattern)] = self.values
         return out
-
-    def __sub__(self, other: GeneratorMatrix) -> GeneratorMatrix:
-        """self - other, from their values alone, at the union of their patterns."""
-        at = np.frombuffer(_distinct([self.pattern, other.pattern]), np.int64)
-        return GeneratorMatrix(self.n_states, values=self.values_at(at) - other.values_at(at), pattern=at)
 
 
 @dataclass(frozen=True)
@@ -582,13 +577,14 @@ def _raise_failure(lio: np.ndarray, rho: np.ndarray) -> None:
     DensityMatrix(rho[0]).validate()
 
 
-def affine_steady_states(base: GeneratorMatrix, slope: GeneratorMatrix, xs) -> np.ndarray:
-    """Steady states, shape (len(xs), d, d), of the generators base + x * slope.
+def affine_steady_states(base: GeneratorMatrix, top: GeneratorMatrix, xs) -> np.ndarray:
+    """Steady states, shape (len(xs), d, d), of the generators base + x * slope of a family
+    given as its two builds, base = L(0) and top = L(1).
 
-    The method of :func:`steady_state`, reading base and slope only at their patterns (each
-    at the union of the two, +0.0 where it has no value), in chunks of at most
-    ``STACK_BYTES`` of blocks, each x * slope_block + base_block: the dense entries' bits;
-    the heap keeps the chunks from one sweep to the next, by the policy at ``STACK_BYTES``.
+    The slope is formed once, at the union of their patterns (+0.0 where one has no value):
+    the bits of the dense L(1) - L(0).  Then the method of :func:`steady_state`, in chunks of
+    at most ``STACK_BYTES`` of blocks, each x * slope_block + base_block: the dense entries'
+    bits; the heap keeps the chunks between sweeps, by the policy stated at ``STACK_BYTES``.
     The residual L v is taken in the rows of orders 0 and, weighted by sqrt 2, +q: the
     rows -q are their conjugates but for the rounding of v_0, which the hermiticity check
     bounds.  ||L||_F^2 = ||A||^2 + 2 x Re<A, B> + x^2 ||B||^2 (A = base, B = slope).  A
@@ -597,8 +593,9 @@ def affine_steady_states(base: GeneratorMatrix, slope: GeneratorMatrix, xs) -> n
     its bits do not depend on its chunk, and it is the one dense L a sweep makes.
     """
     xs, d = np.asarray(xs, dtype=float), base.n_states
-    at = np.frombuffer(key := _distinct([base.pattern, slope.pattern]), np.int64)
-    base_at, slope_at = base.values_at(at), slope.values_at(at)
+    at = np.frombuffer(key := _distinct([base.pattern, top.pattern]), np.int64)
+    base_at = base.values_at(at)
+    slope_at = top.values_at(at) - base_at
     plan, (pa, pb) = _graded_plan(key, d, base_at[None], slope_at[None])  # each with a 0 appended
     base_band, slope_band = pa[0, plan.band], pb[0, plan.band]
     base_nz, slope_nz = pa[0, plan.nz] * plan.weight, pb[0, plan.nz] * plan.weight
@@ -659,8 +656,8 @@ def propagate(gen: GeneratorMatrix, rho0: DensityMatrix, t: float, tol: float = 
     solver, independent of its LU solve.  L does not depend on time, so the
     propagator is one matrix exponential (:func:`_expm`), exact up to rounding of
     order eps ||L t||_1.  ``tol`` bounds the checks on the result: trace drift and the
-    bounds of ``DensityMatrix.validate`` are widened to 10 tol.  A ``tol`` below
-    100 eps cannot be met in double precision and raises."""
+    bounds of ``DensityMatrix.validate`` are widened to 10 tol; a state failing them, or a
+    ``tol`` below 100 eps (not met in double precision), raises PropagationError."""
     if t < 0:
         raise ValueError("propagation time must be >= 0")
     if rho0.n_states != gen.n_states:
@@ -678,8 +675,11 @@ def propagate(gen: GeneratorMatrix, rho0: DensityMatrix, t: float, tol: float = 
     drift = abs(complex(np.trace(rho.matrix)) - 1.0)
     if drift > 10.0 * tol:
         raise PropagationError(f"trace drift {drift:.3e} exceeds 10*tol")
-    return rho.validate(herm_atol=max(HERMITICITY_ATOL, 10.0 * tol), trace_atol=10.0 * tol,
-                        eig_floor=min(EIGENVALUE_FLOOR, -10.0 * tol))
+    try:
+        return rho.validate(herm_atol=max(HERMITICITY_ATOL, 10.0 * tol), trace_atol=10.0 * tol,
+                            eig_floor=min(EIGENVALUE_FLOOR, -10.0 * tol))
+    except ValueError as exc:  # a state that fails its checks is a failed propagation
+        raise PropagationError(str(exc)) from None
 
 
 def __getattr__(name: str):

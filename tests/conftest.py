@@ -72,9 +72,15 @@ def generators(*lios: np.ndarray) -> list[GeneratorMatrix]:
     return [GeneratorMatrix(isqrt(len(lio)), lio) for lio in lios]
 
 
+def members(base: np.ndarray, top: np.ndarray, xs) -> np.ndarray:
+    """The dense stack L(x) = base + x (top - base) of a sweep's family, base = L(0) and
+    top = L(1) its two builds (raw n x n arrays), at the points ``xs``."""
+    return base + np.asarray(xs, dtype=float)[:, None, None] * (top - base)
+
+
 def coherence_levels(*gens: np.ndarray):
     """The graded plan of raw generators ``gens`` (L or stacks) at the pattern of one scan of
-    them all, as a sweep of base and slope grades them; None for one block."""
+    them all, as a sweep grades its two builds; None for one block."""
     at = np.frombuffer(key := _scan(*gens), np.int64)
     values = [np.reshape(g, (-1, g.shape[-1] ** 2))[:, at] for g in gens]
     plan, _ = _graded_plan(key, isqrt(gens[0].shape[-1]), *values)

@@ -14,6 +14,7 @@ from clams.liouvillian import (
     build_generator,
     cascaded_lambda_graph,
     steady_state,
+    steady_states,
 )
 from clams.units import mhz_to_angular
 from conftest import chain_params, coherence_levels, generators, random_graph, rb85_graph
@@ -129,7 +130,8 @@ def test_solve_over_the_builders_pattern_has_the_bits_of_the_raw_array(family):
 @pytest.mark.parametrize("family", ["chains", "rb85", "reduced"])
 def test_graded_solve_sweep_and_dump_read_only_the_pattern(tmp_path, family):
     # NaN planted at every entry outside the pattern changes nothing that is read through
-    # it: a graded single solve, a sweep of that generator and the generator dump
+    # it: a graded single solve, the sweep from that generator to twice it (both planted)
+    # and the generator dump
     graded = [gen for gen in FAMILIES[family]() if coherence_levels(gen.matrix) is not None]
     assert graded
     for gen in graded:
@@ -138,8 +140,9 @@ def test_graded_solve_sweep_and_dump_read_only_the_pattern(tmp_path, family):
         planted = GeneratorMatrix(gen.n_states, poisoned, structure=gen.structure)
         assert np.array_equal(steady_state(planted).matrix, steady_state(gen).matrix)
         xs = [0.5, 1.0]
-        assert np.array_equal(affine_steady_states(planted, planted, xs),
-                              affine_steady_states(*generators(gen.matrix, gen.matrix), xs))
+        doubled = GeneratorMatrix(gen.n_states, 2 * poisoned, structure=gen.structure)
+        assert np.array_equal(affine_steady_states(planted, doubled, xs),
+                              affine_steady_states(*generators(gen.matrix, 2 * gen.matrix), xs))
         write_complex_matrix_csv(tmp_path / "got.csv", planted, "0")
         write_complex_matrix_csv(tmp_path / "want.csv", gen.matrix, "0")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
@@ -159,16 +162,21 @@ def test_values_and_matrix_have_the_bits_of_the_dense_build(family):
 
 
 @pytest.mark.parametrize("family", ["chains", "rb85", "reduced"])
-def test_difference_of_two_builds_has_the_bits_of_the_dense_one(family):
-    # top - base, formed from their values at the union of their patterns, is the dense
-    # difference bit for bit, as a sweep's slope L(1) - L(0) must be
+def test_sweep_of_two_builds_has_the_bits_of_the_dense_family(materialized, family):
+    # the family from base = L(0) to top = L(1), its slope formed from their values at the
+    # union of their patterns, solves to the steady states of the dense L0 + x (L1 - L0)
+    # bit for bit, without making either dense; the points lie between the two builds,
+    # where the pattern of each member is that union
     gens = list(FAMILIES[family]())
-    pairs = [(top, base) for top, base in zip(gens[1:], gens) if top.n_states == base.n_states]
+    pairs = [(base, top) for base, top in zip(gens, gens[1:]) if top.n_states == base.n_states]
     assert pairs
-    for top, base in pairs:
-        diff = top - base
-        assert "matrix" not in vars(diff) and np.isin(top.pattern, diff.pattern).all()
-        assert np.array_equal(bits(diff.matrix), bits(top.matrix - base.matrix))
+    xs = np.array([0.25, 0.5, 0.75])
+    for base, top in pairs:
+        got = affine_steady_states(base, top, xs)
+        assert materialized == []
+        want = steady_states(base.matrix + xs[:, None, None] * (top.matrix - base.matrix))
+        assert np.array_equal(bits(got), bits(want))
+        materialized.clear()
 
 
 @pytest.mark.parametrize("family", ["chains", "rb85"])

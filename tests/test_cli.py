@@ -580,6 +580,19 @@ GOLDEN = {
         "8ff0945a624553ad",
         {"sweep_rabi.csv": "97879b7f12b556960b27528ab17a4255c7279727c226a8d078db1d8bec4a8da6"},
     ),
+    # the reduced model of N = 3 has two ground states: the CLI's one family of one block
+    "sweep-detuning-n3": (
+        "sweep-detuning --n-levels 3 --start-mhz -2 --stop-mhz 2 --count 41",
+        None,
+        "fad19c1ef6fa309d",
+        {"sweep_detuning.csv": "6052a9ea25555b365e3c9acc266978d0ae287911dcc3bd3eeda33a6bc20662b7"},
+    ),
+    "sweep-rabi-n3": (
+        "sweep-rabi --n-levels 3 --count 201",
+        None,
+        "c860d15a3c40a890",
+        {"sweep_rabi.csv": "f08047f33fd339f65450e2156d2fe4b96b8bdda0619c7f411ca68eb0ba3e321f"},
+    ),
     "rb85-readme": (
         "rb85 --with-truncated-13 --format both",
         None,

@@ -22,7 +22,7 @@ from clams.liouvillian import (
 )
 from clams.spectrum import peak_weights, weight_ratios
 from clams.units import mhz_to_angular
-from conftest import chain_params, coherence_levels, generators, random_graph
+from conftest import chain_params, coherence_levels, generators, members, random_graph
 from oracles import dense_bordered_steady_states, mpmath_bordered_steady_state
 
 GRADED_RTOL = 1e-12
@@ -226,18 +226,20 @@ def test_generator_that_does_not_preserve_hermiticity_takes_the_dense_solve(chan
     not map Hermitian matrices to Hermitian ones: block elimination reads only side
     +q and would return the mirror of a state of another L.  The grading check
     rejects it, so the single and the affine solve give the dense solve's bits or
-    raise its error."""
-    base, slope, xs = detuning_family(13)
+    raise its error; the affine family has the entry changed in both its builds."""
+    base, top, xs = detuning_family(13)
     grading = coherence_levels(base)
     minus = np.flatnonzero(grading.unsort >= (base.shape[0] + grading.rows[-1][2]) // 2)
     for entry in ((minus[0], minus[0]), (minus[-1], minus[-1]), (minus[3], minus[3])):
-        changed = base.copy()
-        changed[entry] += change * changed[entry]
+        changed, changed_top = base.copy(), top.copy()
+        for lio in (changed, changed_top):
+            lio[entry] += change * lio[entry]
         assert coherence_levels(changed) is None
         xs_few = xs[::8]
         for solve, args, stack in (
             (steady_states, (changed[None],), changed[None]),
-            (affine_steady_states, (*generators(changed, slope), xs_few), changed + xs_few[:, None, None] * slope),
+            (affine_steady_states, (*generators(changed, changed_top), xs_few),
+             members(changed, changed_top, xs_few)),
         ):
             try:
                 want = dense(stack)
@@ -249,17 +251,17 @@ def test_generator_that_does_not_preserve_hermiticity_takes_the_dense_solve(chan
 
 
 def detuning_family(n_levels=13):
-    """base and slope of the README chain's generator against the two-photon detuning."""
+    """The two builds base = L(0) and top = L(1) of the README chain's generator against the
+    two-photon detuning, and the points of its sweep."""
     def at(delta):
         p = readme_chain(n_levels, raman_detunings(n_levels, delta))
         return build_generator(cascaded_lambda_graph(p)).matrix
 
-    base = at(0.0)
-    return base, at(1.0) - base, mhz_to_angular(np.linspace(-2.0, 2.0, 41))
+    return at(0.0), at(1.0), mhz_to_angular(np.linspace(-2.0, 2.0, 41))
 
 
 def test_affine_chunks_give_the_same_bits(monkeypatch):
-    base, slope, xs = detuning_family()
+    base, top, xs = detuning_family()
     chunks = []
 
     def count(grading, fro):
@@ -268,16 +270,16 @@ def test_affine_chunks_give_the_same_bits(monkeypatch):
     monkeypatch.setattr(clams.liouvillian, "_graded_states",
                         no_dense_solve(clams.liouvillian._graded_states, count))
     monkeypatch.setattr(clams.liouvillian, "STACK_BYTES", 2**40)
-    whole = affine_steady_states(*generators(base, slope), xs)
+    whole = affine_steady_states(*generators(base, top), xs)
     assert [k for k, _ in chunks] == [41]
     per_point = chunks[0][1]  # bytes of the band of one generator
     monkeypatch.setattr(clams.liouvillian, "STACK_BYTES", 3 * per_point)
     chunks.clear()
-    chunked = affine_steady_states(*generators(base, slope), xs)
+    chunked = affine_steady_states(*generators(base, top), xs)
     assert [k for k, _ in chunks] == [3] * 13 + [2]
     assert np.array_equal(chunked, whole)
-    assert np.array_equal(whole, steady_states(base + xs[:, None, None] * slope))
-    assert np.abs(whole - dense(base + xs[:, None, None] * slope)).max() <= GRADED_RTOL
+    assert np.array_equal(whole, steady_states(members(base, top, xs)))
+    assert np.abs(whole - dense(members(base, top, xs))).max() <= GRADED_RTOL
 
 
 def raised(solve, *args):
@@ -288,8 +290,8 @@ def raised(solve, *args):
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_non_finite_member_of_a_graded_stack_raises_the_dense_error():
-    base, slope, xs = detuning_family()
-    stack = base + xs[:3, None, None] * slope
+    base, top, xs = detuning_family()
+    stack = members(base, top, xs[:3])
     stack[1, 5, 5] = stack[1, 65, 65] = np.inf  # on the diagonal at rho_50 and its mirror
     # rho_05 (vec indices 5 and 65), so the stack still grades
     assert coherence_levels(stack) is not None
@@ -298,7 +300,7 @@ def test_non_finite_member_of_a_graded_stack_raises_the_dense_error():
     assert raised(steady_states, stack) == error
     base = base.copy()
     base[5, 5] = base[65, 65] = np.inf
-    assert raised(affine_steady_states, *generators(base, slope), xs[:3]) == error
+    assert raised(affine_steady_states, *generators(base, top), xs[:3]) == error
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow in the norms
@@ -311,18 +313,19 @@ def test_overflowing_norm_raises_on_every_path():
     base, ok = chain(0.0), chain(1.0)
     for solve, args in ((steady_states, (chain(1e160)[None],)),
                         (steady_states, (np.stack([ok, chain(1e160)]),)),
-                        (affine_steady_states, (*generators(base, ok - base), [1.0, 1e160]))):
+                        (affine_steady_states, (*generators(base, ok), [1.0, 1e160]))):
         with pytest.raises(OverflowError, match="overflows a float"):
             solve(*args)
 
 
 def disconnected_family():
-    """base: two disconnected 2-level blocks (null space of dimension 2); slope:
-    decays that join them, so only the member at x = 0 is degenerate."""
+    """base: two disconnected 2-level blocks (null space of dimension 2); top: the same
+    with decays that join them, so only the member at x = 0 is degenerate."""
     h = np.zeros((4, 4), dtype=complex)
-    base = build_generator(CouplingGraph(4, h, ((1, 0, 1.0), (0, 1, 0.5), (3, 2, 1.0), (2, 3, 0.5))))
-    slope = build_generator(CouplingGraph(4, h, ((1, 2, 1.0), (2, 1, 1.0))))
-    return base.matrix, slope.matrix
+    blocks = ((1, 0, 1.0), (0, 1, 0.5), (3, 2, 1.0), (2, 3, 0.5))
+    base = build_generator(CouplingGraph(4, h, blocks))
+    top = build_generator(CouplingGraph(4, h, (*blocks, (1, 2, 1.0), (2, 1, 1.0))))
+    return base.matrix, top.matrix
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -334,28 +337,28 @@ def test_first_failing_member_raises_the_dense_error(at):
     the diagonal at rho_50 and rho_05, which keeps the stack graded, or the point
     x = inf of the sweep; the degenerate member of the 4-level family is its point
     x = 0.  With both of these in one sweep, the first of them raises."""
-    base, slope, xs = detuning_family()
-    stack = base + xs[:3, None, None] * slope
+    base, top, xs = detuning_family()
+    stack = members(base, top, xs[:3])
     stack[at, 5, 5] = stack[at, 65, 65] = np.inf
     assert coherence_levels(stack) is not None
     error = raised(dense, stack)
     assert "non-finite" in error[1]
     assert raised(steady_states, stack) == error
-    cases = [(base, slope, np.insert(xs[:2], at, np.inf), (SteadyStateError, None)),
+    cases = [(base, top, np.insert(xs[:2], at, np.inf), (SteadyStateError, None)),
              (*disconnected_family(), np.insert([0.5, 2.0], at, 0.0), (DegenerateSteadyStateError, 2)),
              (*disconnected_family(), np.insert([0.0, 2.0], at, np.inf),  # two failing members
               (SteadyStateError, None) if at == 0 else (DegenerateSteadyStateError, 2))]
-    for base, slope, xs, (kind, null_dim) in cases:
-        stack = base + xs[:, None, None] * slope
+    for base, top, xs, (kind, null_dim) in cases:
+        stack = members(base, top, xs)
         error = raised(dense, stack)
         assert (error[0], error[2]) == (kind, null_dim)
         assert raised(steady_states, stack) == error
-        assert raised(affine_steady_states, *generators(base, slope), xs) == error
+        assert raised(affine_steady_states, *generators(base, top), xs) == error
 
 
 def test_singular_block_solve_falls_back_to_the_dense_bits(monkeypatch):
-    base, slope, xs = detuning_family()
-    stack = base + xs[:, None, None] * slope
+    base, top, xs = detuning_family()
+    stack = members(base, top, xs)
     want = dense(stack)
     real = np.linalg.solve
 
@@ -366,20 +369,21 @@ def test_singular_block_solve_falls_back_to_the_dense_bits(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", solve)
     assert np.array_equal(steady_states(stack), want)
-    assert np.array_equal(affine_steady_states(*generators(base, slope), xs), want)
+    assert np.array_equal(affine_steady_states(*generators(base, top), xs), want)
 
 
 def test_entries_joining_orders_two_apart_take_the_dense_solve():
     """A Hermiticity-preserving pair of coherence-to-coherence entries, rho_01 <- rho_43
     and its conjugate, joins orders -1 and +1 of the README chain: the grading check
     rejects it, and the single and the affine solve are the dense one, bit for bit."""
-    base, slope, xs = detuning_family(13)
+    base, top, xs = detuning_family(13)
     assert coherence_levels(base) is not None
     d, alpha = 13, 1e-3 * readme_chain(13).gamma_prime * (1.0 + 1.0j)
-    base[0 + 1 * d, 4 + 3 * d] = alpha  # the vec index of rho_ij is i + j*d
-    base[1 + 0 * d, 3 + 4 * d] = np.conj(alpha)
+    for lio in (base, top):  # in both builds: in every member of the family
+        lio[0 + 1 * d, 4 + 3 * d] = alpha  # the vec index of rho_ij is i + j*d
+        lio[1 + 0 * d, 3 + 4 * d] = np.conj(alpha)
     assert coherence_levels(base) is None
     assert np.array_equal(steady_states(base[None]), dense(base))
     xs = xs[::8]
-    assert np.array_equal(affine_steady_states(*generators(base, slope), xs),
-                          dense(base + xs[:, None, None] * slope))
+    assert np.array_equal(affine_steady_states(*generators(base, top), xs),
+                          dense(members(base, top, xs)))

@@ -184,16 +184,16 @@ def test_stack_member_has_the_bits_of_its_lone_solve():
 
 
 def test_affine_family_reports_the_null_dim_of_its_disconnected_member():
-    # base: the disconnected two-block generator; slope: decays that join the
-    # blocks.  Only the member at x = 0, in the middle of one chunk, is
+    # base: the disconnected two-block generator; top: the same with decays that join
+    # the blocks.  Only the member at x = 0, in the middle of one chunk, is
     # degenerate, and its null space must be diagnosed on L, not on the
     # bordered system that the solve overwrote row 0 of.
     h = np.zeros((4, 4), dtype=complex)
     blocks = ((1, 0, 1.0), (0, 1, 0.5), (3, 2, 1.0), (2, 3, 0.5))
     base = build_generator(CouplingGraph(4, h, blocks))
-    slope = build_generator(CouplingGraph(4, h, ((1, 2, 1.0), (2, 1, 1.0))))
+    top = build_generator(CouplingGraph(4, h, (*blocks, (1, 2, 1.0), (2, 1, 1.0))))
     with pytest.raises(DegenerateSteadyStateError) as err:
-        affine_steady_states(base, slope, [0.5, 2.0, 0.0, 1.0])
+        affine_steady_states(base, top, [0.5, 2.0, 0.0, 1.0])
     assert err.value.null_dim == 2
 
 
@@ -205,9 +205,8 @@ def test_residual_over_the_bound_is_a_steady_state_error(monkeypatch):
     def at(rabi):
         return build_generator(cascaded_lambda_graph(replace(params, rabi=rabi))).matrix
 
-    base = at(0.0)
     for solve in (lambda: steady_state(GeneratorMatrix(5, at(params.rabi))),
-                  lambda: affine_steady_states(*generators(base, at(1.0) - base), [params.rabi])):
+                  lambda: affine_steady_states(*generators(at(0.0), at(1.0)), [params.rabi])):
         with pytest.raises(SteadyStateError, match="steady-state residual .* exceeds") as err:
             solve()
         assert type(err.value) is SteadyStateError
@@ -348,6 +347,15 @@ def test_propagate_failures_raise():
             propagate(gen, rho0, 1.0, tol=1e-300)
         with pytest.raises(PropagationError, match="non-finite"):
             propagate(nan_gen, rho0, 1.0)
+        # trace-preserving but not Hermiticity-preserving: rho_01 gains rho_10, and the
+        # state fails the widened checks of DensityMatrix.validate
+        skew = np.zeros((4, 4), dtype=complex)
+        skew[2, 1] = 1.0
+        mixed = DensityMatrix(np.array([[0.5, 0.2], [0.2, 0.5]], dtype=complex))
+        with pytest.raises(PropagationError, match="not Hermitian"):
+            propagate(GeneratorMatrix(2, skew), mixed, 1.0)
+    with pytest.raises(ValueError, match="dimension"):  # an input error, as a negative t is
+        propagate(gen, DensityMatrix(np.eye(3, dtype=complex) / 3), 1.0)
 
 
 def test_propagate_overflowing_time_raises():

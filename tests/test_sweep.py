@@ -33,7 +33,7 @@ from clams.rb85 import (
 )
 from clams.spectrum import coherence_peaks, height_ratios
 from clams.units import mhz_to_angular
-from conftest import coherence_levels, generators, hermitian_random, random_graph, run_python
+from conftest import coherence_levels, generators, hermitian_random, members, random_graph, run_python
 from oracles import dense_bordered_steady_states
 
 SWEEP_RTOL = 1e-12
@@ -192,26 +192,27 @@ def test_zero_start_grid_gives_the_same_bytes_in_any_chunking(tmp_path, monkeypa
 
 
 def readme_families():
-    """(base, slope, xs) of sweeps like the README commands: the N = 5 and N = 7
-    chains against the two-photon detuning, and the reduced N = 7 and N = 13 models
-    against the hopping rate on the grid of the README drive sweep."""
+    """(base, top, xs), the two builds L(0) and L(1) and the points, of sweeps like the
+    README commands: the N = 5 and N = 7 chains against the two-photon detuning, and the
+    reduced N = 7 and N = 13 models against the hopping rate on the grid of the README
+    drive sweep."""
     for n in (5, 7):
         p = default_params(n)
         base = build_generator(cascaded_lambda_graph(p)).matrix  # zero detuning
         moved = replace(p, detunings=raman_detunings(n, 1.0))
-        slope = build_generator(cascaded_lambda_graph(moved)).matrix - base
-        yield base, slope, mhz_to_angular(np.linspace(-2.0, 2.0, 41))
+        top = build_generator(cascaded_lambda_graph(moved)).matrix
+        yield base, top, mhz_to_angular(np.linspace(-2.0, 2.0, 41))
     for n in (7, 13):
         p = default_params(n, gamma_prime_mhz=0.02)
         base = build_effective_generator(n, 0.0, p.gamma_prime, p.detunings).matrix
-        slope = build_effective_generator(n, 1.0, p.gamma_prime, p.detunings).matrix - base
+        top = build_effective_generator(n, 1.0, p.gamma_prime, p.detunings).matrix
         rabis = np.logspace(-4.0, np.log10(5e-2), 201) * p.gamma
-        yield base, slope, rabis**2 / p.gamma
+        yield base, top, rabis**2 / p.gamma
 
 
 @pytest.mark.parametrize("per_chunk", [None, 3])
 def test_affine_states_equal_the_stacked_solve(monkeypatch, per_chunk):
-    # base + x * slope is a random graph whose Hamiltonian moves along a random
+    # L(x) = base + x (top - base) is a random graph whose Hamiltonian moves along a random
     # Hermitian direction, or a README sweep; solved chunk by chunk, it must give
     # the bits of one solve of the whole stack, and those of the dense bordered solve
     # where that is one block (the random graphs), else its numbers within SWEEP_RTOL
@@ -220,34 +221,34 @@ def test_affine_states_equal_the_stacked_solve(monkeypatch, per_chunk):
     for size in (1, 2, 3, 5, 7, 8, 10, 11):  # with 3 per chunk, most end in a partial one
         graph = random_graph(rng)
         h1 = hermitian_random(rng, graph.n_states)
-        families.append((build_generator(graph).matrix, hamiltonian_superoperator(h1, h1),
-                         rng.uniform(-2.0, 2.0, size=size)))
-    for base, slope, xs in [*families, *readme_families()]:
+        base = build_generator(graph).matrix
+        families.append((base, base + hamiltonian_superoperator(h1, h1), rng.uniform(-2.0, 2.0, size=size)))
+    for base, top, xs in [*families, *readme_families()]:
         if per_chunk is not None:
             monkeypatch.setattr(clams.liouvillian, "STACK_BYTES", per_chunk * 16 * base.size)
-        got = affine_steady_states(*generators(base, slope), xs)
-        stack = base + xs[:, None, None] * slope
+        got = affine_steady_states(*generators(base, top), xs)
+        stack = members(base, top, xs)
         assert np.array_equal(got, steady_states(stack))
         want = dense_bordered_steady_states(stack)
-        if coherence_levels(base, slope) is None:
+        if coherence_levels(base, top) is None:
             assert np.array_equal(got, want)
         else:
             assert np.abs(got - want).max() <= SWEEP_RTOL * np.abs(want).max()
 
 
 def chain_families():
-    """(base, slope, xs) of the full chain of the README sweeps, as the CLI builds it:
+    """(base, top, xs) of the full chain of the README sweeps, as the CLI builds it:
     sweep-detuning at N = 5 and N = 13 over 41 points, sweep-rabi at N = 7 over 201."""
     for n in (5, 13):
         p = default_params(n)
         base = build_generator(cascaded_lambda_graph(p)).matrix  # zero detuning
         moved = replace(p, detunings=raman_detunings(n, 1.0))
-        slope = build_generator(cascaded_lambda_graph(moved)).matrix - base
-        yield base, slope, mhz_to_angular(np.linspace(-2.0, 2.0, 41))
+        top = build_generator(cascaded_lambda_graph(moved)).matrix
+        yield base, top, mhz_to_angular(np.linspace(-2.0, 2.0, 41))
     p = default_params(7, gamma_prime_mhz=0.02)
     base = build_generator(cascaded_lambda_graph(replace(p, rabi=0.0))).matrix
-    slope = build_generator(cascaded_lambda_graph(replace(p, rabi=1.0))).matrix - base
-    yield base, slope, np.logspace(-4.0, np.log10(5e-2), 201) * p.gamma
+    top = build_generator(cascaded_lambda_graph(replace(p, rabi=1.0))).matrix
+    yield base, top, np.logspace(-4.0, np.log10(5e-2), 201) * p.gamma
 
 
 def checked_calls(monkeypatch, corrupt=None):
@@ -287,14 +288,14 @@ def test_graded_residual_from_the_plus_q_rows_equals_the_dense_one(monkeypatch, 
     # v perturbed at its largest entry of an order +q and at its mirror, at its largest
     # order-0 entry and at the mirror of that, or both: the residual of the rows of orders
     # 0 and +q, weighted, is the dense ||L v||, and ||L||_F the dense one, per point
-    base, slope, xs = [*chain_families(), *list(readme_families())[2:]][family]
-    grading = coherence_levels(base, slope)
+    base, top, xs = [*chain_families(), *list(readme_families())[2:]][family]
+    grading = coherence_levels(base, top)
     assert grading is not None
     calls = checked_calls(monkeypatch)
-    affine_steady_states(*generators(base, slope), xs)
+    affine_steady_states(*generators(base, top), xs)
     done = 0
     for v, matvec, fro in calls:
-        stack = base + xs[done : done + len(v), None, None] * slope
+        stack = members(base, top, xs[done : done + len(v)])
         done += len(v)
         big = np.abs(v).max(axis=0)
         at = {q: np.flatnonzero(grading.order == q)[big[grading.order == q].argmax()]
@@ -314,9 +315,9 @@ def test_corrupted_plus_q_solution_fails_the_graded_check(monkeypatch, checks_co
     # stays Hermitian with unit trace, so only the residual of the rows 0 and +q sees it.
     # Corrupted once, each point of the chunk has failed its own check and takes one dense LU,
     # not its graded solve again; every time, the solve raises
-    base, slope, xs = next(chain_families())
-    clean = affine_steady_states(*generators(base, slope), xs)
-    grading = coherence_levels(base, slope)
+    base, top, xs = next(chain_families())
+    clean = affine_steady_states(*generators(base, top), xs)
+    grading = coherence_levels(base, top)
     plus1 = np.flatnonzero(grading.order == 1)[0]
 
     def corrupt(v, matvec, fro):
@@ -328,16 +329,16 @@ def test_corrupted_plus_q_solution_fails_the_graded_check(monkeypatch, checks_co
     calls = checked_calls(monkeypatch, corrupt)
     if checks_corrupted is None:
         with pytest.raises(SteadyStateError, match="residual"):
-            affine_steady_states(*generators(base, slope), xs)
+            affine_steady_states(*generators(base, top), xs)
     else:
-        got = affine_steady_states(*generators(base, slope), xs)
-        assert np.array_equal(got, dense_bordered_steady_states(base + xs[:, None, None] * slope))
+        got = affine_steady_states(*generators(base, top), xs)
+        assert np.array_equal(got, dense_bordered_steady_states(members(base, top, xs)))
         assert np.abs(got - clean).max() <= SWEEP_RTOL * np.abs(clean).max()
         assert len(calls) == 1 + len(xs)  # the graded chunk's check, then each point's dense LU
 
 
 def trapping_family():
-    """(base, slope, xs) of the N = 13 chain with excited decays only (each excited level
+    """(base, top, xs) of the N = 13 chain with excited decays only (each excited level
     to both neighbours at 10 rad/us), 1 rad/us drives, against the two-photon detuning
     on 41 points through 0.  Without ground relaxation, two-photon resonance is coherent
     population trapping: there block elimination meets an exactly singular outer block."""
@@ -346,16 +347,15 @@ def trapping_family():
         return build_generator(CouplingGraph(13, h, tuple(
             (e, g, 10.0) for e in range(1, 13, 2) for g in (e - 1, e + 1)))).matrix
 
-    base = at(0.0)
-    return base, at(1.0) - base, np.linspace(-1.0, 1.0, 41)
+    return at(0.0), at(1.0), np.linspace(-1.0, 1.0, 41)
 
 
 def test_failing_point_has_the_bits_of_its_own_solve_in_any_chunking(monkeypatch):
     # the resonant point fails the chunk's graded solve: it alone takes the dense LU, and
     # every point, solved whole, 3 or 1 per chunk, has the bits of its own steady_state
-    base, slope, xs = trapping_family()
-    band = coherence_levels(base, slope).band.size
-    lone = np.stack([steady_state(GeneratorMatrix(13, base + x * slope)).matrix for x in xs])
+    base, top, xs = trapping_family()
+    band = coherence_levels(base, top).band.size
+    lone = np.stack([steady_state(GeneratorMatrix(13, base + x * (top - base))).matrix for x in xs])
     solve, dense = clams.liouvillian._graded_states, []
 
     def spy(block, grading, matvec, fro):
@@ -369,7 +369,7 @@ def test_failing_point_has_the_bits_of_its_own_solve_in_any_chunking(monkeypatch
             if per_chunk is not None:
                 patch.setattr(clams.liouvillian, "STACK_BYTES", per_chunk * 16 * band)
             dense.clear()
-            got = affine_steady_states(*generators(base, slope), xs)
+            got = affine_steady_states(*generators(base, top), xs)
         assert np.array_equal(got, lone), per_chunk
         assert dense == [1], per_chunk  # one dense LU, of one point
 
@@ -378,13 +378,13 @@ def test_failing_point_costs_one_dense_generator():
     # the traced peak of the sweep through resonance exceeds that of the sweep without
     # its resonant point by at most 8 dense L (16 d^4 bytes each), however many points
     # share the failing chunk
-    base, slope, xs = trapping_family()
+    base, top, xs = trapping_family()
 
     def peak(points):
-        affine_steady_states(*generators(base, slope), points)  # the cached plans, once
+        affine_steady_states(*generators(base, top), points)  # the cached plans, once
         tracemalloc.start()
         try:
-            affine_steady_states(*generators(base, slope), points)
+            affine_steady_states(*generators(base, top), points)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -395,22 +395,23 @@ def test_failing_point_costs_one_dense_generator():
 
 
 def one_block_family():
-    """(base, slope, xs) of a random 5-state graph whose Hamiltonian moves along a random
+    """(base, top, xs) of a random 5-state graph whose Hamiltonian moves along a random
     Hermitian direction: a family of one block."""
     rng = np.random.default_rng(5)
     graph = random_graph(rng, d=5)
     h1 = hermitian_random(rng, graph.n_states)
-    return build_generator(graph).matrix, hamiltonian_superoperator(h1, h1), rng.uniform(-2, 2, 7)
+    base = build_generator(graph).matrix
+    return base, base + hamiltonian_superoperator(h1, h1), rng.uniform(-2, 2, 7)
 
 
 def test_one_block_family_checks_every_row(monkeypatch):
-    base, slope, xs = one_block_family()
+    base, top, xs = one_block_family()
     rng = np.random.default_rng(6)
-    assert coherence_levels(base, slope) is None
+    assert coherence_levels(base, top) is None
     calls = checked_calls(monkeypatch)
-    affine_steady_states(*generators(base, slope), xs)
+    affine_steady_states(*generators(base, top), xs)
     ((v, matvec, fro),) = calls
-    stack = base + xs[:, None, None] * slope
+    stack = members(base, top, xs)
     w = rng.normal(size=v.shape) + 1j * rng.normal(size=v.shape)
     got = matvec(w)
     assert got.shape == v.shape  # one entry per row of L
@@ -460,9 +461,9 @@ def test_reused_gather_buffer_leaves_no_trace(monkeypatch, family, chunked):
     # (the README N = 7 Rabi sweep) and after one whose gather is smaller (two points of
     # the N = 5 detuning sweep), in a thread each: the same bits, whatever heap the other
     # family left behind
-    (base5, slope5, xs5), detuning13, rabi7 = chain_families()
-    base, slope, xs = detuning13 if family == "detuning13" else one_block_family()
-    grading = coherence_levels(base, slope)
+    (base5, top5, xs5), detuning13, rabi7 = chain_families()
+    base, top, xs = detuning13 if family == "detuning13" else one_block_family()
+    grading = coherence_levels(base, top)
     assert (grading is None) == (family == "one-block")
     run = recording_checks(monkeypatch)
 
@@ -471,10 +472,10 @@ def test_reused_gather_buffer_leaves_no_trace(monkeypatch, family, chunked):
             if chunked:  # 3 points per chunk: 3 bands (one block: 3 generators)
                 band = base.size if grading is None else grading.band.size
                 patch.setattr(clams.liouvillian, "STACK_BYTES", 3 * 16 * band)
-            return affine_steady_states(*generators(base, slope), xs)
+            return affine_steady_states(*generators(base, top), xs)
 
     first = in_new_thread(lambda: run(solve))
-    for before in (rabi7, (base5, slope5, xs5[:2])):
+    for before in (rabi7, (base5, top5, xs5[:2])):
         got = in_new_thread(lambda: (run(lambda: affine_steady_states(*generators(*before[:2]), before[2])), run(solve))[1])
         assert_same_solves(got, first)
 
