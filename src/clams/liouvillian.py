@@ -12,10 +12,10 @@ Vectorization is column-stacking throughout: vec(rho)[i + j*d] = rho[i, j], so
 vec(A rho B) = (B^T kron A) vec(rho).  Every index map in this module derives
 from that single convention.
 
-A builder's L is dense where its H joins states in cliques alone; else it is only its values
-at its pattern, the entries it writes, from index places cached per structure.  A pattern (a
-scan's, for a dense L) gives one cached plan (:func:`_plan`): L is read only there, in a sweep
-too, whose family is its two builds, its slope formed once at their union; heap policy: ``STACK_BYTES``.
+:func:`build_generator` assembles L: dense where H joins states in cliques alone, else its values
+at its pattern, the entries it writes, from index places cached per structure.  :func:`steady_state`
+solves one L, :func:`affine_steady_states` a family from its two builds (slope formed once at their
+union), read only at the one cached plan of its pattern (:func:`_plan`); heap: ``STACK_BYTES``.
 """
 from __future__ import annotations
 
@@ -39,9 +39,7 @@ __all__ = [
     "affine_steady_states",
     "build_generator",
     "cascaded_lambda_graph",
-    "hamiltonian_superoperator",
     "steady_state",
-    "steady_states",
     "propagate",
 ]
 
@@ -125,7 +123,7 @@ class CouplingGraph:
 class GeneratorMatrix:
     """Linear generator L on column-stacked density matrices: dvec(rho)/dt = L vec(rho), given
     dense (``matrix``, n^2 x n^2; its pattern is one scan's, kept with its values) or as its
-    ``values`` at its ``pattern`` alone (sorted flat indices, an int64 view of bytes), which
+    ``values`` at its ``pattern`` alone (sorted flat indices, an int64 view of their own bytes), which
     ``matrix`` scatters into +0.0 on first read and keeps.  The builders set ``structure``, the
     key of the pattern they write, in place of ``pattern``."""
 
@@ -136,6 +134,8 @@ class GeneratorMatrix:
         if matrix is not None and np.shape(matrix) != (n_states**2,) * 2:
             raise ValueError(f"the generator of {n_states} states must be {n_states**2}x{n_states**2}")
         self.n_states, self.structure = n_states, structure
+        if pattern is not None:  # a view of its own bytes, which key the solver's plan
+            pattern = np.frombuffer(np.asarray(pattern, dtype=np.int64).tobytes(), np.int64)
         self.__dict__.update((k, v) for k, v in (("matrix", matrix), ("values", values), ("pattern", pattern))
                              if v is not None)
 
@@ -195,17 +195,6 @@ class DensityMatrix:
         return cls(np.asarray(v, dtype=complex).reshape((n_states, n_states), order="F"))
 
 
-def hamiltonian_superoperator(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """d^2 x d^2 matrix of rho -> -i (left rho - rho right), written from indices."""
-    d = left.shape[0]
-    lio = np.zeros((d * d, d * d), dtype=complex)
-    l4 = lio.reshape(d, d, d, d)  # l4[j, i, l, k] = L[i + j*d, k + l*d]
-    idx = np.arange(d)
-    l4[idx, :, idx, :] -= 1j * left  # left[i, k] rho[k, j]
-    l4[:, idx, :, idx] += 1j * right.T  # rho[i, l] right[l, j]
-    return lio
-
-
 def build_generator(graph: CouplingGraph) -> GeneratorMatrix:
     """Assemble the d^2 x d^2 generator of the coherent + population-decay dynamics."""
     src, tgt, rate = np.zeros((3, 0), dtype=np.int64)
@@ -224,10 +213,13 @@ def _assemble(left, right, src, tgt, rate, damping, coherent=True, cls=Generator
     d = len(left)
     structure = ((left != 0).tobytes(), d, np.array([src, tgt], dtype=np.int64).tobytes(), coherent)
     if dense := _cliques(*structure[:2]):
-        values, dp = hamiltonian_superoperator(left, right), np.diag_indices(d * d)
+        values, dp, idx = np.zeros((d * d, d * d), dtype=complex), np.diag_indices(d * d), np.arange(d)
+        l4 = values.reshape(d, d, d, d)  # l4[j, i, l, k] = L[i + j*d, k + l*d]
+        l4[idx, :, idx, :] -= 1j * left  # left[i, k] rho[k, j]
+        l4[:, idx, :, idx] += 1j * right.T  # rho[i, l] right[l, j]
         tp = (tgt * (d + 1), src * (d + 1))
         if not coherent:
-            values[np.arange(d) * (d + 1), :] = 0.0
+            values[idx * (d + 1), :] = 0.0
     else:
         _, lp, rp, tp, dp = _places(*structure)
         values = 0 - 1j * np.append(left, 0)[lp]  # 0 where left or right has no part
@@ -289,16 +281,6 @@ def steady_state(gen: GeneratorMatrix) -> DensityMatrix:
     matvec = lambda v: np.add.reduceat(imul(v.take(plan.cols, 1, mode="clip"), lnz), plan.heads, axis=1)
     solve = lambda lo, hi: _graded_states(lambda a, b: band[:, a:b], plan, matvec, _frobenius(at))
     return DensityMatrix(_bisected(0, 1, solve, dense)[0])
-
-
-def steady_states(stack: np.ndarray) -> np.ndarray:
-    """Steady states, shape (k, d, d), of a stack of k generators, each solved alone by
-    :func:`steady_state`, its pattern from one scan."""
-    lio = np.ascontiguousarray(stack, dtype=complex)
-    out = np.empty((len(lio), *(isqrt(lio.shape[-1]),) * 2), dtype=complex).transpose(0, 2, 1)  # as each rho
-    for i, member in enumerate(lio):
-        out[i] = steady_state(GeneratorMatrix(isqrt(len(member)), member)).matrix
-    return out
 
 
 def _dense_lu(lio: np.ndarray) -> np.ndarray:

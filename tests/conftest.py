@@ -72,6 +72,13 @@ def generators(*lios: np.ndarray) -> list[GeneratorMatrix]:
     return [GeneratorMatrix(isqrt(len(lio)), lio) for lio in lios]
 
 
+def each_steady_state(stack) -> np.ndarray:
+    """Steady states, shape (k, d, d), of a stack of k raw generators, each solved alone by
+    ``steady_state`` at one scan's pattern; the first member that fails raises its error."""
+    gens = generators(*np.ascontiguousarray(stack, dtype=complex))
+    return np.stack([steady_state(gen).matrix for gen in gens])
+
+
 def members(base: np.ndarray, top: np.ndarray, xs) -> np.ndarray:
     """The dense stack L(x) = base + x (top - base) of a sweep's family, base = L(0) and
     top = L(1) its two builds (raw n x n arrays), at the points ``xs``."""

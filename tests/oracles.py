@@ -122,9 +122,9 @@ def dense_effective_generator(n_levels, j_hop, gamma_prime, detunings=None) -> n
 
 def dense_bordered_steady_states(lio: np.ndarray) -> np.ndarray:
     """Steady states of a contiguous complex stack of generators by one dense LU of
-    order d^2 each, row 0 bordered with the trace functional in place: the solver
-    that ``steady_states`` used for every size before block elimination over
-    coherence orders, kept verbatim.  Pass a copy; row 0 is restored afterwards."""
+    order d^2 each, row 0 bordered with the trace functional in place: the library's
+    solve for every size before block elimination over coherence orders, kept
+    verbatim.  Pass a copy; row 0 is restored afterwards."""
     k, n, _ = lio.shape
     d = isqrt(n)
     row0 = lio[:, 0, :].copy()
@@ -278,8 +278,11 @@ def lsoda_propagate(gen: GeneratorMatrix, rho0: DensityMatrix, t: float, tol: fl
     drift = abs(complex(np.trace(rho.matrix)) - 1.0)
     if drift > 10.0 * tol:
         raise PropagationError(f"trace drift {drift:.3e} exceeds 10*tol")
-    return rho.validate(
-        herm_atol=max(HERMITICITY_ATOL, 10.0 * tol),
-        trace_atol=10.0 * tol,
-        eig_floor=min(EIGENVALUE_FLOOR, -10.0 * tol),
-    )
+    try:
+        return rho.validate(
+            herm_atol=max(HERMITICITY_ATOL, 10.0 * tol),
+            trace_atol=10.0 * tol,
+            eig_floor=min(EIGENVALUE_FLOOR, -10.0 * tol),
+        )
+    except ValueError as exc:  # a state that fails its checks is a failed propagation
+        raise PropagationError(str(exc)) from None

@@ -14,10 +14,9 @@ from clams.liouvillian import (
     build_generator,
     cascaded_lambda_graph,
     steady_state,
-    steady_states,
 )
 from clams.units import mhz_to_angular
-from conftest import chain_params, coherence_levels, generators, random_graph, rb85_graph
+from conftest import chain_params, coherence_levels, each_steady_state, generators, random_graph, rb85_graph
 from oracles import closure_effective_generator, dense_effective_generator, dense_generator, kron_generator
 
 AGREEMENT = 1e-15  # times the Frobenius norm of the reference generator
@@ -174,7 +173,7 @@ def test_sweep_of_two_builds_has_the_bits_of_the_dense_family(materialized, fami
     for base, top in pairs:
         got = affine_steady_states(base, top, xs)
         assert materialized == []
-        want = steady_states(base.matrix + xs[:, None, None] * (top.matrix - base.matrix))
+        want = each_steady_state(base.matrix + xs[:, None, None] * (top.matrix - base.matrix))
         assert np.array_equal(bits(got), bits(want))
         materialized.clear()
 
@@ -194,6 +193,15 @@ def test_raw_generator_is_scanned_once():
     raw = GeneratorMatrix(gen.n_states, gen.matrix.copy())
     assert raw.pattern is raw.pattern and raw.values is raw.values
     assert np.array_equal(raw.pattern, gen.pattern) and np.array_equal(bits(raw.values), bits(gen.values))
+
+
+@pytest.mark.parametrize("family", ["chains", "rb85", "reduced"])
+def test_hand_built_pattern_solves_to_the_builders_bits(family):
+    # values at a pattern given as a plain int64 array, not a view of bytes: the
+    # generator keeps a view of its own bytes, which key the solver's plan
+    for gen in FAMILIES[family]():
+        hand = GeneratorMatrix(gen.n_states, values=gen.values, pattern=np.array(gen.pattern))
+        assert np.array_equal(bits(steady_state(hand).matrix), bits(steady_state(gen).matrix))
 
 
 def test_graded_build_holds_only_its_values():

@@ -15,7 +15,13 @@ from clams.cli import (
     write_csv,
 )
 from clams.effective import reduce
-from clams.liouvillian import SteadyStateError, build_generator, cascaded_lambda_graph, steady_states
+from clams.liouvillian import (
+    GeneratorMatrix,
+    SteadyStateError,
+    build_generator,
+    cascaded_lambda_graph,
+    steady_state,
+)
 from clams.units import mhz_to_angular
 from conftest import chain_params, rb85_graph, run_python
 from oracles import per_value_csv, per_value_matrix_csv
@@ -153,7 +159,7 @@ def repeated_patterns():
 
 def steady_state_view():
     """The F-ordered view that ``steady_state`` hands the writer."""
-    rho = steady_states(chain21_generator()[None])[0]
+    rho = steady_state(GeneratorMatrix(21, chain21_generator())).matrix
     assert not rho.flags.c_contiguous
     return rho
 
@@ -541,6 +547,18 @@ GOLDEN = {
             "steady_peaks.csv": "0c849f25ad9cb199f7092eb9b5e9a832cc430dcbdaa54cf9b189eae2233d0868",
             "steady_peaks.json": "fddf4d565fc9c5db142da87ac6f4fee0426cd65496f012024f073121226e36d0",
             "steady_rho.csv": "c55dedf80e33c54dfbea378d3a27b338109901da97e3abd85595bb4b7259ddfb",
+        },
+    ),
+    # the N = 3 reduced model: its 2-state generator is a clique, built dense
+    "steady-effective-n3-dump": (
+        "steady --n-levels 3 --effective --dump-generator",
+        None,
+        "53ec6f98fbcfab32",
+        {
+            "steady_generator.csv":
+                "96e26f6197e5b0e0a4ac11a87c7a7441911cf3e2e116c23e75d07f7f71b32a64",
+            "steady_peaks.csv": "8691f6be3a947e2a4d222de776a410a5893c56c8e823a3af18fe00c11ce9e296",
+            "steady_rho.csv": "017506a84e01ee2f7149a22a5eae00f740e5908934b9854629e4f26ed6301be1",
         },
     ),
     # the full N = 21 chain's generator: 441 x 441, 99 % exact zeros
